@@ -9,7 +9,7 @@ from .encoding import (AtomLayout, EncodedTarget, HardwareLimits,
                        NotEncodableError, embed_layout, encode, gauge_fix,
                        layout_interactions, rescale, validate)
 from .annealer import (PropagationConfig, Schedule, Trajectory, expectation,
-                       fidelity, hamiltonian_at, initial_state, propagate)
+                       fidelity, initial_state, propagate)
 from .optimizer import (AnnealObjective, OptimizationResult, Stage, StagePlan,
                         approximation_ratio, finite_difference_gradient,
                         run_hybrid)

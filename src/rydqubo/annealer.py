@@ -8,15 +8,16 @@ of the pulse bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .encoding import EncodedTarget, HardwareLimits
+from .encoding import EncodedTarget
 
 DIM_CAP = 10  # atoms; 2^10 state-vector entries
+MAX_DOUBLINGS = 10  # adaptive step doublings before AnnealerError
 
 
 class AnnealerError(RuntimeError):
@@ -121,7 +122,6 @@ class Trajectory:
 class PropagationConfig:
     initial_steps: int = 200
     tolerance_rel: float = 1e-8     # on E(T), relative to the target energy scale
-    max_doublings: int = 10
     adaptive: bool = True
 
 
@@ -139,53 +139,25 @@ def _check_cap(n: int) -> None:
         raise AnnealerError(f"n={n} exceeds the propagation cap of {DIM_CAP} atoms")
 
 
-def hamiltonian_at(enc: EncodedTarget, schedule: Schedule, t: float) -> np.ndarray:
-    """Dense H(t) = (Omega/2) sum_j X_j - Delta_G(t) sum_j Delta_j(T) n_j + V-part."""
-    _check_cap(enc.n)
-    diag = diagonal_parts(enc)
-    dg = schedule.delta_profile(t)
-    om = schedule.omega_profile(t)
-    h = (om / 2.0) * _pauli_x_total(enc.n)
-    h[np.diag_indices_from(h)] += diag["v_part"] - dg * diag["delta_part"]
-    return h
+def target_ground_indices(enc: EncodedTarget) -> np.ndarray:
+    d = enc.diagonal_energies()
+    return np.flatnonzero(d <= d.min() + 1e-12 * enc.energy_scale)
 
 
-def diagonal_parts(enc: EncodedTarget) -> dict[str, np.ndarray]:
-    """Split the diagonal into the static V part and the detuning envelope part."""
-    dim = 1 << enc.n
-    xt = ((np.arange(dim)[:, None] >> np.arange(enc.n)) & 1).astype(float)
-    v_part = np.zeros(dim)
-    for i in range(enc.n):
-        for j in range(i + 1, enc.n):
-            if enc.v[i, j] != 0.0:
-                v_part += enc.v[i, j] * xt[:, i] * xt[:, j]
-    delta_part = xt @ enc.delta_final
-    return {"v_part": v_part, "delta_part": delta_part,
-            "target": v_part - delta_part}
-
-
-def target_ground_indices(enc: EncodedTarget, rel_tol: float = 1e-12) -> np.ndarray:
-    d = diagonal_parts(enc)["target"]
-    return np.flatnonzero(d <= d.min() + rel_tol * enc.energy_scale)
-
-
-def initial_state(enc: EncodedTarget, schedule: Schedule,
-                  tol_rel: float = 1e-9) -> np.ndarray:
+def initial_state(enc: EncodedTarget, schedule: Schedule) -> np.ndarray:
     """Basis state minimizing the diagonal H(0); must be unique."""
-    idx = initial_basis_index(enc, schedule, tol_rel, require_unique=True)
+    idx = initial_basis_index(enc, schedule, require_unique=True)
     psi = np.zeros(1 << enc.n, dtype=complex)
     psi[idx] = 1.0
     return psi
 
 
 def initial_basis_index(enc: EncodedTarget, schedule: Schedule,
-                        tol_rel: float = 1e-9,
                         require_unique: bool = True) -> int:
     _check_cap(enc.n)
-    parts = diagonal_parts(enc)
-    dg0 = schedule.delta_profile(0.0)
-    diag0 = parts["v_part"] - dg0 * parts["delta_part"]
-    tol = tol_rel * enc.energy_scale
+    v_part, delta_part = enc.diagonal_parts
+    diag0 = v_part - schedule.delta_profile(0.0) * delta_part
+    tol = 1e-9 * enc.energy_scale
     minima = np.flatnonzero(diag0 <= diag0.min() + tol)
     if len(minima) > 1 and require_unique:
         raise DegenerateInitialStateError(
@@ -201,7 +173,7 @@ def expectation(state: np.ndarray, enc: EncodedTarget) -> float:
     if abs(norm - 1.0) > 1e-6:
         raise AnnealerError(f"state norm {math.sqrt(norm):.8f} violates tolerance")
     probs = np.abs(state) ** 2
-    return float(probs @ diagonal_parts(enc)["target"]) + enc.constant
+    return float(probs @ enc.diagonal_energies()) + enc.constant
 
 
 def fidelity(state: np.ndarray, ground_indices: Sequence[int]) -> float:
@@ -214,8 +186,7 @@ def fidelity(state: np.ndarray, ground_indices: Sequence[int]) -> float:
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
                n_steps: int, sample_times: np.ndarray,
-               ground_indices: Sequence[int],
-               parts: dict[str, np.ndarray], x_total: np.ndarray):
+               ground_indices: Sequence[int], x_total: np.ndarray):
     """Piecewise-constant propagation with exact step exponentials.
 
     H is evaluated at each step midpoint; the step unitary comes from an
@@ -227,7 +198,8 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     dg = np.asarray(schedule.delta_profile(mid))
     om = np.asarray(schedule.omega_profile(mid))
     dt = schedule.t_total / n_steps
-    target = parts["target"]
+    v_part, delta_part = enc.diagonal_parts
+    target = enc.diagonal_energies()
 
     sample_idx = np.searchsorted(t_grid, sample_times - 1e-12)
     records = {}
@@ -243,7 +215,7 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     record(0)
     for step in range(n_steps):
         h = (om[step] / 2.0) * x_total
-        h[np.diag_indices_from(h)] += parts["v_part"] - dg[step] * parts["delta_part"]
+        h[np.diag_indices_from(h)] += v_part - dg[step] * delta_part
         evals, evecs = np.linalg.eigh(h)
         psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
         if step + 1 in sample_idx or step + 1 == n_steps:
@@ -257,7 +229,6 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
               psi0: np.ndarray | None = None) -> tuple[np.ndarray, Trajectory]:
     """Solve i dpsi/dt = H(t) psi; step count doubles until E(T) is converged."""
     _check_cap(enc.n)
-    parts = diagonal_parts(enc)
     x_total = _pauli_x_total(enc.n)
     if ground_indices is None:
         ground_indices = target_ground_indices(enc)
@@ -271,13 +242,13 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
     intervals = schedule.sample_count - 1
     n_steps = intervals * max(1, -(-cfg.initial_steps // intervals))
     psi, t_grid, sample_idx, records = _run_steps(
-        enc, schedule, psi0, n_steps, sample_times, ground_indices, parts, x_total)
+        enc, schedule, psi0, n_steps, sample_times, ground_indices, x_total)
     e_final = records[n_steps][0]
     if cfg.adaptive:
-        for _ in range(cfg.max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             n2 = 2 * n_steps
             psi2, t2, si2, rec2 = _run_steps(
-                enc, schedule, psi0, n2, sample_times, ground_indices, parts, x_total)
+                enc, schedule, psi0, n2, sample_times, ground_indices, x_total)
             converged = abs(rec2[n2][0] - e_final) < tol
             n_steps, psi, t_grid, sample_idx, records = n2, psi2, t2, si2, rec2
             e_final = records[n_steps][0]
@@ -286,7 +257,7 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
         else:
             raise AnnealerError(
                 f"E(T) not converged to {cfg.tolerance_rel} after "
-                f"{cfg.max_doublings} step doublings")
+                f"{MAX_DOUBLINGS} step doublings")
 
     times, energies, fids = [], [], []
     worst_norm = 0.0

@@ -7,29 +7,24 @@ failure, 4 solution quality below threshold, 5 propagation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .annealer import AnnealerError, PropagationConfig, Schedule, propagate
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
-                       embed_layout, encode, rescale, validate)
-from .hardness import (DEFAULT_EPSILON, analyze_model, format_csv,
-                       format_table, hardness_parameter, report_rows)
+                       embed_layout, validate)
+from .hardness import (DEFAULT_EPSILON, analyze_model, analyze_supplied,
+                       format_csv, format_table, format_value, report_row,
+                       report_rows)
 from .models import (ModelError, as_ising, enumerate_spectrum, ground_summary,
-                     model_from_json, model_to_json, state_bits)
+                     model_from_json, state_bits)
 from .optimizer import StagePlan
-from .pipeline import (PipelineResult, encode_for_annealing, result_json,
-                       run_pipeline, trajectory_csv)
-from .problems import (PRESET_NAMES, ProblemError, ClusteringInstance,
-                       ProteinToyInstance, QapInstance, SetPackingInstance,
-                       TwoSatInstance, XorSatInstance, build_binary_clustering,
-                       build_mixed, build_protein_toy, build_qap,
-                       build_set_packing, build_two_sat, build_xor_sat,
-                       preset_instance, shared_residue_exclusions)
+from .pipeline import (default_schedule, encode_for_annealing, result_json,
+                       run_pipeline, trajectory_csv, trajectory_table)
+from .problems import (PRESET_NAMES, ProblemError, build_from_params,
+                       preset_instance)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,69 +33,40 @@ EXIT_QUALITY = 4
 EXIT_PROPAGATION = 5
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+class InputFileError(Exception):
+    """A missing or malformed input file; main() maps it to EXIT_USAGE."""
+
+
+def _load_json(path: str, what: str, parse):
+    """``parse`` applied to the JSON in ``path``; every failure is an
+    InputFileError."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputFileError(
+            f"cannot load {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_limits(args) -> HardwareLimits:
     if not getattr(args, "config", None):
         return HardwareLimits()
-    with open(args.config) as fh:
-        data = json.load(fh)
-    return HardwareLimits(**data)
+    return _load_json(args.config, "config",
+                      lambda data: HardwareLimits(**data))
+
+
+def _emit(args, text: str) -> None:
+    """Write ``text`` to the --out file if one was given, else to stdout."""
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
 
 
 def _out_path(args, name: str) -> Path:
     out_dir = Path(getattr(args, "out_dir", ".") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
-
-
-def _build_from_family(family: str, params: dict):
-    if family == "two_sat":
-        clauses = tuple(tuple((int(i), bool(neg)) for i, neg in clause)
-                        for clause in params["clauses"])
-        inst = TwoSatInstance(int(params["n"]), clauses,
-                              float(params.get("penalty", 1.0)))
-        return inst, build_two_sat(inst)
-    if family == "xor_sat":
-        cons = tuple((int(i), int(j), int(b)) for i, j, b in params["constraints"])
-        inst = XorSatInstance(int(params["n"]), cons,
-                              float(params.get("weight", 1.0)))
-        return inst, build_xor_sat(inst)
-    if family == "mixed":
-        ts, _ = _build_from_family("two_sat", params["two_sat"])
-        xs, _ = _build_from_family("xor_sat", params["xor_sat"])
-        return (ts, xs), build_mixed(ts, xs)
-    if family == "set_packing":
-        inst = SetPackingInstance(int(params["n"]),
-                                  tuple(float(w) for w in params["weights"]),
-                                  tuple((int(i), int(j)) for i, j in params["conflicts"]),
-                                  float(params.get("penalty", 2.0)))
-        return inst, build_set_packing(inst)
-    if family == "qap":
-        flow = tuple(tuple(float(v) for v in row) for row in params["flow"])
-        dist = tuple(tuple(float(v) for v in row) for row in params["distance"])
-        inst = QapInstance(flow, dist, float(params["penalty_facility"]),
-                           float(params["penalty_location"]))
-        return inst, build_qap(inst)
-    if family == "clustering":
-        w = tuple(tuple(float(v) for v in row) for row in params["dissimilarity"])
-        inst = ClusteringInstance(w)
-        return inst, build_binary_clustering(inst)
-    if family == "protein":
-        length = int(params["length"])
-        exclusions = params.get("exclusions")
-        if exclusions is None:
-            exclusions = shared_residue_exclusions(length)
-        else:
-            exclusions = tuple((int(p), int(q)) for p, q in exclusions)
-        inst = ProteinToyInstance(length, tuple(int(h) for h in params["hydrophobic"]),
-                                  exclusions,
-                                  float(params.get("penalty_linear", 0.5)),
-                                  float(params.get("penalty_exclusion", 2.0)))
-        return inst, build_protein_toy(inst)
-    raise ProblemError(f"unknown family {family!r}")
 
 
 def cmd_problem(args) -> int:
@@ -116,53 +82,45 @@ def cmd_problem(args) -> int:
                     params[key] = json.loads(getattr(args, key))
             if "n" not in params and args.n is not None:
                 params["n"] = args.n
-            _, model = _build_from_family(args.family, params)
+            _, model = build_from_params(args.family, params)
             meta = {"family": args.family}
     except (ProblemError, ModelError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD if isinstance(exc, (ProblemError, ModelError)) else EXIT_USAGE
     payload = model.to_dict()
     payload["metadata"] = meta
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _load_model(path: str):
     try:
         return model_from_json(path)
-    except (OSError, json.JSONDecodeError, ModelError) as exc:
-        print(f"error: cannot load model {path}: {exc}", file=sys.stderr)
-        return None
+    except (OSError, ValueError) as exc:  # JSONDecodeError, ModelError
+        raise InputFileError(f"cannot load model {path}: {exc}") from exc
 
 
 def cmd_spectrum(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return EXIT_USAGE
     try:
-        table = enumerate_spectrum(model, cap=args.cap)
+        table = enumerate_spectrum(model)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
     summary = ground_summary(table)
     print("energy,multiplicity")
     for entry in table.entries:
-        print(f"{_fmt(entry.energy)},{entry.multiplicity}")
+        print(f"{format_value(entry.energy)},{entry.multiplicity}")
     grounds = [''.join(map(str, state_bits(s, model.n)))
                for s in summary.ground_states]
-    print(f"# C_opt={_fmt(summary.c_opt)} C_max={_fmt(summary.c_max)} "
+    print(f"# C_opt={format_value(summary.c_opt)} "
+          f"C_max={format_value(summary.c_max)} "
           f"D_opt={len(summary.ground_states)} grounds={' '.join(grounds)}")
     return EXIT_OK
 
 
 def cmd_encode(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return EXIT_USAGE
     limits = _load_limits(args)
     try:
         outcome = encode_for_annealing(model, mode=args.mode, limits=limits)
@@ -176,18 +134,12 @@ def cmd_encode(args) -> int:
                "signed_interactions": outcome.signed,
                "gauge_flips": list(outcome.flips),
                "scale_binding": outcome.scale_binding}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def cmd_layout(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return EXIT_USAGE
     limits = _load_limits(args)
     try:
         outcome = encode_for_annealing(model, mode="physical", limits=limits)
@@ -199,24 +151,13 @@ def cmd_layout(args) -> int:
     payload = layout.to_dict()
     payload["max_rel_error"] = report.max_rel_error
     payload["worst_pair"] = list(report.worst_pair)
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return EXIT_USAGE
-    try:
-        with open(args.layout) as fh:
-            layout = AtomLayout.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: cannot load layout: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    layout = _load_json(args.layout, "layout", AtomLayout.from_dict)
     limits = _load_limits(args)
     try:
         outcome = encode_for_annealing(model, mode="physical", limits=limits)
@@ -224,9 +165,9 @@ def cmd_validate(args) -> int:
     except (NotEncodableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
-    print(f"max_rel_error={_fmt(report.max_rel_error)} "
+    print(f"max_rel_error={format_value(report.max_rel_error)} "
           f"worst_pair={report.worst_pair} "
-          f"worst_unwanted={_fmt(report.worst_unwanted)} "
+          f"worst_unwanted={format_value(report.worst_unwanted)} "
           f"passed={report.passed}")
     for pair in report.offending_pairs:
         print(f"offending pair: {pair}")
@@ -235,36 +176,25 @@ def cmd_validate(args) -> int:
 
 def cmd_hardness(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return EXIT_USAGE
     try:
         rep = analyze_model(model, epsilon=args.epsilon,
                             energy_shift=args.energy_shift)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
-    note = "normalized by spectral width" if rep.normalized_by_width else ""
-    row = {"problem": args.name, "E0": rep.e0, "gap": rep.gap,
-           "D_opt": rep.d_opt, "D_E1": rep.d_first_excited,
-           "threats": rep.threat_count, "Sigma": rep.sigma, "HP": rep.hp,
-           "note": note}
+    row = report_row(args.name, rep)
     print(format_csv([row]) if args.csv else format_table([row]))
     return EXIT_OK
 
 
-def _schedule_from_args(args, enc=None, preset_name=None, limits=None) -> Schedule:
-    if args.schedule:
-        with open(args.schedule) as fh:
-            return Schedule.from_dict(json.load(fh))
-    from .pipeline import default_schedule
-    return default_schedule(preset_name, enc, t_total=args.duration,
-                            limits=limits)
+def _load_schedule(args) -> Schedule | None:
+    if not args.schedule:
+        return None
+    return _load_json(args.schedule, "schedule", Schedule.from_dict)
 
 
 def cmd_anneal(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return EXIT_USAGE
     limits = _load_limits(args)
     try:
         outcome = encode_for_annealing(model, mode=args.mode, limits=limits)
@@ -272,41 +202,26 @@ def cmd_anneal(args) -> int:
         print(f"error: not encodable: {exc}", file=sys.stderr)
         return EXIT_BUILD
     enc = outcome.target
-    schedule = _schedule_from_args(args, enc, limits=limits)
+    schedule = _load_schedule(args) or default_schedule(
+        None, enc, t_total=args.duration, limits=limits)
     try:
         _, traj = propagate(enc, schedule,
                             PropagationConfig(initial_steps=args.steps))
     except AnnealerError as exc:
         print(f"error: propagation failed: {exc}", file=sys.stderr)
         return EXIT_PROPAGATION
-    cols = ["t_us", "omega", "delta_G"] + \
-        [f"delta_{j + 1}" for j in range(enc.n)] + ["E", "F"]
-    lines = [",".join(cols)]
-    for k in range(len(traj.times)):
-        deltas = traj.delta_g[k] * enc.delta_final
-        cells = [traj.times[k], traj.omega[k], traj.delta_g[k],
-                 *deltas, traj.energy[k], traj.fidelity[k]]
-        lines.append(",".join(_fmt(c) for c in cells))
-    text = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    print(f"# E(T)={_fmt(traj.energy[-1])} F(T)={_fmt(traj.fidelity[-1])}",
-          file=sys.stderr)
+    rows = trajectory_table(traj, enc.delta_final)
+    _emit(args, format_csv(rows, list(rows[0])))
+    print(f"# E(T)={format_value(traj.energy[-1])} "
+          f"F(T)={format_value(traj.fidelity[-1])}", file=sys.stderr)
     return EXIT_OK
 
 
 def _run_full(args, instance_name: str, model, preset_name=None) -> int:
     limits = _load_limits(args)
-    plan = StagePlan.default()
-    if args.plan:
-        with open(args.plan) as fh:
-            plan = StagePlan.from_dict(json.load(fh))
-    schedule = None
-    if getattr(args, "schedule", None):
-        with open(args.schedule) as fh:
-            schedule = Schedule.from_dict(json.load(fh))
+    plan = (_load_json(args.plan, "plan", StagePlan.from_dict) if args.plan
+            else StagePlan.default())
+    schedule = _load_schedule(args)
     try:
         result = run_pipeline(model, instance_name, preset_name=preset_name,
                               mode=args.mode, plan=plan, seed=args.seed,
@@ -324,20 +239,16 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
     _out_path(args, f"{instance_name}_trajectory.csv").write_text(
         trajectory_csv(result) + "\n")
     try:
-        rep = analyze_model(as_ising(model))
-        note = "normalized by spectral width" if rep.normalized_by_width else ""
-        row = {"problem": instance_name, "E0": rep.e0, "gap": rep.gap,
-               "D_opt": rep.d_opt, "D_E1": rep.d_first_excited,
-               "threats": rep.threat_count, "Sigma": rep.sigma, "HP": rep.hp,
-               "note": note}
+        row = report_row(instance_name, analyze_model(as_ising(model)))
         _out_path(args, f"{instance_name}_hardness.csv").write_text(
             format_csv([row]) + "\n")
     except Exception as exc:
         print(f"warning: hardness row failed: {exc}", file=sys.stderr)
 
     opt = result.optimization
-    print(f"instance={instance_name} R={_fmt(opt.ratio)} F={_fmt(opt.f_best)} "
-          f"E={_fmt(opt.e_best)} evaluations={opt.evaluations} "
+    print(f"instance={instance_name} R={format_value(opt.ratio)} "
+          f"F={format_value(opt.f_best)} E={format_value(opt.e_best)} "
+          f"evaluations={opt.evaluations} "
           f"manifest={result.manifest.hash()}")
     return EXIT_OK if opt.ratio >= args.threshold else EXIT_QUALITY
 
@@ -351,41 +262,36 @@ def cmd_pipeline(args) -> int:
             return EXIT_USAGE
         return _run_full(args, preset.name, preset.model, preset.name)
     model = _load_model(args.model)
-    if model is None:
-        return EXIT_USAGE
     name = Path(args.model).stem
     return _run_full(args, name, model)
 
 
-def cmd_optimize(args) -> int:
-    # optimize is the pipeline without the hardness row side output
-    return cmd_pipeline(args)
+def _supplied_row(item: dict) -> dict:
+    rep = analyze_supplied(
+        float(item["E0"]), float(item["gap"]), int(item["D_opt"]),
+        int(item.get("D_E1", 0)),
+        [(float(d), float(de)) for d, de in item["threat_degeneracies"]],
+        float(item["E_max"]) if "E_max" in item else None)
+    # a width normalization replaces the provenance note instead of extending it
+    return report_row(item["problem"], rep, "" if rep.normalized_by_width
+                      else "from supplied spectral quantities")
+
+
+def _result_row(stem: str, data: dict) -> dict:
+    """A report row from a pipeline result JSON; it has no spectral columns."""
+    return {"problem": data.get("instance", stem),
+            "E0": float(data.get("C_opt", float("nan"))),
+            "gap": float("nan"),
+            "D_opt": len(data.get("ground_states", [])),
+            "D_E1": 0, "threats": 0, "Sigma": float("nan"),
+            "HP": float("nan"),
+            "note": f"R={data.get('R'):.6f}"}
 
 
 def cmd_report(args) -> int:
-    rows = []
     if args.from_spectral:
-        try:
-            with open(args.from_spectral) as fh:
-                data = json.load(fh)
-            for item in data:
-                gap = float(item["gap"])
-                e0 = float(item["E0"])
-                d_opt = int(item["D_opt"])
-                sig = sum(float(d) * math.exp(-float(de) / gap)
-                          for d, de in item["threat_degeneracies"])
-                e_max = float(item["E_max"]) if "E_max" in item else None
-                hp, by_width = hardness_parameter(e0, d_opt, gap, sig, e_max)
-                rows.append({"problem": item["problem"], "E0": e0, "gap": gap,
-                             "D_opt": d_opt,
-                             "D_E1": int(item.get("D_E1", 0)),
-                             "threats": len(item["threat_degeneracies"]),
-                             "Sigma": sig, "HP": hp,
-                             "note": "normalized by spectral width" if by_width
-                                     else "from supplied spectral quantities"})
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: malformed spectral input: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        rows = _load_json(args.from_spectral, "spectral input",
+                          lambda data: [_supplied_row(item) for item in data])
     elif args.presets:
         named = []
         for name in PRESET_NAMES:
@@ -398,25 +304,10 @@ def cmd_report(args) -> int:
         if not args.inputs:
             print("error: no inputs given", file=sys.stderr)
             return EXIT_USAGE
-        for path in args.inputs:
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-                rows.append({"problem": data.get("instance", Path(path).stem),
-                             "E0": float(data.get("C_opt", float("nan"))),
-                             "gap": float("nan"),
-                             "D_opt": len(data.get("ground_states", [])),
-                             "D_E1": 0, "threats": 0, "Sigma": float("nan"),
-                             "HP": float("nan"),
-                             "note": f"R={data.get('R'):.6f}"})
-            except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-                print(f"error: malformed input {path}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-    text = format_csv(rows) if args.csv else format_table(rows)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+        rows = [_load_json(path, "result",
+                           functools.partial(_result_row, Path(path).stem))
+                for path in args.inputs]
+    _emit(args, format_csv(rows) if args.csv else format_table(rows))
     return EXIT_OK
 
 
@@ -444,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="exhaustive spectrum of a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--cap", type=int, default=20)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("encode", help="map a model to interactions/detunings")
@@ -513,7 +403,11 @@ def main(argv=None) -> int:
     if args.command in ("optimize", "pipeline") and not (args.preset or args.model):
         print("error: provide --preset or --model", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,17 +11,18 @@ rest of the package relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .models import IsingModel, ModelError
+from .models import IsingModel, _bit_table
 
 # hbar = 1; energies/frequencies in rad/us, lengths in um, times in us.
 GHZ_TO_RAD_PER_US = 2.0 * math.pi * 1.0e3
 C6_DEFAULT = 139.0 * GHZ_TO_RAD_PER_US  # 139 GHz um^6 -> 2*pi*1.39e5 rad/us um^6
+EMBED_RESTARTS = 16  # random starts of the layout stress descent
 
 
 class NotEncodableError(ValueError):
@@ -77,16 +78,27 @@ class EncodedTarget:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "delta_final", d)
 
+    @cached_property
+    def diagonal_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_{j<k} V_jk x_j x_k, sum_j Delta_j x_j) for every bit pattern.
+
+        Built on first use and cached read-only: the annealer reads it on
+        every propagation, while callers that never propagate (large-n
+        spectrum and hardness work) never allocate the 2^n-row bit table.
+        """
+        xt = _bit_table(self.n)
+        v_part = np.zeros(1 << self.n)
+        for i, j in zip(*np.triu_indices(self.n, k=1)):
+            if self.v[i, j] != 0.0:
+                v_part += self.v[i, j] * xt[:, i] * xt[:, j]
+        delta_part = xt @ self.delta_final
+        v_part.flags.writeable = delta_part.flags.writeable = False
+        return v_part, delta_part
+
     def diagonal_energies(self) -> np.ndarray:
         """-sum Delta_j x_j + sum_{j<k} V_jk x_j x_k for every bit pattern."""
-        dim = 1 << self.n
-        xt = ((np.arange(dim)[:, None] >> np.arange(self.n)) & 1).astype(float)
-        e = -xt @ self.delta_final
-        iu, ju = np.triu_indices(self.n, k=1)
-        for i, j in zip(iu, ju):
-            if self.v[i, j] != 0.0:
-                e += self.v[i, j] * xt[:, i] * xt[:, j]
-        return e
+        v_part, delta_part = self.diagonal_parts
+        return v_part - delta_part
 
     def source_energy(self, encoded_energy: float) -> float:
         """Map an encoded (diagonal) energy back to the source model convention."""
@@ -243,7 +255,7 @@ class EmbedReport:
     restarts: int
 
 
-def _pair_data(t: EncodedTarget, c6: float, r_far: float):
+def _pair_data(t: EncodedTarget, c6: float):
     iu, ju = np.triu_indices(t.n, k=1)
     vt = t.v[iu, ju]
     if np.any(vt < 0):
@@ -277,8 +289,7 @@ def _stress_and_grad(flat: np.ndarray, n: int, dim: int, iu, ju, pos_mask,
 
 
 def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
-                 limits: HardwareLimits | None = None,
-                 restarts: int = 16) -> tuple[AtomLayout, EmbedReport]:
+                 limits: HardwareLimits | None = None) -> tuple[AtomLayout, EmbedReport]:
     """Place atoms so C6/r^6 approximates V, by multi-start stress descent.
 
     Infeasibility (including unwanted-interaction leakage on zero pairs) is
@@ -294,13 +305,13 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     if n == 1:
         layout = AtomLayout(np.zeros((1, dim)), limits.c6)
         return layout, EmbedReport(0.0, (-1, -1), 0.0, 0)
-    iu, ju, vt, pos_mask, r_target = _pair_data(t, limits.c6, limits.r_far)
+    iu, ju, vt, pos_mask, r_target = _pair_data(t, limits.c6)
     if not np.any(pos_mask):
         raise NotEncodableError("V has no positive entry to embed")
     span = max(float(np.max(r_target[pos_mask])), limits.r_far)
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(EMBED_RESTARTS):
         x0 = rng.normal(scale=0.5 * span, size=n * dim)
         res = minimize(_stress_and_grad, x0, jac=True, method="L-BFGS-B",
                        args=(n, dim, iu, ju, pos_mask, r_target, limits.r_far),
@@ -316,7 +327,7 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     np.fill_diagonal(errs, 0.0)
     worst = np.unravel_index(np.argmax(errs), errs.shape)
     return layout, EmbedReport(float(errs[worst]), (int(min(worst)), int(max(worst))),
-                               float(best.fun), restarts)
+                               float(best.fun), EMBED_RESTARTS)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .models import IsingModel, QuboModel, SpectrumTable, enumerate_spectrum
 
 DEFAULT_EPSILON = 1e-10
@@ -150,8 +148,34 @@ def analyze_model(model: IsingModel | QuboModel,
     return analyze_spectrum(enumerate_spectrum(model), epsilon, energy_shift)
 
 
+def analyze_supplied(e0: float, gap: float, d_opt: int, d_first_excited: int,
+                     threat_degeneracies: Sequence[tuple[float, float]],
+                     e_max: float | None) -> HardnessReport:
+    """Hardness from given spectral quantities instead of a model.
+
+    ``threat_degeneracies`` lists (degeneracy, E_alpha - E0) per threatening
+    subspace; no clustering takes place, so ``epsilon`` is NaN.
+    """
+    subspaces = [Subspace(0.0, d_opt, ())] + [Subspace(de, d, ())
+                                              for d, de in threat_degeneracies]
+    s = sigma(subspaces, range(1, len(subspaces)), gap)
+    hp, by_width = hardness_parameter(e0, d_opt, gap, s, e_max)
+    return HardnessReport(e0, gap, d_opt, d_first_excited, len(subspaces) - 1,
+                          s, hp, by_width, math.nan)
+
+
 REPORT_COLUMNS = ("problem", "E0", "gap", "D_opt", "D_E1", "threats",
                   "Sigma", "HP", "note")
+
+
+def report_row(problem: str, rep: HardnessReport, note: str = "") -> dict:
+    """One REPORT_COLUMNS row; a width normalization is appended to the note."""
+    if rep.normalized_by_width:
+        note = (note + "; " if note else "") + "normalized by spectral width"
+    return {"problem": problem, "E0": rep.e0, "gap": rep.gap,
+            "D_opt": rep.d_opt, "D_E1": rep.d_first_excited,
+            "threats": rep.threat_count, "Sigma": rep.sigma, "HP": rep.hp,
+            "note": note}
 
 
 def report_rows(named_models: Sequence[tuple[str, IsingModel | QuboModel, str]],
@@ -164,25 +188,18 @@ def report_rows(named_models: Sequence[tuple[str, IsingModel | QuboModel, str]],
         except Exception as exc:  # row-level isolation
             rows.append({"problem": name, "error": str(exc), "note": note})
             continue
-        full_note = note
-        if rep.normalized_by_width:
-            full_note = (full_note + "; " if full_note else "") + \
-                "normalized by spectral width"
-        rows.append({"problem": name, "E0": rep.e0, "gap": rep.gap,
-                     "D_opt": rep.d_opt, "D_E1": rep.d_first_excited,
-                     "threats": rep.threat_count, "Sigma": rep.sigma,
-                     "HP": rep.hp, "note": full_note})
+        rows.append(report_row(name, rep, note))
     return rows
 
 
-def format_table(rows: Sequence[dict]) -> str:
-    def fmt(value):
-        if isinstance(value, float):
-            return f"{value:.12g}"
-        return str(value)
+def format_value(value) -> str:
+    """The package's output format: floats to 12 significant digits."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
-    table = [[fmt(row.get(col, row.get("error", ""))) for col in REPORT_COLUMNS]
-             for row in rows]
+
+def format_table(rows: Sequence[dict]) -> str:
+    table = [[format_value(row.get(col, row.get("error", "")))
+              for col in REPORT_COLUMNS] for row in rows]
     widths = [max(len(col), *(len(r[k]) for r in table)) if table else len(col)
               for k, col in enumerate(REPORT_COLUMNS)]
     lines = ["  ".join(col.ljust(w) for col, w in zip(REPORT_COLUMNS, widths))]
@@ -191,14 +208,10 @@ def format_table(rows: Sequence[dict]) -> str:
     return "\n".join(lines)
 
 
-def format_csv(rows: Sequence[dict]) -> str:
-    def fmt(value):
-        if isinstance(value, float):
-            return f"{value:.12g}"
-        return str(value)
-
-    lines = [",".join(REPORT_COLUMNS)]
+def format_csv(rows: Sequence[dict],
+               columns: Sequence[str] = REPORT_COLUMNS) -> str:
+    lines = [",".join(columns)]
     for row in rows:
-        cells = [fmt(row.get(col, row.get("error", ""))) for col in REPORT_COLUMNS]
+        cells = [format_value(row.get(col, row.get("error", ""))) for col in columns]
         lines.append(",".join('"' + c + '"' if "," in c else c for c in cells))
     return "\n".join(lines)

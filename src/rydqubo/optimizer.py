@@ -10,14 +10,14 @@ results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .annealer import (PropagationConfig, Schedule, initial_basis_index,
-                       propagate, target_ground_indices)
+from .annealer import (PropagationConfig, Schedule, Trajectory,
+                       initial_basis_index, propagate, target_ground_indices)
 from .encoding import EncodedTarget
 
 
@@ -71,6 +71,7 @@ class OptimizationResult:
     budget_exhausted: bool
     schedule: Schedule
     c_obt: float               # source-convention expected cost
+    trajectory: Trajectory     # adaptive high-accuracy propagation of params
 
 
 def approximation_ratio(c_max: float, c_opt: float, c_obt: float) -> float:
@@ -170,8 +171,7 @@ class _Tracker:
         return e
 
 
-def initial_parameters(template: Schedule, seed: int = 0,
-                       omega_seed_fraction: float = 0.1) -> np.ndarray:
+def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
     """Zeroed delta coefficients plus a small fundamental-mode Rabi seed.
 
     Seeds other than 0 add a small deterministic perturbation so repeated
@@ -179,7 +179,7 @@ def initial_parameters(template: Schedule, seed: int = 0,
     """
     p = np.zeros(len(template.delta_coeffs) + len(template.omega_coeffs))
     if template.omega_coeffs:
-        p[len(template.delta_coeffs)] = omega_seed_fraction * template.omega_max
+        p[len(template.delta_coeffs)] = 0.1 * template.omega_max
     if seed != 0:
         rng = np.random.default_rng(seed)
         p += rng.normal(scale=0.05 * template.omega_max, size=p.size)
@@ -188,8 +188,7 @@ def initial_parameters(template: Schedule, seed: int = 0,
 
 def run_hybrid(enc: EncodedTarget, plan: StagePlan | None = None, seed: int = 0,
                template: Schedule | None = None,
-               objective: AnnealObjective | None = None,
-               x0: np.ndarray | None = None) -> OptimizationResult:
+               objective: AnnealObjective | None = None) -> OptimizationResult:
     """Run the staged optimizer; returns the best schedule found, never raises
     on budget exhaustion."""
     plan = plan or StagePlan.default()
@@ -198,8 +197,7 @@ def run_hybrid(enc: EncodedTarget, plan: StagePlan | None = None, seed: int = 0,
             raise ValueError("provide a schedule template or an objective")
         objective = AnnealObjective(enc, template)
     tracker = _Tracker(objective)
-    params = np.asarray(initial_parameters(objective.template, seed)
-                        if x0 is None else x0, dtype=float)
+    params = initial_parameters(objective.template, seed)
 
     stage_history: list[tuple[float, ...]] = []
     exhausted = False
@@ -230,7 +228,7 @@ def run_hybrid(enc: EncodedTarget, plan: StagePlan | None = None, seed: int = 0,
     # final high-accuracy propagation of the incumbent
     final_cfg = PropagationConfig(initial_steps=max(objective.cfg.initial_steps, 200),
                                   tolerance_rel=1e-8, adaptive=True)
-    state, traj = objective.propagate(best_params, final_cfg)
+    _, traj = objective.propagate(best_params, final_cfg)
     e_best = float(traj.energy[-1])
     f_best = float(traj.fidelity[-1])
     diag = enc.diagonal_energies() + enc.constant
@@ -241,4 +239,4 @@ def run_hybrid(enc: EncodedTarget, plan: StagePlan | None = None, seed: int = 0,
     return OptimizationResult(np.asarray(best_params), e_best, f_best, ratio,
                               tracker.count, tuple(stage_history), seed,
                               exhausted, objective.schedule_for(best_params),
-                              c_obt)
+                              c_obt, traj)

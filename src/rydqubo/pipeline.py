@@ -10,25 +10,24 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .annealer import (DegenerateInitialStateError, PropagationConfig,
-                       Schedule, initial_basis_index, propagate)
+from .annealer import (DegenerateInitialStateError, Schedule, Trajectory,
+                       initial_basis_index)
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        NotEncodableError, embed_layout, encode, gauge_fix,
-                       rescale, validate)
-from .hardness import analyze_model
+                       rescale)
+from .hardness import format_csv
 from .models import (IsingModel, QuboModel, as_ising, enumerate_spectrum,
                      ground_summary)
-from .optimizer import AnnealObjective, OptimizationResult, StagePlan, run_hybrid
+from .optimizer import OptimizationResult, StagePlan, run_hybrid
 from .problems import preset_instance
 
 DELTA0_CANDIDATES = (-1.0, -0.5, -2.0, 0.5, 2.0, -4.0, 4.0)
+TEMPLATE_MODES = 6  # Fourier coefficients per profile in the default template
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,6 @@ def encode_for_annealing(model: IsingModel | QuboModel,
 
 def default_schedule(preset_name: str | None, enc: EncodedTarget,
                      t_total: float | None = None,
-                     delta0: float | None = None,
-                     n_delta: int = 6, n_omega: int = 6,
-                     basis: str = "fourier",
                      limits: HardwareLimits | None = None) -> Schedule:
     """Schedule template with a Delta_G(0) for which H(0) has a usable start.
 
@@ -108,10 +104,8 @@ def default_schedule(preset_name: str | None, enc: EncodedTarget,
         meta = preset_instance(preset_name).metadata if preset_name else {}
         t_total = float(meta.get("duration_us", 60.0))
     t_total = min(t_total, limits.t_max)
-    base = Schedule(t_total, (0.0,) * n_delta, (0.0,) * n_omega,
-                    basis=basis, omega_max=limits.omega_max)
-    if delta0 is not None:
-        return replace(base, delta0=delta0)
+    base = Schedule(t_total, (0.0,) * TEMPLATE_MODES, (0.0,) * TEMPLATE_MODES,
+                    omega_max=limits.omega_max)
     fallback = None
     for cand in DELTA0_CANDIDATES:
         sched = replace(base, delta0=cand)
@@ -146,9 +140,7 @@ def run_pipeline(model: IsingModel | QuboModel,
                  plan: StagePlan | None = None,
                  seed: int = 0,
                  schedule: Schedule | None = None,
-                 limits: HardwareLimits | None = None,
-                 propagation_steps: int = 200,
-                 layout_dim: int | None = None) -> PipelineResult:
+                 limits: HardwareLimits | None = None) -> PipelineResult:
     limits = limits or HardwareLimits()
     plan = plan or StagePlan.default()
     outcome = encode_for_annealing(model, mode=mode, limits=limits)
@@ -156,36 +148,19 @@ def run_pipeline(model: IsingModel | QuboModel,
 
     layout = layout_report = None
     if mode == "physical":
-        layout, layout_report = embed_layout(enc, dim=layout_dim or 2, seed=seed,
-                                             limits=limits)
+        layout, layout_report = embed_layout(enc, seed=seed, limits=limits)
 
     if schedule is None:
         schedule = default_schedule(preset_name, enc, limits=limits)
 
-    ising = as_ising(model)
-    summary = ground_summary(enumerate_spectrum(ising))
-    objective = AnnealObjective(
-        enc, schedule, PropagationConfig(initial_steps=propagation_steps,
-                                         adaptive=False))
-    result = run_hybrid(enc, plan, seed, objective=objective)
+    summary = ground_summary(enumerate_spectrum(as_ising(model)))
+    result = run_hybrid(enc, plan, seed, template=schedule)
 
     manifest = RunManifest(instance_name, mode, schedule.to_dict(),
                            plan.to_dict(), seed,
                            timestamp=datetime.datetime.now(
                                datetime.timezone.utc).isoformat())
-    _, traj = objective.propagate(result.params,
-                                  PropagationConfig(initial_steps=max(propagation_steps, 200),
-                                                    adaptive=True))
-    delta_final = enc.delta_final
-    rows = []
-    for k in range(len(traj.times)):
-        row = {"t_us": traj.times[k], "omega": traj.omega[k],
-               "delta_G": traj.delta_g[k]}
-        for j in range(enc.n):
-            row[f"delta_{j + 1}"] = traj.delta_g[k] * delta_final[j]
-        row["E"] = traj.energy[k]
-        row["F"] = traj.fidelity[k]
-        rows.append(row)
+    rows = trajectory_table(result.trajectory, enc.delta_final)
 
     # ground patterns in the source-model frame (gauge flips only affect the
     # encoded target, whose ground set the objective already tracks)
@@ -194,14 +169,24 @@ def run_pipeline(model: IsingModel | QuboModel,
                           summary.c_max, grounds, rows, layout, layout_report)
 
 
+def trajectory_table(traj: Trajectory, delta_final: np.ndarray) -> list[dict]:
+    """One row per sample: t, Omega, Delta_G, each Delta_j(t) = Delta_G(t)
+    Delta_j(T), E and F."""
+    rows = []
+    for k in range(len(traj.times)):
+        row = {"t_us": traj.times[k], "omega": traj.omega[k],
+               "delta_G": traj.delta_g[k]}
+        for j in range(len(delta_final)):
+            row[f"delta_{j + 1}"] = traj.delta_g[k] * delta_final[j]
+        row["E"] = traj.energy[k]
+        row["F"] = traj.fidelity[k]
+        rows.append(row)
+    return rows
+
+
 def trajectory_csv(result: PipelineResult) -> str:
-    if not result.trajectory_rows:
-        return ""
-    cols = list(result.trajectory_rows[0].keys())
-    out = ["# manifest " + result.manifest.hash(), ",".join(cols)]
-    for row in result.trajectory_rows:
-        out.append(",".join(f"{row[c]:.12g}" for c in cols))
-    return "\n".join(out)
+    return ("# manifest " + result.manifest.hash() + "\n" +
+            format_csv(result.trajectory_rows, list(result.trajectory_rows[0])))
 
 
 def result_json(result: PipelineResult) -> dict:

@@ -7,12 +7,12 @@ instances used throughout the demos and the report table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .models import ModelError, QuboModel
+from .models import QuboModel
 
 Literal = tuple[int, bool]  # (variable index, negated flag)
 
@@ -434,3 +434,52 @@ def preset_instance(name: str) -> Preset:
                 "degeneracy_pinned": False, "duration_us": 80.0}
         return Preset(name, inst, build_protein_toy(inst), meta)
     raise ProblemError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+
+
+def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
+    """(instance, model) of one family from JSON-style parameters, as the CLI
+    reads them; missing required keys raise KeyError."""
+    if family == "two_sat":
+        clauses = tuple(tuple((int(i), bool(neg)) for i, neg in clause)
+                        for clause in params["clauses"])
+        inst = TwoSatInstance(int(params["n"]), clauses,
+                              float(params.get("penalty", 1.0)))
+        return inst, build_two_sat(inst)
+    if family == "xor_sat":
+        cons = tuple((int(i), int(j), int(b)) for i, j, b in params["constraints"])
+        inst = XorSatInstance(int(params["n"]), cons,
+                              float(params.get("weight", 1.0)))
+        return inst, build_xor_sat(inst)
+    if family == "mixed":
+        ts, _ = build_from_params("two_sat", params["two_sat"])
+        xs, _ = build_from_params("xor_sat", params["xor_sat"])
+        return (ts, xs), build_mixed(ts, xs)
+    if family == "set_packing":
+        inst = SetPackingInstance(int(params["n"]),
+                                  tuple(float(w) for w in params["weights"]),
+                                  tuple((int(i), int(j)) for i, j in params["conflicts"]),
+                                  float(params.get("penalty", 2.0)))
+        return inst, build_set_packing(inst)
+    if family == "qap":
+        flow = tuple(tuple(float(v) for v in row) for row in params["flow"])
+        dist = tuple(tuple(float(v) for v in row) for row in params["distance"])
+        inst = QapInstance(flow, dist, float(params["penalty_facility"]),
+                           float(params["penalty_location"]))
+        return inst, build_qap(inst)
+    if family == "clustering":
+        w = tuple(tuple(float(v) for v in row) for row in params["dissimilarity"])
+        inst = ClusteringInstance(w)
+        return inst, build_binary_clustering(inst)
+    if family == "protein":
+        length = int(params["length"])
+        exclusions = params.get("exclusions")
+        if exclusions is None:
+            exclusions = shared_residue_exclusions(length)
+        else:
+            exclusions = tuple((int(p), int(q)) for p, q in exclusions)
+        inst = ProteinToyInstance(length, tuple(int(h) for h in params["hydrophobic"]),
+                                  exclusions,
+                                  float(params.get("penalty_linear", 0.5)),
+                                  float(params.get("penalty_exclusion", 2.0)))
+        return inst, build_protein_toy(inst)
+    raise ProblemError(f"unknown family {family!r}")

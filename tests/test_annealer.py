@@ -5,8 +5,7 @@ import pytest
 
 from rydqubo.annealer import (DIM_CAP, AnnealerError,
                               DegenerateInitialStateError, PropagationConfig,
-                              Schedule, Trajectory, diagonal_parts,
-                              expectation, fidelity, hamiltonian_at,
+                              Schedule, Trajectory, expectation, fidelity,
                               initial_basis_index, initial_state, propagate,
                               target_ground_indices)
 from rydqubo.encoding import EncodedTarget, encode
@@ -64,20 +63,7 @@ def test_spline_basis_interpolates_controls():
     np.testing.assert_allclose(s.delta_profile(knots), [0.5, -0.5], atol=1e-12)
 
 
-# --- Hamiltonian structure ---------------------------------------------------
-
-def test_hamiltonian_diagonal_matches_target():
-    enc = xor_pair_target()
-    sched = Schedule(10.0, (), (1.0,))
-    h_final = hamiltonian_at(enc, sched, 10.0)
-    target = diagonal_parts(enc)["target"]
-    np.testing.assert_allclose(np.diag(h_final), target, atol=1e-12)
-    # off-diagonal is (Omega/2) * single-flip connectivity
-    h_mid = hamiltonian_at(enc, sched, 5.0)
-    om = sched.omega_profile(5.0)
-    assert h_mid[0, 1] == pytest.approx(om / 2.0)
-    assert h_mid[0, 3] == 0.0
-
+# --- target structure --------------------------------------------------------
 
 def test_target_ground_indices_xor_pair():
     enc = xor_pair_target()

@@ -135,6 +135,43 @@ def test_pipeline_threshold_exit_4(capsys, tmp_path):
     assert (tmp_path / "xor_sat_hardness.csv").exists()
 
 
+def test_optimize_matches_pipeline(capsys, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"stages": [{"kind": "gradient", "max_evals": 3}]}))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps(
+        {"T_us": 2.0, "delta": {"coeffs": [0.0]}, "omega": {"coeffs": [1.0]},
+         "sample_count": 11}))
+    outputs = {}
+    for command in ("optimize", "pipeline"):
+        out_dir = tmp_path / command
+        code, out, _ = run(capsys, command, "--preset", "xor_sat",
+                           "--plan", str(plan), "--schedule", str(schedule),
+                           "--out-dir", str(out_dir))
+        result = json.loads((out_dir / "xor_sat_result.json").read_text())
+        del result["manifest"]["timestamp"]
+        files = [(out_dir / f"xor_sat_{kind}.csv").read_text()
+                 for kind in ("trajectory", "hardness")]
+        outputs[command] = (code, out, result, files)
+    assert outputs["optimize"] == outputs["pipeline"]
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--plan", {"steps": []}),        # no "stages"
+    ("--schedule", None),             # missing file
+    ("--config", {"rmin": 3.0}),      # unknown HardwareLimits field
+])
+def test_pipeline_malformed_input_file_exit_2(capsys, tmp_path, flag, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    code, _, err = run(capsys, "pipeline", "--preset", "xor_sat", flag,
+                       str(path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "error: cannot load" in err
+
+
 def test_pipeline_requires_input(capsys):
     code, _, err = run(capsys, "pipeline")
     assert code == 2

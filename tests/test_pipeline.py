@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rydqubo.annealer import Schedule, initial_basis_index
+import rydqubo.optimizer
+from rydqubo.annealer import PropagationConfig, Schedule, initial_basis_index
 from rydqubo.encoding import HardwareLimits, NotEncodableError
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.optimizer import Stage, StagePlan
@@ -108,3 +109,27 @@ def test_run_pipeline_respects_custom_schedule():
                           plan=tiny_plan(), schedule=sched)
     assert result.optimization.schedule.t_total == 12.0
     assert len(result.optimization.params) == 4
+
+
+def test_run_pipeline_propagates_final_pulse_once(monkeypatch):
+    adaptive = []
+    real = rydqubo.optimizer.propagate
+
+    def counting(enc, schedule, cfg=PropagationConfig(), **kwargs):
+        adaptive.append(cfg.adaptive)
+        return real(enc, schedule, cfg, **kwargs)
+
+    monkeypatch.setattr(rydqubo.optimizer, "propagate", counting)
+    result = run_pipeline(preset_instance("xor_sat").model, "xor_sat",
+                          plan=StagePlan((Stage("gradient", 3),)),
+                          schedule=Schedule(2.0, (0.0,), (1.0,),
+                                            sample_count=11))
+    assert adaptive.count(True) == 1
+    traj = result.optimization.trajectory
+    delta_final = result.outcome.target.delta_final
+    assert len(result.trajectory_rows) == len(traj.times)
+    for k, row in enumerate(result.trajectory_rows):
+        assert list(row.values()) == [
+            traj.times[k], traj.omega[k], traj.delta_g[k],
+            *(traj.delta_g[k] * delta_final), traj.energy[k],
+            traj.fidelity[k]]
