@@ -18,6 +18,7 @@ from .encoding import EncodedTarget
 
 DIM_CAP = 10  # atoms; 2^10 state-vector entries
 MAX_DOUBLINGS = 10  # adaptive step doublings before AnnealerError
+BLOCK_BYTES = 1 << 18  # bytes of stacked step Hamiltonians per eigh call
 
 
 class AnnealerError(RuntimeError):
@@ -191,7 +192,9 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
 
     H is evaluated at each step midpoint; the step unitary comes from an
     eigendecomposition of the real-symmetric H, so the norm is preserved to
-    round-off.
+    round-off.  The step Hamiltonians are decomposed in stacked blocks of at
+    most BLOCK_BYTES.  Returns the final state and, at each sample time, the
+    grid time, energy, fidelity and | ||psi|| - 1 |.
     """
     t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
     mid = 0.5 * (t_grid[:-1] + t_grid[1:])
@@ -202,25 +205,29 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     target = enc.diagonal_energies()
 
     sample_idx = np.searchsorted(t_grid, sample_times - 1e-12)
-    records = {}
-    psi = psi0.astype(complex).copy()
-
-    def record(step_index: int):
-        probs = np.abs(psi) ** 2
-        e = float(probs @ target) + enc.constant
-        f = float(probs[list(ground_indices)].sum())
-        nrm = abs(math.sqrt(float(probs.sum())) - 1.0)
-        records[step_index] = (e, f, nrm)
-
-    record(0)
-    for step in range(n_steps):
-        h = (om[step] / 2.0) * x_total
-        h[np.diag_indices_from(h)] += v_part - dg[step] * delta_part
+    snap_steps, snap_of_sample = np.unique(sample_idx, return_inverse=True)
+    snap_row = {step: row for row, step in enumerate(snap_steps.tolist())}
+    snaps = np.empty((len(snap_steps), len(psi0)), dtype=complex)
+    psi = psi0.astype(complex)
+    snaps[snap_steps == 0] = psi
+    diag = np.arange(len(psi0))
+    block = max(1, BLOCK_BYTES // x_total.nbytes)
+    for lo in range(0, n_steps, block):
+        hi = min(lo + block, n_steps)
+        h = (om[lo:hi, None, None] / 2.0) * x_total
+        h[:, diag, diag] += v_part - dg[lo:hi, None] * delta_part
         evals, evecs = np.linalg.eigh(h)
-        psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
-        if step + 1 in sample_idx or step + 1 == n_steps:
-            record(step + 1)
-    return psi, t_grid, sample_idx, records
+        phase = np.exp(-1j * evals * dt)
+        for k in range(hi - lo):
+            psi = evecs[k] @ (phase[k] * (evecs[k].T @ psi))
+            if lo + k + 1 in snap_row:
+                snaps[snap_row[lo + k + 1]] = psi
+
+    probs = np.abs(snaps[snap_of_sample]) ** 2
+    energy = np.array([row @ target for row in probs]) + enc.constant
+    fids = probs[:, list(ground_indices)].sum(axis=1)
+    norm_err = np.abs(np.sqrt(probs.sum(axis=1)) - 1.0)
+    return psi, t_grid[sample_idx], energy, fids, norm_err
 
 
 def propagate(enc: EncodedTarget, schedule: Schedule,
@@ -238,38 +245,27 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
     sample_times = np.linspace(0.0, schedule.t_total, schedule.sample_count)
     tol = cfg.tolerance_rel * enc.energy_scale
 
-    # keep the step grid commensurate with the sample grid
+    # keep the step grid commensurate with the sample grid, so the last
+    # sample is the final step
     intervals = schedule.sample_count - 1
     n_steps = intervals * max(1, -(-cfg.initial_steps // intervals))
-    psi, t_grid, sample_idx, records = _run_steps(
+    psi, times, energy, fids, norm_err = _run_steps(
         enc, schedule, psi0, n_steps, sample_times, ground_indices, x_total)
-    e_final = records[n_steps][0]
     if cfg.adaptive:
         for _ in range(MAX_DOUBLINGS):
-            n2 = 2 * n_steps
-            psi2, t2, si2, rec2 = _run_steps(
-                enc, schedule, psi0, n2, sample_times, ground_indices, x_total)
-            converged = abs(rec2[n2][0] - e_final) < tol
-            n_steps, psi, t_grid, sample_idx, records = n2, psi2, t2, si2, rec2
-            e_final = records[n_steps][0]
-            if converged:
+            n_steps *= 2
+            e_prev = energy[-1]
+            psi, times, energy, fids, norm_err = _run_steps(
+                enc, schedule, psi0, n_steps, sample_times, ground_indices,
+                x_total)
+            if abs(energy[-1] - e_prev) < tol:
                 break
         else:
             raise AnnealerError(
                 f"E(T) not converged to {cfg.tolerance_rel} after "
                 f"{MAX_DOUBLINGS} step doublings")
 
-    times, energies, fids = [], [], []
-    worst_norm = 0.0
-    for si in sample_idx:
-        key = int(si) if int(si) in records else n_steps
-        e, f, nrm = records[key]
-        times.append(float(t_grid[key]))
-        energies.append(e)
-        fids.append(f)
-        worst_norm = max(worst_norm, nrm)
-    traj = Trajectory(np.asarray(times),
-                      np.asarray(schedule.omega_profile(np.asarray(times))),
-                      np.asarray(schedule.delta_profile(np.asarray(times))),
-                      np.asarray(energies), np.asarray(fids), worst_norm)
+    traj = Trajectory(times, np.asarray(schedule.omega_profile(times)),
+                      np.asarray(schedule.delta_profile(times)),
+                      energy, fids, float(norm_err.max()))
     return psi, traj

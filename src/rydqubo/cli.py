@@ -49,7 +49,7 @@ def _load_json(path: str, what: str, parse):
 
 
 def _load_limits(args) -> HardwareLimits:
-    if not getattr(args, "config", None):
+    if not args.config:
         return HardwareLimits()
     return _load_json(args.config, "config",
                       lambda data: HardwareLimits(**data))
@@ -64,7 +64,7 @@ def _emit(args, text: str) -> None:
 
 
 def _out_path(args, name: str) -> Path:
-    out_dir = Path(getattr(args, "out_dir", ".") or ".")
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
 
@@ -317,11 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="QUBO problems on a simulated Rydberg annealer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="hardware limits JSON file")
-        p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("ideal", "physical"), default="ideal")
+    common = {"--config": {"help": "hardware limits JSON file"},
+              "--out-dir": {"default": ".", "help": "output directory"},
+              "--seed": {"type": int, "default": 0},
+              "--mode": {"choices": ("ideal", "physical"), "default": "ideal"}}
+
+    def add_common(p, *names):
+        for name in names:
+            p.add_argument(name, **common[name])
 
     p = sub.add_parser("problem", help="build a model from a family or preset")
     p.add_argument("--preset", choices=PRESET_NAMES)
@@ -340,21 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="map a model to interactions/detunings")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
-    add_common(p)
+    add_common(p, "--config", "--mode")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("layout", help="embed atom positions for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p.add_argument("--out")
-    add_common(p)
+    add_common(p, "--config", "--seed")
     p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser("validate", help="check a layout against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--layout", required=True)
     p.add_argument("--tol", type=float, default=1e-3)
-    add_common(p)
+    add_common(p, "--config")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("hardness", help="spectral hardness of a model")
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--out")
-    add_common(p)
+    add_common(p, "--config", "--mode")
     p.set_defaults(func=cmd_anneal)
 
     for name, help_text in (("optimize", "optimize a pulse schedule"),
@@ -382,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plan", help="stage plan JSON file")
         p.add_argument("--schedule", help="schedule JSON file")
         p.add_argument("--threshold", type=float, default=0.98)
-        add_common(p)
+        add_common(p, *common)
         p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("report", help="aggregate hardness/result rows")

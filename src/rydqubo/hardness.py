@@ -113,6 +113,8 @@ def hardness_parameter(e0: float, d_opt: int, gap: float, sigma_value: float,
     """
     if gap <= 0:
         raise HardnessError("spectral gap must be positive")
+    if d_opt < 1:
+        raise HardnessError("ground degeneracy D_opt must be at least 1")
     scale = abs(e0)
     by_width = False
     if scale < 1e-9:

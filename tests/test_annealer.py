@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rydqubo.annealer import (DIM_CAP, AnnealerError,
+from rydqubo import annealer
+from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
                               DegenerateInitialStateError, PropagationConfig,
-                              Schedule, Trajectory, expectation, fidelity,
-                              initial_basis_index, initial_state, propagate,
-                              target_ground_indices)
+                              Schedule, Trajectory, _pauli_x_total, _run_steps,
+                              expectation, fidelity, initial_basis_index,
+                              initial_state, propagate, target_ground_indices)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.problems import preset_instance
@@ -179,3 +181,131 @@ def test_propagation_on_preset_encodings():
         psi, traj = propagate(enc, sched, psi0=psi0)
         assert traj.norm_error < 1e-9
         assert np.isfinite(traj.energy).all()
+
+
+# --- blocked propagation against the per-step reference ----------------------
+
+def _reference_run_steps(enc, schedule, psi0, n_steps, sample_times,
+                         ground_indices, x_total):
+    """One eigh per step: the loop the stacked blocks replaced.
+
+    Returns the final state and, per sample, the grid time, energy,
+    fidelity and norm error, as ``_run_steps`` does.
+    """
+    t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
+    mid = 0.5 * (t_grid[:-1] + t_grid[1:])
+    dg = np.asarray(schedule.delta_profile(mid))
+    om = np.asarray(schedule.omega_profile(mid))
+    dt = schedule.t_total / n_steps
+    v_part, delta_part = enc.diagonal_parts
+    target = enc.diagonal_energies()
+
+    sample_idx = np.searchsorted(t_grid, sample_times - 1e-12)
+    records = {}
+    psi = psi0.astype(complex).copy()
+
+    def record(step_index):
+        probs = np.abs(psi) ** 2
+        e = float(probs @ target) + enc.constant
+        f = float(probs[list(ground_indices)].sum())
+        nrm = abs(math.sqrt(float(probs.sum())) - 1.0)
+        records[step_index] = (e, f, nrm)
+
+    record(0)
+    for step in range(n_steps):
+        h = (om[step] / 2.0) * x_total
+        h[np.diag_indices_from(h)] += v_part - dg[step] * delta_part
+        evals, evecs = np.linalg.eigh(h)
+        psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
+        if step + 1 in sample_idx or step + 1 == n_steps:
+            record(step + 1)
+    e, f, nrm = (np.array([records[int(i)][c] for i in sample_idx])
+                 for c in range(3))
+    return psi, t_grid[sample_idx], e, f, nrm
+
+
+def _assert_runs_identical(enc, schedule, psi0, n_steps, sample_times,
+                           ground):
+    x_total = _pauli_x_total(enc.n)
+    args = (enc, schedule, psi0, n_steps, sample_times, ground, x_total)
+    got, want = _run_steps(*args), _reference_run_steps(*args)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert (a == b).all()
+
+
+def _preset_target(name):
+    from rydqubo.pipeline import encode_for_annealing
+
+    return encode_for_annealing(as_ising(preset_instance(name).model)).target
+
+
+def _random_target(rng, n):
+    v = np.triu(rng.uniform(0.0, 2.0, size=(n, n)), 1)
+    return EncodedTarget(n, v + v.T, rng.uniform(0.5, 2.0, size=n), 0.3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_blocked_steps_bit_identical_to_per_step_loop(n, rng):
+    enc = _random_target(rng, n)
+    sched = Schedule(3.0, (0.2, -0.1), (1.5, 0.4), sample_count=21)
+    psi0 = np.zeros(1 << n, dtype=complex)
+    psi0[0] = 1.0
+    _assert_runs_identical(enc, sched, psi0, 200,
+                           np.linspace(0.0, 3.0, 21), [1])
+
+
+def test_blocked_steps_bit_identical_across_blocks():
+    enc = _preset_target("clustering")
+    assert enc.n == 5
+    n_steps = 3 * (BLOCK_BYTES // (8 * 32 * 32)) + 7  # three full blocks + a partial one
+    sched = Schedule(4.0, (0.3,), (2.0, -0.5), sample_count=11)
+    psi0 = np.zeros(32, dtype=complex)
+    psi0[0] = 1.0
+    _assert_runs_identical(enc, sched, psi0, n_steps,
+                           np.linspace(0.0, 4.0, 11),
+                           target_ground_indices(enc))
+
+
+def test_blocked_steps_bit_identical_incommensurate_samples(rng):
+    enc = _random_target(rng, 3)
+    sched = Schedule(2.0, (0.1,), (1.0,))
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    # 17 samples on 50 steps, and 60 samples on 13 steps (repeated indices)
+    for n_steps, count in ((50, 17), (13, 60)):
+        _assert_runs_identical(enc, sched, psi0, n_steps,
+                               np.linspace(0.0, 2.0, count), [2, 5])
+
+
+def test_blocked_steps_bit_identical_superposition_start(rng):
+    enc = _random_target(rng, 4)
+    sched = Schedule(2.5, (-0.2,), (0.8, 0.3), sample_count=26)
+    psi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi0 /= np.linalg.norm(psi0)
+    _assert_runs_identical(enc, sched, psi0, 150,
+                           np.linspace(0.0, 2.5, 26), [0, 3, 9])
+
+
+def test_adaptive_propagation_bit_identical_two_sat(monkeypatch):
+    from rydqubo.pipeline import default_schedule
+
+    enc = _preset_target("two_sat")
+    sched = replace(default_schedule("two_sat", enc, t_total=8.0),
+                    delta_coeffs=(0.1, 0.0), omega_coeffs=(3.0, 0.5),
+                    sample_count=41)
+    cfg = PropagationConfig(initial_steps=40)
+    psi, traj = propagate(enc, sched, cfg)
+    calls = []
+
+    def reference(*args):
+        calls.append(args[3])
+        return _reference_run_steps(*args)
+
+    monkeypatch.setattr(annealer, "_run_steps", reference)
+    psi_ref, traj_ref = propagate(enc, sched, cfg)
+    assert len(calls) > 2  # the adaptive loop doubled at least twice
+    assert (psi == psi_ref).all()
+    for field in ("times", "omega", "delta_g", "energy", "fidelity"):
+        assert (getattr(traj, field) == getattr(traj_ref, field)).all()
+    assert traj.norm_error == traj_ref.norm_error

@@ -200,6 +200,33 @@ def test_report_from_spectral_malformed_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_report_from_spectral_zero_degeneracy_exit_2(capsys, tmp_path):
+    path = tmp_path / "spectral.json"
+    path.write_text(json.dumps([{"problem": "x", "E0": -1.0, "gap": 0.5,
+                                 "D_opt": 0, "threat_degeneracies": []}]))
+    code, _, err = run(capsys, "report", "--from-spectral", str(path))
+    assert code == 2
+    assert "HardnessError" in err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("anneal", "--seed", "5"),
+    ("anneal", "--out-dir", "runs"),
+    ("encode", "--seed", "5"),
+    ("layout", "--out-dir", "runs"),
+    ("validate", "--seed", "5"),
+])
+def test_subcommand_rejects_options_it_ignores(capsys, xor_model_file,
+                                               command, option, value):
+    argv = [command, "--model", xor_model_file, option, value]
+    if command == "validate":
+        argv += ["--layout", "layout.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 def test_report_presets_flags_unpinned_rows(capsys):
     code, out, _ = run(capsys, "report", "--presets")
     assert code == 0

@@ -77,6 +77,11 @@ def test_hardness_width_fallback():
         hardness_parameter(0.0, 2, 1.0, 1.0, e_max=None)
 
 
+def test_hardness_rejects_empty_ground_space():
+    with pytest.raises(HardnessError):
+        hardness_parameter(-1.0, 0, 0.5, 1.0)
+
+
 def test_hardness_scale_covariance(rng):
     q = random_qubo(rng, 5)
     # make sure |E0| is comfortably nonzero

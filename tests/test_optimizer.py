@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +181,32 @@ def test_run_hybrid_reports_source_cost():
     assert isinstance(res, OptimizationResult)
     # xor pair optimum is 0, maximum is 1
     assert res.ratio == pytest.approx(1.0 - res.c_obt, abs=1e-9)
+
+
+# --- BLAS thread count ---------------------------------------------------------
+
+_EVALUATE_PRESETS = """
+from rydqubo.models import as_ising
+from rydqubo.optimizer import AnnealObjective, initial_parameters
+from rydqubo.pipeline import default_schedule, encode_for_annealing
+from rydqubo.problems import preset_instance
+
+for name in ("two_sat", "qap", "clustering"):
+    enc = encode_for_annealing(as_ising(preset_instance(name).model)).target
+    objective = AnnealObjective(enc, default_schedule(name, enc))
+    print(name, objective(initial_parameters(objective.template)).hex())
+"""
+
+
+def test_objective_invariant_to_blas_threads():
+    """The solve presets' objective is bit-identical on 1 and 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _EVALUATE_PRESETS],
+                              env=env, capture_output=True, text=True,
+                              check=True, timeout=300)
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
