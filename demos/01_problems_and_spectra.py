@@ -10,13 +10,12 @@ from rydqubo import PRESET_NAMES, enumerate_spectrum, preset_instance, state_bit
 for name in PRESET_NAMES:
     preset = preset_instance(name)
     table = enumerate_spectrum(preset.model)
-    ground = table.entries[0]
     print(f"\n{name}: {preset.metadata['description']}")
     print(f"  variables: {preset.model.n}")
     print(f"  spectrum:  " + ", ".join(
-        f"{e.energy:g} (x{e.multiplicity})" for e in table.entries[:6])
-        + (" ..." if len(table.entries) > 6 else ""))
+        f"{e:g} (x{m})" for e, m in zip(table.energies[:6], table.counts))
+        + (" ..." if len(table.energies) > 6 else ""))
     bits = [''.join(map(str, state_bits(s, preset.model.n)))
-            for s in ground.states[:4]]
-    print(f"  optimum {ground.energy:g} with degeneracy {ground.multiplicity}; "
+            for s in table.ground_states[:4]]
+    print(f"  optimum {table.e_min:g} with degeneracy {table.counts[0]}; "
           f"e.g. {' '.join(bits)}")

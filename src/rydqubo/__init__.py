@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .models import (IsingModel, QuboModel, SpectrumTable, as_ising, as_qubo,
-                     enumerate_spectrum, ground_summary, ising_to_qubo,
-                     model_from_json, model_to_json, qubo_to_ising, state_bits)
+                     enumerate_spectrum, ising_to_qubo, model_from_json,
+                     model_to_json, qubo_to_ising, state_bits)
 from .encoding import (AtomLayout, EncodedTarget, HardwareLimits,
                        NotEncodableError, embed_layout, encode, gauge_fix,
                        layout_interactions, rescale, validate)

@@ -18,8 +18,8 @@ from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
 from .hardness import (DEFAULT_EPSILON, analyze_model, analyze_supplied,
                        format_csv, format_table, format_value, report_row,
                        report_rows)
-from .models import (ModelError, as_ising, enumerate_spectrum, ground_summary,
-                     model_from_json, state_bits)
+from .models import (ModelError, as_ising, enumerate_spectrum, model_from_json,
+                     state_bits)
 from .optimizer import StagePlan
 from .pipeline import (default_schedule, encode_for_annealing, result_json,
                        run_pipeline, trajectory_csv, trajectory_table)
@@ -107,15 +107,14 @@ def cmd_spectrum(args) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUILD
-    summary = ground_summary(table)
     print("energy,multiplicity")
-    for entry in table.entries:
-        print(f"{format_value(entry.energy)},{entry.multiplicity}")
+    for energy, count in zip(table.energies.tolist(), table.counts.tolist()):
+        print(f"{format_value(energy)},{count}")
     grounds = [''.join(map(str, state_bits(s, model.n)))
-               for s in summary.ground_states]
-    print(f"# C_opt={format_value(summary.c_opt)} "
-          f"C_max={format_value(summary.c_max)} "
-          f"D_opt={len(summary.ground_states)} grounds={' '.join(grounds)}")
+               for s in table.ground_states]
+    print(f"# C_opt={format_value(table.e_min)} "
+          f"C_max={format_value(table.e_max)} "
+          f"D_opt={len(grounds)} grounds={' '.join(grounds)}")
     return EXIT_OK
 
 
@@ -313,9 +312,10 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rydqubo",
+        prog="rydqubo", allow_abbrev=False,
         description="QUBO problems on a simulated Rydberg annealer")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     common = {"--config": {"help": "hardware limits JSON file"},
               "--out-dir": {"default": ".", "help": "output directory"},
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             p.add_argument(name, **common[name])
 
-    p = sub.add_parser("problem", help="build a model from a family or preset")
+    p = add_parser("problem", help="build a model from a family or preset")
     p.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--family", choices=PRESET_NAMES)
     p.add_argument("--params", help="family parameters as JSON")
@@ -336,31 +336,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_problem)
 
-    p = sub.add_parser("spectrum", help="exhaustive spectrum of a model")
+    p = add_parser("spectrum", help="exhaustive spectrum of a model")
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("encode", help="map a model to interactions/detunings")
+    p = add_parser("encode", help="map a model to interactions/detunings")
     p.add_argument("--model", required=True)
     p.add_argument("--out")
     add_common(p, "--config", "--mode")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("layout", help="embed atom positions for a model")
+    p = add_parser("layout", help="embed atom positions for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p.add_argument("--out")
     add_common(p, "--config", "--seed")
     p.set_defaults(func=cmd_layout)
 
-    p = sub.add_parser("validate", help="check a layout against a model")
+    p = add_parser("validate", help="check a layout against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--layout", required=True)
     p.add_argument("--tol", type=float, default=1e-3)
     add_common(p, "--config")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("hardness", help="spectral hardness of a model")
+    p = add_parser("hardness", help="spectral hardness of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--name", default="model")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_hardness)
 
-    p = sub.add_parser("anneal", help="propagate one schedule, emit trajectory")
+    p = add_parser("anneal", help="propagate one schedule, emit trajectory")
     p.add_argument("--model", required=True)
     p.add_argument("--schedule", help="schedule JSON file")
     p.add_argument("--duration", type=float, default=None)
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (("optimize", "optimize a pulse schedule"),
                             ("pipeline", "full build-encode-optimize run")):
-        p = sub.add_parser(name, help=help_text)
+        p = add_parser(name, help=help_text)
         p.add_argument("--preset", choices=PRESET_NAMES)
         p.add_argument("--model")
         p.add_argument("--plan", help="stage plan JSON file")
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p, *common)
         p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("report", help="aggregate hardness/result rows")
+    p = add_parser("report", help="aggregate hardness/result rows")
     p.add_argument("inputs", nargs="*", help="result JSON files")
     p.add_argument("--from-spectral", help="JSON with spectral quantities")
     p.add_argument("--presets", action="store_true",

@@ -132,7 +132,7 @@ def encode(m: IsingModel, allow_negative: bool = False) -> EncodedTarget:
     return EncodedTarget(n, v, delta, constant, 1.0)
 
 
-def gauge_fix(m: IsingModel, tol: float = 0.0) -> tuple[IsingModel, tuple[int, ...]]:
+def gauge_fix(m: IsingModel) -> tuple[IsingModel, tuple[int, ...]]:
     """Flip a subset of spins so all couplings become nonnegative.
 
     Returns the gauged model and the 0/1 flip mask; a bit pattern x of the
@@ -142,7 +142,7 @@ def gauge_fix(m: IsingModel, tol: float = 0.0) -> tuple[IsingModel, tuple[int, .
     """
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(m.n)}
     for (i, j), coupling in m.j.items():
-        if abs(coupling) <= tol:
+        if coupling == 0.0:
             continue
         sign = 1 if coupling < 0 else 0
         adj[i].append((j, sign))
@@ -321,12 +321,8 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     pos = best.x.reshape(n, dim)
     pos -= pos.mean(axis=0)
     layout = AtomLayout(pos, limits.c6)
-    achieved = layout_interactions(layout)
-    vmax = float(np.max(t.v))
-    errs = np.abs(achieved - t.v) / vmax
-    np.fill_diagonal(errs, 0.0)
-    worst = np.unravel_index(np.argmax(errs), errs.shape)
-    return layout, EmbedReport(float(errs[worst]), (int(min(worst)), int(max(worst))),
+    residual = validate(t, layout)
+    return layout, EmbedReport(residual.max_rel_error, residual.worst_pair,
                                float(best.fun), EMBED_RESTARTS)
 
 

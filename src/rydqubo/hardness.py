@@ -24,7 +24,6 @@ class HardnessError(ValueError):
 class Subspace:
     mean_energy: float
     degeneracy: int
-    member_energies: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -50,29 +49,18 @@ def cluster_subspaces(spectrum: SpectrumTable, epsilon: float = DEFAULT_EPSILON
     if epsilon <= 0:
         raise HardnessError("epsilon must be positive")
     out: list[Subspace] = []
-    members: list[tuple[float, int]] = []
-
-    def flush():
-        if members:
-            total = sum(m for _, m in members)
-            mean = sum(e * m for e, m in members) / total
-            out.append(Subspace(mean, total,
-                                tuple(e for e, m in members for _ in range(m))))
-            members.clear()
-
-    for entry in spectrum.entries:
-        if members:
-            total = sum(m for _, m in members)
-            mean = sum(e * m for e, m in members) / total
-            if abs(entry.energy - mean) >= epsilon:
-                flush()
-        members.append((entry.energy, entry.multiplicity))
-    flush()
+    weighted = total = 0
+    for e, m in zip(spectrum.energies.tolist(), spectrum.counts.tolist()):
+        if total and abs(e - weighted / total) >= epsilon:
+            out.append(Subspace(weighted / total, total))
+            weighted = total = 0
+        weighted += e * m
+        total += m
+    out.append(Subspace(weighted / total, total))
     return tuple(out)
 
 
-def threatening_set(subspaces: Sequence[Subspace], d_opt: int | None = None
-                    ) -> tuple[int, ...]:
+def threatening_set(subspaces: Sequence[Subspace]) -> tuple[int, ...]:
     """Indices alpha > 0 that are gap-adjacent or highly degenerate.
 
     A subspace threatens if its excitation energy is within one gap of the
@@ -82,9 +70,7 @@ def threatening_set(subspaces: Sequence[Subspace], d_opt: int | None = None
         return ()
     e0 = subspaces[0].mean_energy
     gap = subspaces[1].mean_energy - e0
-    if d_opt is None:
-        d_opt = subspaces[0].degeneracy
-    d_thresh = max(1.0, d_opt / 2.0)
+    d_thresh = max(1.0, subspaces[0].degeneracy / 2.0)
     selected = []
     for alpha in range(1, len(subspaces)):
         sub = subspaces[alpha]
@@ -158,8 +144,8 @@ def analyze_supplied(e0: float, gap: float, d_opt: int, d_first_excited: int,
     ``threat_degeneracies`` lists (degeneracy, E_alpha - E0) per threatening
     subspace; no clustering takes place, so ``epsilon`` is NaN.
     """
-    subspaces = [Subspace(0.0, d_opt, ())] + [Subspace(de, d, ())
-                                              for d, de in threat_degeneracies]
+    subspaces = [Subspace(0.0, d_opt)] + [Subspace(de, d)
+                                          for d, de in threat_degeneracies]
     s = sigma(subspaces, range(1, len(subspaces)), gap)
     hp, by_width = hardness_parameter(e0, d_opt, gap, s, e_max)
     return HardnessReport(e0, gap, d_opt, d_first_excited, len(subspaces) - 1,

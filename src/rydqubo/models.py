@@ -34,9 +34,22 @@ def _normalize_pairs(n: int, quadratic: Mapping) -> dict[tuple[int, int], float]
 
 
 def _bit_table(n: int) -> np.ndarray:
-    """All 2^n assignments as a (2^n, n) 0/1 array; bit i of index k is x_i."""
-    states = np.arange(1 << n, dtype=np.int64)
-    return ((states[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    """All 2^n assignments as a (2^n, n) 0/1 array; bit i of index k is x_i.
+
+    The shifts run in int32, which holds every index up to ENUMERATION_CAP.
+    """
+    states = np.arange(1 << n, dtype=np.int32)
+    return ((states[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.float64)
+
+
+def _table_energies(table: np.ndarray, constant: float, linear: Sequence[float],
+                    pairs: Mapping[tuple[int, int], float]) -> np.ndarray:
+    """const + table @ linear + sum_ij b_ij table_i table_j, one row per state."""
+    e = np.full(table.shape[0], constant)
+    e += table @ np.asarray(linear)
+    for (i, j), b in pairs.items():
+        e += b * table[:, i] * table[:, j]
+    return e
 
 
 @dataclass(frozen=True)
@@ -69,12 +82,8 @@ class QuboModel:
 
     def energies(self) -> np.ndarray:
         """Energy of every assignment, indexed by the integer bit pattern."""
-        xt = _bit_table(self.n)
-        e = np.full(1 << self.n, self.constant)
-        e += xt @ np.asarray(self.linear)
-        for (i, j), b in self.quadratic.items():
-            e += b * xt[:, i] * xt[:, j]
-        return e
+        return _table_energies(_bit_table(self.n), self.constant, self.linear,
+                               self.quadratic)
 
     def to_dict(self) -> dict:
         return {
@@ -114,17 +123,10 @@ class IsingModel:
             e += b * s[i] * s[j]
         return e
 
-    def evaluate_bits(self, x: Sequence[int]) -> float:
-        return self.evaluate([1 - 2 * xi for xi in x])
-
     def energies(self) -> np.ndarray:
         """Energy of every assignment, indexed by the integer *bit* pattern x."""
-        st = 1.0 - 2.0 * _bit_table(self.n)
-        e = np.full(1 << self.n, self.constant)
-        e += st @ np.asarray(self.h)
-        for (i, j), b in self.j.items():
-            e += b * st[:, i] * st[:, j]
-        return e
+        return _table_energies(1.0 - 2.0 * _bit_table(self.n), self.constant,
+                               self.h, self.j)
 
     def to_dict(self) -> dict:
         return {
@@ -168,79 +170,49 @@ def ising_to_qubo(m: IsingModel) -> QuboModel:
     return QuboModel(m.n, tuple(linear), quad, const)
 
 
-def evaluate(model: QuboModel | IsingModel, assignment: Sequence[int]) -> float:
-    return model.evaluate(assignment)
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    energy: float
-    states: tuple[int, ...]  # integer bit patterns; bit i of a state is x_i
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.states)
-
-
 @dataclass(frozen=True)
 class SpectrumTable:
+    """Exhaustive spectrum as arrays.
+
+    ``energies`` are the distinct levels in ascending order and ``counts``
+    their multiplicities; ``states`` holds all 2^n bit patterns (bit i of a
+    state is x_i) in stable energy order, so level k's states are the
+    ``counts[k]`` entries after the first ``counts[:k].sum()``.
+    """
+
     n: int
-    entries: tuple[SpectrumEntry, ...]
+    energies: np.ndarray
+    counts: np.ndarray
+    states: np.ndarray
 
     @property
     def e_min(self) -> float:
-        return self.entries[0].energy
+        return float(self.energies[0])
 
     @property
     def e_max(self) -> float:
-        return self.entries[-1].energy
+        return float(self.energies[-1])
 
-    def distinct_energies(self) -> np.ndarray:
-        return np.array([e.energy for e in self.entries])
-
-    def multiplicities(self) -> np.ndarray:
-        return np.array([e.multiplicity for e in self.entries])
+    @property
+    def ground_states(self) -> tuple[int, ...]:
+        """Ground-level bit patterns, ascending."""
+        return tuple(self.states[:self.counts[0]].tolist())
 
 
 def state_bits(state: int, n: int) -> tuple[int, ...]:
     return tuple((state >> i) & 1 for i in range(n))
 
 
-def enumerate_spectrum(m: IsingModel | QuboModel, cap: int = ENUMERATION_CAP) -> SpectrumTable:
+def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
     """Exhaustive spectrum of the classical cost, grouped by exact energy equality."""
-    if m.n > cap:
-        raise ModelError(f"n={m.n} exceeds enumeration cap {cap}")
+    if m.n > ENUMERATION_CAP:
+        raise ModelError(f"n={m.n} exceeds enumeration cap {ENUMERATION_CAP}")
     e = m.energies()
-    order = np.argsort(e, kind="stable")
-    entries: list[SpectrumEntry] = []
-    cur_e: float | None = None
-    cur_states: list[int] = []
-    for k in order:
-        ek = float(e[k])
-        if cur_e is None or ek != cur_e:
-            if cur_states:
-                entries.append(SpectrumEntry(cur_e, tuple(cur_states)))
-            cur_e, cur_states = ek, [int(k)]
-        else:
-            cur_states.append(int(k))
-    if cur_states:
-        entries.append(SpectrumEntry(cur_e, tuple(cur_states)))
-    return SpectrumTable(m.n, tuple(entries))
-
-
-@dataclass(frozen=True)
-class GroundSummary:
-    e_opt: float
-    ground_states: tuple[int, ...]
-    c_opt: float
-    c_max: float
-
-
-def ground_summary(t: SpectrumTable) -> GroundSummary:
-    if not t.entries:
-        raise ModelError("empty spectrum table")
-    g = t.entries[0]
-    return GroundSummary(g.energy, g.states, t.e_min, t.e_max)
+    states = np.argsort(e, kind="stable")
+    ordered = e[states]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, ordered.size))
+    return SpectrumTable(m.n, ordered[starts], counts, states)
 
 
 def model_to_json(model: QuboModel | IsingModel, path=None) -> str:

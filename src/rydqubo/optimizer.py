@@ -20,6 +20,8 @@ from .annealer import (PropagationConfig, Schedule, Trajectory,
                        initial_basis_index, propagate, target_ground_indices)
 from .encoding import EncodedTarget
 
+FD_REL_STEP = 1e-4  # relative central-difference step of the gradient stages
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -84,13 +86,12 @@ def approximation_ratio(c_max: float, c_opt: float, c_obt: float) -> float:
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float],
-                               params: np.ndarray,
-                               rel_step: float = 1e-4) -> np.ndarray:
-    """Central differences with per-coordinate step h_i = rel_step*(1+|p_i|)."""
+                               params: np.ndarray) -> np.ndarray:
+    """Central differences with per-coordinate step h_i = FD_REL_STEP*(1+|p_i|)."""
     params = np.asarray(params, dtype=float)
     grad = np.empty_like(params)
     for i in range(params.size):
-        h = rel_step * (1.0 + abs(params[i]))
+        h = FD_REL_STEP * (1.0 + abs(params[i]))
         up = params.copy()
         dn = params.copy()
         up[i] += h

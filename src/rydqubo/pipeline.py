@@ -21,8 +21,7 @@ from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        NotEncodableError, embed_layout, encode, gauge_fix,
                        rescale)
 from .hardness import format_csv
-from .models import (IsingModel, QuboModel, as_ising, enumerate_spectrum,
-                     ground_summary)
+from .models import IsingModel, QuboModel, as_ising, enumerate_spectrum
 from .optimizer import OptimizationResult, StagePlan, run_hybrid
 from .problems import preset_instance
 
@@ -153,7 +152,7 @@ def run_pipeline(model: IsingModel | QuboModel,
     if schedule is None:
         schedule = default_schedule(preset_name, enc, limits=limits)
 
-    summary = ground_summary(enumerate_spectrum(as_ising(model)))
+    spectrum = enumerate_spectrum(as_ising(model))
     result = run_hybrid(enc, plan, seed, template=schedule)
 
     manifest = RunManifest(instance_name, mode, schedule.to_dict(),
@@ -164,9 +163,9 @@ def run_pipeline(model: IsingModel | QuboModel,
 
     # ground patterns in the source-model frame (gauge flips only affect the
     # encoded target, whose ground set the objective already tracks)
-    grounds = tuple(sorted(summary.ground_states))
-    return PipelineResult(manifest, outcome, result, summary.c_opt,
-                          summary.c_max, grounds, rows, layout, layout_report)
+    return PipelineResult(manifest, outcome, result, spectrum.e_min,
+                          spectrum.e_max, spectrum.ground_states, rows, layout,
+                          layout_report)
 
 
 def trajectory_table(traj: Trajectory, delta_final: np.ndarray) -> list[dict]:

@@ -157,13 +157,6 @@ class SetPackingInstance:
                 raise ProblemError(f"duplicate conflict pair {key}")
             seen.add(key)
 
-    def degrees(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for i, j in self.conflicts:
-            d[i] += 1
-            d[j] += 1
-        return tuple(d)
-
 
 def build_set_packing(inst: SetPackingInstance) -> QuboModel:
     linear = tuple(-w for w in inst.weights)
@@ -197,16 +190,6 @@ class QapInstance:
     @property
     def n(self) -> int:
         return len(self.flow)
-
-    @property
-    def symmetric(self) -> bool:
-        a = np.asarray(self.flow)
-        b = np.asarray(self.distance)
-        return bool(np.array_equal(a, a.T) and np.array_equal(b, b.T))
-
-    def variable_index(self, facility: int, location: int) -> int:
-        """Linear index of assignment (facility, location), zero-based."""
-        return facility * self.n + location
 
     def assignment_cost(self, perm: Sequence[int]) -> float:
         """Cost sum_{i,k} A_ik B_{perm(i) perm(k)} of a feasible permutation."""

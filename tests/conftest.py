@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rydqubo.models import IsingModel, QuboModel
+from rydqubo.models import IsingModel, QuboModel, as_ising
+from rydqubo.problems import PRESET_NAMES, preset_instance
 
 
 def random_qubo(rng: np.random.Generator, n: int) -> QuboModel:
@@ -18,6 +19,26 @@ def random_antiferro_ising(rng: np.random.Generator, n: int) -> IsingModel:
          for i in range(n) for j in range(i + 1, n)
          if rng.random() < 0.7}
     return IsingModel(n, h, j, float(rng.normal()))
+
+
+def random_integer_qubo(rng: np.random.Generator, n: int) -> QuboModel:
+    """Small integer coefficients, so that many energies are exactly equal."""
+    return QuboModel(n, tuple(float(a) for a in rng.integers(-3, 4, size=n)),
+                     {(i, j): float(rng.integers(-3, 4))
+                      for i in range(n) for j in range(i + 1, n)},
+                     float(rng.integers(-3, 4)))
+
+
+def spectrum_cases(rng: np.random.Generator):
+    """Every preset in both conventions, then random float and integer QUBOs
+    with n = 1-8."""
+    for name in PRESET_NAMES:
+        model = preset_instance(name).model
+        yield model
+        yield as_ising(model)
+    for n in range(1, 9):
+        yield random_qubo(rng, n)
+        yield random_integer_qubo(rng, n)
 
 
 @pytest.fixture

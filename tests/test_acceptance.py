@@ -42,7 +42,7 @@ def test_criterion_2_ground_degeneracy_oracle():
     expected = {"two_sat": 4, "xor_sat": 6, "mixed": 2, "set_packing": 2}
     for name, d_opt in expected.items():
         table = enumerate_spectrum(preset_instance(name).model)
-        assert len(table.entries[0].states) == d_opt, name
+        assert len(table.ground_states) == d_opt, name
     # instances whose degeneracy depends on penalty defaults must be flagged
     named = []
     for name in ("qap", "clustering", "protein"):

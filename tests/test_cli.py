@@ -215,6 +215,11 @@ def test_report_from_spectral_zero_degeneracy_exit_2(capsys, tmp_path):
     ("encode", "--seed", "5"),
     ("layout", "--out-dir", "runs"),
     ("validate", "--seed", "5"),
+    # no prefix matching: --mode is not --model, --energy not --energy-shift
+    ("layout", "--mode", "physical"),
+    ("validate", "--mode", "ideal"),
+    ("hardness", "--energy", "1.0"),
+    ("anneal", "--dur", "5"),
 ])
 def test_subcommand_rejects_options_it_ignores(capsys, xor_model_file,
                                                command, option, value):

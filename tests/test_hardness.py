@@ -11,7 +11,7 @@ from rydqubo.hardness import (DEFAULT_EPSILON, HardnessError, Subspace,
 from rydqubo.models import QuboModel, enumerate_spectrum
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
-from conftest import random_qubo
+from conftest import random_qubo, spectrum_cases
 
 
 def test_cluster_subspaces_merges_within_epsilon():
@@ -32,8 +32,41 @@ def test_cluster_subspaces_idempotent(rng):
     assert all(b - a >= DEFAULT_EPSILON for a, b in zip(means, means[1:]))
 
 
+def _reference_cluster_subspaces(spectrum, epsilon):
+    """The clustering loop the running sums replaced: each cluster's mean is
+    recomputed from its members for every level.  Returns [(mean, D), ...]."""
+    out, members = [], []
+
+    def flush():
+        if members:
+            total = sum(m for _, m in members)
+            out.append((sum(e * m for e, m in members) / total, total))
+            members.clear()
+
+    for energy, count in zip(spectrum.energies.tolist(), spectrum.counts.tolist()):
+        if members:
+            total = sum(m for _, m in members)
+            mean = sum(e * m for e, m in members) / total
+            if abs(energy - mean) >= epsilon:
+                flush()
+        members.append((energy, count))
+    flush()
+    return out
+
+
+@pytest.mark.parametrize("epsilon", [1e-15, 1e-10, 1e-6, 0.3])
+def test_cluster_subspaces_matches_reference(rng, epsilon):
+    for model in spectrum_cases(rng):
+        spectrum = enumerate_spectrum(model)
+        got = [(s.mean_energy.hex(), s.degeneracy)
+               for s in cluster_subspaces(spectrum, epsilon)]
+        want = [(mean.hex(), d)
+                for mean, d in _reference_cluster_subspaces(spectrum, epsilon)]
+        assert got == want
+
+
 def sub(mean, deg):
-    return Subspace(mean, deg, (mean,) * deg)
+    return Subspace(mean, deg)
 
 
 def test_threatening_set_rules():

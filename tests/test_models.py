@@ -1,16 +1,14 @@
-import itertools
 import json
 
 import numpy as np
 import pytest
 
-from rydqubo.models import (ModelError, IsingModel, QuboModel, as_ising,
-                            as_qubo, enumerate_spectrum, evaluate,
-                            ground_summary, ising_to_qubo, model_from_dict,
-                            model_from_json, model_to_json, qubo_to_ising,
-                            state_bits)
+from rydqubo.models import (ENUMERATION_CAP, ModelError, IsingModel,
+                            QuboModel, as_ising, as_qubo, enumerate_spectrum,
+                            ising_to_qubo, model_from_dict, model_from_json,
+                            model_to_json, qubo_to_ising, state_bits)
 
-from conftest import random_qubo
+from conftest import random_qubo, spectrum_cases
 
 
 def brute_energies(model):
@@ -72,28 +70,65 @@ def test_spectrum_completeness_and_order(rng):
     for n in (1, 3, 6):
         q = random_qubo(rng, n)
         table = enumerate_spectrum(q)
-        assert sum(e.multiplicity for e in table.entries) == 1 << n
-        energies = [e.energy for e in table.entries]
+        assert table.counts.sum() == 1 << n
+        energies = table.energies.tolist()
         assert energies == sorted(energies)
-        seen = sorted(s for e in table.entries for s in e.states)
-        assert seen == list(range(1 << n))
+        assert sorted(table.states.tolist()) == list(range(1 << n))
 
 
 def test_spectrum_degeneracy_grouping():
     # two decoupled identical bits: energies 0, 1, 1, 2
     q = QuboModel(2, (1.0, 1.0), {})
     table = enumerate_spectrum(q)
-    assert [(e.energy, e.multiplicity) for e in table.entries] == \
+    assert list(zip(table.energies.tolist(), table.counts.tolist())) == \
         [(0.0, 1), (1.0, 2), (2.0, 1)]
-    summary = ground_summary(table)
-    assert summary.ground_states == (0,)
-    assert summary.c_opt == 0.0 and summary.c_max == 2.0
+    assert table.states.tolist() == [0, 1, 2, 3]
+    assert table.ground_states == (0,)
+    assert table.e_min == 0.0 and table.e_max == 2.0
+
+
+def _reference_enumerate_spectrum(m):
+    """One Python object per level, built state by state: the loop the
+    array grouping replaced.  Returns [(energy, states), ...]."""
+    e = m.energies()
+    levels = []
+    cur_e, cur_states = None, []
+    for k in np.argsort(e, kind="stable"):
+        ek = float(e[k])
+        if cur_e is None or ek != cur_e:
+            if cur_states:
+                levels.append((cur_e, tuple(cur_states)))
+            cur_e, cur_states = ek, [int(k)]
+        else:
+            cur_states.append(int(k))
+    levels.append((cur_e, tuple(cur_states)))
+    return levels
+
+
+def _levels(table):
+    """[(energy, states), ...] of a SpectrumTable, split by its counts."""
+    bounds = np.cumsum(table.counts)[:-1]
+    return list(zip(table.energies.tolist(),
+                    (tuple(s.tolist()) for s in np.split(table.states, bounds))))
+
+
+def test_enumerate_spectrum_matches_reference(rng):
+    for model in spectrum_cases(rng):
+        table = enumerate_spectrum(model)
+        want = _reference_enumerate_spectrum(model)
+        got = _levels(table)
+        assert [(e.hex(), s) for e, s in got] == [(e.hex(), s) for e, s in want]
+        assert table.n == model.n
+        assert table.ground_states == want[0][1]
+        assert table.e_min.hex() == want[0][0].hex()
+        assert table.e_max.hex() == want[-1][0].hex()
 
 
 def test_enumeration_cap():
-    q = QuboModel(6, (0.0,) * 6, {})
+    n = ENUMERATION_CAP + 1
+    q = QuboModel(n, (0.0,) * n, {})
     with pytest.raises(ModelError):
-        enumerate_spectrum(q, cap=5)
+        enumerate_spectrum(q)
 
 
 def test_json_round_trip(rng):
@@ -119,9 +154,3 @@ def test_as_conversions(rng):
     m = as_ising(q)
     assert as_ising(m) is m
     np.testing.assert_allclose(as_qubo(m).energies(), q.energies(), atol=1e-12)
-
-
-def test_evaluate_helper():
-    q = QuboModel(2, (1.0, -1.0), {(0, 1): 3.0}, 0.5)
-    for x in itertools.product((0, 1), repeat=2):
-        assert evaluate(q, x) == pytest.approx(q.evaluate(x))

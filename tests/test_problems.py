@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rydqubo.models import enumerate_spectrum, ground_summary, state_bits
+from rydqubo.models import enumerate_spectrum, state_bits
 from rydqubo.problems import (PRESET_NAMES, ClusteringInstance, ProblemError,
                               ProteinToyInstance, QapInstance,
                               SetPackingInstance, TwoSatInstance,
@@ -14,8 +14,8 @@ from rydqubo.problems import (PRESET_NAMES, ClusteringInstance, ProblemError,
 
 
 def spectrum_multiset(model):
-    return [(e.energy, e.multiplicity)
-            for e in enumerate_spectrum(model).entries]
+    table = enumerate_spectrum(model)
+    return list(zip(table.energies.tolist(), table.counts.tolist()))
 
 
 # --- two-SAT -----------------------------------------------------------------
@@ -88,8 +88,8 @@ def test_mixed_is_coefficient_sum():
 
 def test_mixed_preset_ground_states():
     preset = preset_instance("mixed")
-    summary = ground_summary(enumerate_spectrum(preset.model))
-    grounds = {state_bits(s, 3) for s in summary.ground_states}
+    table = enumerate_spectrum(preset.model)
+    grounds = {state_bits(s, 3) for s in table.ground_states}
     assert grounds == {(0, 1, 0), (1, 0, 1)}
     assert spectrum_multiset(preset.model) == [(0.0, 2), (1.0, 4), (2.0, 2)]
 
@@ -119,8 +119,8 @@ def test_set_packing_preset_spectrum():
 def test_set_packing_penalty_dominance():
     # P > max weight keeps all optima conflict-free
     inst = preset_instance("set_packing").instance
-    summary = ground_summary(enumerate_spectrum(preset_instance("set_packing").model))
-    for s in summary.ground_states:
+    table = enumerate_spectrum(preset_instance("set_packing").model)
+    for s in table.ground_states:
         x = state_bits(s, inst.n)
         assert all(x[i] * x[j] == 0 for i, j in inst.conflicts)
 
@@ -194,9 +194,9 @@ def test_clustering_cost_is_negative_cut(rng):
 
 
 def test_clustering_max_cut_value():
-    summary = ground_summary(enumerate_spectrum(preset_instance("clustering").model))
-    assert summary.c_opt == pytest.approx(-11.0)
-    assert len(summary.ground_states) == 4
+    table = enumerate_spectrum(preset_instance("clustering").model)
+    assert table.e_min == pytest.approx(-11.0)
+    assert len(table.ground_states) == 4
 
 
 def test_clustering_flip_symmetry():
@@ -205,8 +205,7 @@ def test_clustering_flip_symmetry():
     full = (1 << model.n) - 1
     np.testing.assert_allclose(energies, energies[[k ^ full
                                                    for k in range(len(energies))]])
-    for entry in enumerate_spectrum(model).entries:
-        assert entry.multiplicity % 2 == 0
+    assert (enumerate_spectrum(model).counts % 2 == 0).all()
 
 
 def test_clustering_validation():
@@ -252,7 +251,7 @@ def test_protein_preset_extremes():
     model = preset_instance("protein").model
     table = enumerate_spectrum(model)
     assert table.e_min == pytest.approx(-0.5)
-    assert len(table.entries[0].states) == 2
+    assert len(table.ground_states) == 2
     assert table.e_max == pytest.approx(25.0)
 
 
