@@ -1,12 +1,20 @@
 """Command-line surface: build -> encode -> layout -> optimize -> report.
 
-Exit codes: 0 success, 2 bad arguments or malformed input, 3 build/encoding
-failure, 4 solution quality below threshold, 5 propagation failure.
+Exit codes: 0 success; 2 bad arguments (a missing or malformed input file,
+unreadable family parameters, no --preset or --family for ``problem``, no
+--preset or --model for ``pipeline`` and ``optimize``, ``report`` without
+inputs, or a layout whose atom count differs from the model's or that puts
+two atoms on one site); 3 a problem, model or hardness analysis that cannot
+be built, or a model that cannot be encoded; 4 solution quality below
+--threshold, or a failed validation; 5 propagation failure.  Subcommands
+raise; main() alone maps an exception to its exit code through FAILURES.
+Any other exception is a bug and prints a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -15,11 +23,11 @@ from pathlib import Path
 from .annealer import AnnealerError, PropagationConfig, Schedule, propagate
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
                        embed_layout, validate)
-from .hardness import (DEFAULT_EPSILON, analyze_model, analyze_supplied,
-                       format_csv, format_table, format_value, report_row,
-                       report_rows)
-from .models import (ModelError, as_ising, enumerate_spectrum, model_from_json,
-                     state_bits)
+from .hardness import (DEFAULT_EPSILON, HardnessError, analyze_model,
+                       analyze_supplied, format_csv, format_table,
+                       format_value, report_row, report_rows)
+from .models import (ModelError, as_ising, enumerate_spectrum,
+                     model_from_dict, state_bits)
 from .optimizer import StagePlan
 from .pipeline import (default_schedule, encode_for_annealing, result_json,
                        run_pipeline, trajectory_csv, trajectory_table)
@@ -33,19 +41,45 @@ EXIT_QUALITY = 4
 EXIT_PROPAGATION = 5
 
 
-class InputFileError(Exception):
-    """A missing or malformed input file; main() maps it to EXIT_USAGE."""
+class UsageError(Exception):
+    """Bad arguments or a missing or malformed input file."""
+
+
+# (exception type, exit code, stderr prefix); main() prints
+# "error: <prefix><message>" for the first row the exception matches
+FAILURES = (
+    (UsageError, EXIT_USAGE, ""),
+    (NotEncodableError, EXIT_BUILD, "not encodable: "),
+    (AnnealerError, EXIT_PROPAGATION, "propagation failed: "),
+    (ProblemError, EXIT_BUILD, ""),
+    (ModelError, EXIT_BUILD, ""),
+    (HardnessError, EXIT_BUILD, ""),
+)
+_MAPPED = tuple(kind for kind, _, _ in FAILURES)
 
 
 def _load_json(path: str, what: str, parse):
-    """``parse`` applied to the JSON in ``path``; every failure is an
-    InputFileError."""
+    """``parse`` applied to the JSON in ``path``; every failure is a
+    UsageError."""
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputFileError(
+    except (OSError, AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise UsageError(
             f"cannot load {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _bad_input(what: str):
+    """A KeyError, OverflowError, TypeError or ValueError raised while reading
+    ``what`` is a UsageError; an error FAILURES maps passes through unchanged."""
+    try:
+        yield
+    except _MAPPED:
+        raise
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {what}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_limits(args) -> HardwareLimits:
@@ -70,43 +104,39 @@ def _out_path(args, name: str) -> Path:
 
 
 def cmd_problem(args) -> int:
-    try:
-        if args.preset:
-            preset = preset_instance(args.preset)
-            model, meta = preset.model, dict(preset.metadata)
-            meta["preset"] = preset.name
-        else:
+    if args.preset:
+        preset = preset_instance(args.preset)
+        model, meta = preset.model, dict(preset.metadata)
+        meta["preset"] = preset.name
+    elif args.family:
+        with _bad_input("family parameters"):
             params = json.loads(args.params) if args.params else {}
             for key in ("constraints", "clauses"):
-                if getattr(args, key, None):
+                if getattr(args, key):
                     params[key] = json.loads(getattr(args, key))
             if "n" not in params and args.n is not None:
                 params["n"] = args.n
             _, model = build_from_params(args.family, params)
-            meta = {"family": args.family}
-    except (ProblemError, ModelError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUILD if isinstance(exc, (ProblemError, ModelError)) else EXIT_USAGE
+        meta = {"family": args.family}
+    else:
+        raise UsageError("provide --preset or --family")
     payload = model.to_dict()
     payload["metadata"] = meta
     _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-def _load_model(path: str):
-    try:
-        return model_from_json(path)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, ModelError
-        raise InputFileError(f"cannot load model {path}: {exc}") from exc
+def _encoded(args, mode: str):
+    """(encoding outcome, hardware limits) of the --model file under
+    --config."""
+    model = _load_json(args.model, "model", model_from_dict)
+    limits = _load_limits(args)
+    return encode_for_annealing(model, mode=mode, limits=limits), limits
 
 
 def cmd_spectrum(args) -> int:
-    model = _load_model(args.model)
-    try:
-        table = enumerate_spectrum(model)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUILD
+    model = _load_json(args.model, "model", model_from_dict)
+    table = enumerate_spectrum(model)
     print("energy,multiplicity")
     for energy, count in zip(table.energies.tolist(), table.counts.tolist()):
         print(f"{format_value(energy)},{count}")
@@ -119,13 +149,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    model = _load_model(args.model)
-    limits = _load_limits(args)
-    try:
-        outcome = encode_for_annealing(model, mode=args.mode, limits=limits)
-    except NotEncodableError as exc:
-        print(f"error: not encodable: {exc}", file=sys.stderr)
-        return EXIT_BUILD
+    outcome, _ = _encoded(args, args.mode)
     enc = outcome.target
     payload = {"n": enc.n, "V": enc.v.tolist(),
                "delta_final": enc.delta_final.tolist(),
@@ -138,15 +162,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    model = _load_model(args.model)
-    limits = _load_limits(args)
-    try:
-        outcome = encode_for_annealing(model, mode="physical", limits=limits)
-        layout, report = embed_layout(outcome.target, dim=args.dim,
-                                      seed=args.seed, limits=limits)
-    except NotEncodableError as exc:
-        print(f"error: not encodable: {exc}", file=sys.stderr)
-        return EXIT_BUILD
+    outcome, limits = _encoded(args, "physical")
+    layout, report = embed_layout(outcome.target, dim=args.dim,
+                                  seed=args.seed, limits=limits)
     payload = layout.to_dict()
     payload["max_rel_error"] = report.max_rel_error
     payload["worst_pair"] = list(report.worst_pair)
@@ -155,15 +173,10 @@ def cmd_layout(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    model = _load_model(args.model)
     layout = _load_json(args.layout, "layout", AtomLayout.from_dict)
-    limits = _load_limits(args)
-    try:
-        outcome = encode_for_annealing(model, mode="physical", limits=limits)
+    outcome, _ = _encoded(args, "physical")
+    with _bad_input(f"layout {args.layout}"):
         report = validate(outcome.target, layout, tol=args.tol)
-    except (NotEncodableError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUILD
     print(f"max_rel_error={format_value(report.max_rel_error)} "
           f"worst_pair={report.worst_pair} "
           f"worst_unwanted={format_value(report.worst_unwanted)} "
@@ -174,13 +187,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_hardness(args) -> int:
-    model = _load_model(args.model)
-    try:
-        rep = analyze_model(model, epsilon=args.epsilon,
-                            energy_shift=args.energy_shift)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUILD
+    model = _load_json(args.model, "model", model_from_dict)
+    rep = analyze_model(model, epsilon=args.epsilon,
+                        energy_shift=args.energy_shift)
     row = report_row(args.name, rep)
     print(format_csv([row]) if args.csv else format_table([row]))
     return EXIT_OK
@@ -193,22 +202,12 @@ def _load_schedule(args) -> Schedule | None:
 
 
 def cmd_anneal(args) -> int:
-    model = _load_model(args.model)
-    limits = _load_limits(args)
-    try:
-        outcome = encode_for_annealing(model, mode=args.mode, limits=limits)
-    except NotEncodableError as exc:
-        print(f"error: not encodable: {exc}", file=sys.stderr)
-        return EXIT_BUILD
+    outcome, limits = _encoded(args, args.mode)
     enc = outcome.target
     schedule = _load_schedule(args) or default_schedule(
         None, enc, t_total=args.duration, limits=limits)
-    try:
-        _, traj = propagate(enc, schedule,
-                            PropagationConfig(initial_steps=args.steps))
-    except AnnealerError as exc:
-        print(f"error: propagation failed: {exc}", file=sys.stderr)
-        return EXIT_PROPAGATION
+    _, traj = propagate(enc, schedule,
+                        PropagationConfig(initial_steps=args.steps))
     rows = trajectory_table(traj, enc.delta_final)
     _emit(args, format_csv(rows, list(rows[0])))
     print(f"# E(T)={format_value(traj.energy[-1])} "
@@ -220,17 +219,9 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
     limits = _load_limits(args)
     plan = (_load_json(args.plan, "plan", StagePlan.from_dict) if args.plan
             else StagePlan.default())
-    schedule = _load_schedule(args)
-    try:
-        result = run_pipeline(model, instance_name, preset_name=preset_name,
-                              mode=args.mode, plan=plan, seed=args.seed,
-                              schedule=schedule, limits=limits)
-    except NotEncodableError as exc:
-        print(f"error: not encodable: {exc}", file=sys.stderr)
-        return EXIT_BUILD
-    except AnnealerError as exc:
-        print(f"error: propagation failed: {exc}", file=sys.stderr)
-        return EXIT_PROPAGATION
+    result = run_pipeline(model, instance_name, preset_name=preset_name,
+                          mode=args.mode, plan=plan, seed=args.seed,
+                          schedule=_load_schedule(args), limits=limits)
 
     payload = result_json(result)
     _out_path(args, f"{instance_name}_result.json").write_text(
@@ -239,10 +230,11 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
         trajectory_csv(result) + "\n")
     try:
         row = report_row(instance_name, analyze_model(as_ising(model)))
+    except HardnessError as exc:
+        print(f"warning: hardness row failed: {exc}", file=sys.stderr)
+    else:
         _out_path(args, f"{instance_name}_hardness.csv").write_text(
             format_csv([row]) + "\n")
-    except Exception as exc:
-        print(f"warning: hardness row failed: {exc}", file=sys.stderr)
 
     opt = result.optimization
     print(f"instance={instance_name} R={format_value(opt.ratio)} "
@@ -254,15 +246,12 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
 
 def cmd_pipeline(args) -> int:
     if args.preset:
-        try:
-            preset = preset_instance(args.preset)
-        except ProblemError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        preset = preset_instance(args.preset)
         return _run_full(args, preset.name, preset.model, preset.name)
-    model = _load_model(args.model)
-    name = Path(args.model).stem
-    return _run_full(args, name, model)
+    if not args.model:
+        raise UsageError("provide --preset or --model")
+    model = _load_json(args.model, "model", model_from_dict)
+    return _run_full(args, Path(args.model).stem, model)
 
 
 def _supplied_row(item: dict) -> dict:
@@ -301,13 +290,19 @@ def cmd_report(args) -> int:
         rows = report_rows(named, epsilon=args.epsilon)
     else:
         if not args.inputs:
-            print("error: no inputs given", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("no inputs given")
         rows = [_load_json(path, "result",
                            functools.partial(_result_row, Path(path).stem))
                 for path in args.inputs]
     _emit(args, format_csv(rows) if args.csv else format_table(rows))
     return EXIT_OK
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("anneal", help="propagate one schedule, emit trajectory")
     p.add_argument("--model", required=True)
     p.add_argument("--schedule", help="schedule JSON file")
-    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--duration", type=positive_float, default=None)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--out")
     add_common(p, "--config", "--mode")
@@ -401,16 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("optimize", "pipeline") and not (args.preset or args.model):
-        print("error: provide --preset or --model", file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _MAPPED as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in FAILURES
+                            if isinstance(exc, kind))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -247,14 +247,6 @@ def layout_interactions(layout: AtomLayout) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class EmbedReport:
-    max_rel_error: float       # worst |C6/r^6 - V| / max(V), leakage included
-    worst_pair: tuple[int, int]
-    stress: float
-    restarts: int
-
-
 def _pair_data(t: EncodedTarget, c6: float):
     iu, ju = np.triu_indices(t.n, k=1)
     vt = t.v[iu, ju]
@@ -289,7 +281,8 @@ def _stress_and_grad(flat: np.ndarray, n: int, dim: int, iu, ju, pos_mask,
 
 
 def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
-                 limits: HardwareLimits | None = None) -> tuple[AtomLayout, EmbedReport]:
+                 limits: HardwareLimits | None = None
+                 ) -> tuple[AtomLayout, ValidationReport]:
     """Place atoms so C6/r^6 approximates V, by multi-start stress descent.
 
     Infeasibility (including unwanted-interaction leakage on zero pairs) is
@@ -299,12 +292,9 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     n = t.n
-    if n == 0:
-        layout = AtomLayout(np.zeros((0, dim)), limits.c6)
-        return layout, EmbedReport(0.0, (-1, -1), 0.0, 0)
-    if n == 1:
-        layout = AtomLayout(np.zeros((1, dim)), limits.c6)
-        return layout, EmbedReport(0.0, (-1, -1), 0.0, 0)
+    if n < 2:
+        layout = AtomLayout(np.zeros((n, dim)), limits.c6)
+        return layout, ValidationReport(0.0, (-1, -1), 0.0, (), True)
     iu, ju, vt, pos_mask, r_target = _pair_data(t, limits.c6)
     if not np.any(pos_mask):
         raise NotEncodableError("V has no positive entry to embed")
@@ -321,14 +311,12 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     pos = best.x.reshape(n, dim)
     pos -= pos.mean(axis=0)
     layout = AtomLayout(pos, limits.c6)
-    residual = validate(t, layout)
-    return layout, EmbedReport(residual.max_rel_error, residual.worst_pair,
-                               float(best.fun), EMBED_RESTARTS)
+    return layout, validate(t, layout)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    max_rel_error: float
+    max_rel_error: float       # worst |C6/r^6 - V| / max(V), leakage included
     worst_pair: tuple[int, int]
     worst_unwanted: float      # largest leakage on a zero-V pair, relative to max V
     offending_pairs: tuple[tuple[int, int], ...]

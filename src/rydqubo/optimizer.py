@@ -107,13 +107,11 @@ class AnnealObjective:
     """E(T) as a function of flattened schedule coefficients (deltas, omegas)."""
 
     def __init__(self, enc: EncodedTarget, template: Schedule,
-                 cfg: PropagationConfig | None = None,
-                 ground_indices: Sequence[int] | None = None):
+                 cfg: PropagationConfig | None = None):
         self.enc = enc
         self.template = template
         self.cfg = cfg or PropagationConfig(initial_steps=200, adaptive=False)
-        self.ground = (target_ground_indices(enc) if ground_indices is None
-                       else np.asarray(ground_indices))
+        self.ground = target_ground_indices(enc)
         self.n_delta = len(template.delta_coeffs)
         self.n_omega = len(template.omega_coeffs)
         # fixed starting basis state; degenerate H(0) minima fall back to |00..0>
@@ -228,7 +226,7 @@ def run_hybrid(enc: EncodedTarget, plan: StagePlan | None = None, seed: int = 0,
     best_params = tracker.best_params if tracker.best_params is not None else params
     # final high-accuracy propagation of the incumbent
     final_cfg = PropagationConfig(initial_steps=max(objective.cfg.initial_steps, 200),
-                                  tolerance_rel=1e-8, adaptive=True)
+                                  adaptive=True)
     _, traj = objective.propagate(best_params, final_cfg)
     e_best = float(traj.energy[-1])
     f_best = float(traj.fidelity[-1])

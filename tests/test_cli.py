@@ -1,9 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from rydqubo import cli
 from rydqubo.cli import main
+from rydqubo.problems import preset_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -245,3 +253,92 @@ def test_report_presets_flags_unpinned_rows(capsys):
 def test_report_no_inputs_exit_2(capsys):
     code, _, _ = run(capsys, "report")
     assert code == 2
+
+
+def exit_status(capsys, argv):
+    """(exit code, stderr) of one CLI run; argparse errors exit by SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.fixture
+def input_files(tmp_path, xor_model_file):
+    """Named input files: the xor_sat preset, the frustrated mixed preset, an
+    11-variable model, a model whose n overflows int, and layouts of two
+    atoms and of three atoms of which two coincide."""
+    data = {"mixed": preset_instance("mixed").model.to_dict(),
+            "n11": {"n": 11, "linear": [1.0] * 11,
+                    "quadratic": [[0, 1, 1.0]]},
+            "overflow": {"n": 1e400, "linear": [], "quadratic": []},
+            "pair_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]]},
+            "coincident_layout": {"positions_um": [[0.0, 0.0], [0.0, 0.0],
+                                                   [10.0, 0.0]]}}
+    files = {"{xor}": xor_model_file}
+    for name, content in data.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(content))
+        files["{" + name + "}"] = str(path)
+    return files
+
+
+def two_sat(params):
+    return ["problem", "--family", "two_sat", "--params", params]
+
+
+@pytest.mark.parametrize("argv, code, err_start", [
+    pytest.param(two_sat('{"n": 2, "clauses": [[0, 1]]}'), 2,
+                 "error: bad family parameters: TypeError: ",
+                 id="params-TypeError"),
+    pytest.param(two_sat('{"n": "x", "clauses": []}'), 2,
+                 "error: bad family parameters: ValueError: ",
+                 id="params-ValueError"),
+    pytest.param(two_sat('{"n": 1e400, "clauses": []}'), 2,
+                 "error: bad family parameters: OverflowError: ",
+                 id="params-OverflowError"),
+    # a ModelError from the instance itself is not a usage error
+    pytest.param(two_sat('{"n": -1, "clauses": []}'), 3,
+                 "error: n must be nonnegative", id="params-ModelError"),
+    pytest.param(["problem"], 2, "error: provide --preset or --family",
+                 id="problem-no-source"),
+    pytest.param(["anneal", "--model", "{xor}", "--duration", "-1"], 2,
+                 "usage: rydqubo anneal", id="anneal-duration"),
+    pytest.param(["anneal", "--model", "{n11}"], 5,
+                 "error: propagation failed: ", id="anneal-over-cap"),
+    pytest.param(["spectrum", "--model", "{overflow}"], 2,
+                 "error: cannot load model ", id="model-overflow"),
+    pytest.param(["validate", "--model", "{xor}", "--layout", "{pair_layout}"],
+                 2, "error: bad layout ", id="validate-atom-count"),
+    pytest.param(["validate", "--model", "{xor}",
+                  "--layout", "{coincident_layout}"],
+                 2, "error: bad layout ", id="validate-coincident"),
+    pytest.param(["validate", "--model", "{mixed}",
+                  "--layout", "{pair_layout}"],
+                 3, "error: not encodable: ", id="validate-not-encodable"),
+])
+def test_failure_exit_codes(capsys, input_files, argv, code, err_start):
+    status, err = exit_status(capsys, [input_files.get(a, a) for a in argv])
+    assert status == code
+    assert err.startswith(err_start), err
+
+
+def test_unexpected_exception_keeps_traceback(monkeypatch, xor_model_file):
+    def broken(args):
+        raise RuntimeError("a bug, not a failure with an exit code")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["spectrum", "--model", xor_model_file])
+
+
+def test_bad_duration_exits_2_without_traceback(xor_model_file):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "rydqubo.cli", "anneal",
+                           "--model", xor_model_file, "--duration", "-1"],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--duration: must be positive" in proc.stderr
