@@ -8,8 +8,8 @@ from .models import (IsingModel, QuboModel, SpectrumTable, as_ising, as_qubo,
 from .encoding import (AtomLayout, EncodedTarget, HardwareLimits,
                        NotEncodableError, embed_layout, encode, gauge_fix,
                        layout_interactions, rescale, validate)
-from .annealer import (PropagationConfig, Schedule, Trajectory, expectation,
-                       fidelity, initial_state, propagate)
+from .annealer import (PropagationConfig, Schedule, Trajectory, initial_state,
+                       propagate)
 from .optimizer import (AnnealObjective, OptimizationResult, Stage, StagePlan,
                         approximation_ratio, finite_difference_gradient,
                         run_hybrid)

@@ -2,7 +2,7 @@
 
 All detunings follow one global profile: Delta_j(t) = Delta_G(t) * Delta_j(T),
 where Delta_G(T) = 1 and Omega(0) = Omega(T) = 0 hold exactly by construction
-of the pulse bases.
+of the pulse basis.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .encoding import EncodedTarget
 
@@ -31,68 +30,45 @@ class DegenerateInitialStateError(AnnealerError):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Pulse profiles over [0, T].
+    """Pulse profiles over [0, T] in the one Fourier basis.
 
-    Fourier basis: Delta_G(t) = delta0*(1 - t/T) + t/T + sum_n a_n sin(n pi t/T)
-    and Omega(t) = sum_n b_n sin(n pi t/T), clipped to |Omega| <= omega_max.
-    Spline basis: clamped cubics through equally spaced interior control
-    points, with the same fixed endpoint values.
+    Delta_G(t) = delta0*(1 - t/T) + t/T + sum_n a_n sin(n pi t/T) and
+    Omega(t) = sum_n b_n sin(n pi t/T), clipped to |Omega| <= omega_max.
     """
 
     t_total: float
     delta_coeffs: tuple[float, ...]
     omega_coeffs: tuple[float, ...]
     delta0: float = -1.0
-    basis: str = "fourier"
     omega_max: float = 2.0 * math.pi * 5.0
     sample_count: int = 201
 
     def __post_init__(self):
         if self.t_total <= 0:
             raise ValueError("protocol duration must be positive")
-        if self.basis not in ("fourier", "spline"):
-            raise ValueError(f"unknown basis {self.basis!r}")
         if self.sample_count < 2:
             raise ValueError("sample_count must be at least 2")
         object.__setattr__(self, "delta_coeffs", tuple(float(c) for c in self.delta_coeffs))
         object.__setattr__(self, "omega_coeffs", tuple(float(c) for c in self.omega_coeffs))
 
-    def _check_time(self, t: np.ndarray) -> np.ndarray:
+    def profiles(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(Delta_G(t), Omega(t)), each summed mode by mode from one sine table."""
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > self.t_total + 1e-12):
             raise ValueError("time outside [0, T]")
-        return np.clip(t, 0.0, self.t_total)
-
-    def _spline(self, values: Sequence[float], v0: float, v1: float) -> CubicSpline:
-        m = len(values)
-        knots = np.linspace(0.0, self.t_total, m + 2)
-        return CubicSpline(knots, [v0, *values, v1], bc_type="clamped")
-
-    def delta_profile(self, t) -> np.ndarray | float:
-        t = self._check_time(t)
-        tau = t / self.t_total
-        if self.basis == "fourier":
-            out = self.delta0 * (1.0 - tau) + tau
-            for k, a in enumerate(self.delta_coeffs, start=1):
-                out = out + a * np.sin(k * math.pi * tau)
-        else:
-            out = self._spline(self.delta_coeffs, self.delta0, 1.0)(t)
-        return out if out.ndim else float(out)
-
-    def omega_profile(self, t) -> np.ndarray | float:
-        t = self._check_time(t)
-        if self.basis == "fourier":
-            tau = t / self.t_total
-            out = np.zeros_like(tau)
-            for k, b in enumerate(self.omega_coeffs, start=1):
-                out = out + b * np.sin(k * math.pi * tau)
-        else:
-            out = np.asarray(self._spline(self.omega_coeffs, 0.0, 0.0)(t))
-        out = np.clip(out, -self.omega_max, self.omega_max)
-        return out if out.ndim else float(out)
+        tau = np.clip(t, 0.0, self.t_total) / self.t_total
+        modes = max(len(self.delta_coeffs), len(self.omega_coeffs))
+        sines = np.sin(np.multiply.outer(tau, np.arange(1, modes + 1) * math.pi))
+        delta_g = self.delta0 * (1.0 - tau) + tau
+        for k, a in enumerate(self.delta_coeffs):
+            delta_g = delta_g + a * sines[..., k]
+        omega = np.zeros_like(tau)
+        for k, b in enumerate(self.omega_coeffs):
+            omega = omega + b * sines[..., k]
+        return delta_g, np.clip(omega, -self.omega_max, self.omega_max)
 
     def to_dict(self) -> dict:
-        return {"T_us": self.t_total, "basis": self.basis,
+        return {"T_us": self.t_total, "basis": "fourier",
                 "delta": {"coeffs": list(self.delta_coeffs), "delta0": self.delta0},
                 "omega": {"coeffs": list(self.omega_coeffs),
                           "omega_max": self.omega_max},
@@ -100,11 +76,12 @@ class Schedule:
 
     @staticmethod
     def from_dict(data: dict) -> "Schedule":
+        if data.get("basis", "fourier") != "fourier":
+            raise ValueError(f"unknown basis {data['basis']!r}")
         return Schedule(float(data["T_us"]),
                         tuple(data["delta"]["coeffs"]),
                         tuple(data["omega"]["coeffs"]),
                         float(data["delta"].get("delta0", -1.0)),
-                        data.get("basis", "fourier"),
                         float(data["omega"].get("omega_max", 2.0 * math.pi * 5.0)),
                         int(data.get("sample_count", 201)))
 
@@ -157,7 +134,7 @@ def initial_basis_index(enc: EncodedTarget, schedule: Schedule,
                         require_unique: bool = True) -> int:
     _check_cap(enc.n)
     v_part, delta_part = enc.diagonal_parts
-    diag0 = v_part - schedule.delta_profile(0.0) * delta_part
+    diag0 = v_part - schedule.delta0 * delta_part
     tol = 1e-9 * enc.energy_scale
     minima = np.flatnonzero(diag0 <= diag0.min() + tol)
     if len(minima) > 1 and require_unique:
@@ -166,23 +143,6 @@ def initial_basis_index(enc: EncodedTarget, schedule: Schedule,
             "choose a different Delta_G(0)")
     # prefer the all-ground-atoms pattern among ties: it is the easy state to prepare
     return 0 if 0 in minima else int(minima[0])
-
-
-def expectation(state: np.ndarray, enc: EncodedTarget) -> float:
-    """<psi|H_target|psi> + encoding constant (diagonal target operator)."""
-    norm = float(np.vdot(state, state).real)
-    if abs(norm - 1.0) > 1e-6:
-        raise AnnealerError(f"state norm {math.sqrt(norm):.8f} violates tolerance")
-    probs = np.abs(state) ** 2
-    return float(probs @ enc.diagonal_energies()) + enc.constant
-
-
-def fidelity(state: np.ndarray, ground_indices: Sequence[int]) -> float:
-    """Total overlap probability with the degenerate ground basis states."""
-    if len(ground_indices) == 0:
-        raise ValueError("empty ground set")
-    probs = np.abs(np.asarray(state)[list(ground_indices)]) ** 2
-    return float(probs.sum())
 
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
@@ -198,8 +158,7 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     """
     t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
     mid = 0.5 * (t_grid[:-1] + t_grid[1:])
-    dg = np.asarray(schedule.delta_profile(mid))
-    om = np.asarray(schedule.omega_profile(mid))
+    dg, om = schedule.profiles(mid)
     dt = schedule.t_total / n_steps
     v_part, delta_part = enc.diagonal_parts
     target = enc.diagonal_energies()
@@ -265,7 +224,6 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
                 f"E(T) not converged to {cfg.tolerance_rel} after "
                 f"{MAX_DOUBLINGS} step doublings")
 
-    traj = Trajectory(times, np.asarray(schedule.omega_profile(times)),
-                      np.asarray(schedule.delta_profile(times)),
-                      energy, fids, float(norm_err.max()))
+    delta_g, omega = schedule.profiles(times)
+    traj = Trajectory(times, omega, delta_g, energy, fids, float(norm_err.max()))
     return psi, traj

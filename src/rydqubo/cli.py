@@ -1,8 +1,9 @@
 """Command-line surface: build -> encode -> layout -> optimize -> report.
 
-Exit codes: 0 success; 2 bad arguments (a missing or malformed input file,
-unreadable family parameters, no --preset or --family for ``problem``, no
---preset or --model for ``pipeline`` and ``optimize``, ``report`` without
+Exit codes: 0 success; 2 bad arguments (a missing or malformed input file, a
+schedule file whose basis is not "fourier", an unwritable --out or --out-dir
+path, unreadable family parameters, no --preset or --family for ``problem``,
+no --preset or --model for ``pipeline`` and ``optimize``, ``report`` without
 inputs, or a layout whose atom count differs from the model's or that puts
 two atoms on one site); 3 a problem, model or hardness analysis that cannot
 be built, or a model that cannot be encoded; 4 solution quality below
@@ -89,18 +90,27 @@ def _load_limits(args) -> HardwareLimits:
                       lambda data: HardwareLimits(**data))
 
 
+def _write(path: Path, text: str, make_parent: bool = False) -> None:
+    """Write ``text`` and a newline to ``path``; an OSError is a UsageError."""
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, text: str) -> None:
     """Write ``text`` to the --out file if one was given, else to stdout."""
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write(Path(args.out), text)
     else:
         print(text)
 
 
-def _out_path(args, name: str) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+def _write_out(args, name: str, text: str) -> None:
+    """Write ``text`` to the file ``name`` in --out-dir, creating the directory."""
+    _write(Path(args.out_dir) / name, text, make_parent=True)
 
 
 def cmd_problem(args) -> int:
@@ -223,18 +233,15 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
                           mode=args.mode, plan=plan, seed=args.seed,
                           schedule=_load_schedule(args), limits=limits)
 
-    payload = result_json(result)
-    _out_path(args, f"{instance_name}_result.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
-    _out_path(args, f"{instance_name}_trajectory.csv").write_text(
-        trajectory_csv(result) + "\n")
+    _write_out(args, f"{instance_name}_result.json",
+               json.dumps(result_json(result), indent=2))
+    _write_out(args, f"{instance_name}_trajectory.csv", trajectory_csv(result))
     try:
         row = report_row(instance_name, analyze_model(as_ising(model)))
     except HardnessError as exc:
         print(f"warning: hardness row failed: {exc}", file=sys.stderr)
     else:
-        _out_path(args, f"{instance_name}_hardness.csv").write_text(
-            format_csv([row]) + "\n")
+        _write_out(args, f"{instance_name}_hardness.csv", format_csv([row]))
 
     opt = result.optimization
     print(f"instance={instance_name} R={format_value(opt.ratio)} "

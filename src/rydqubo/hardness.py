@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .models import IsingModel, QuboModel, SpectrumTable, enumerate_spectrum
+from .models import (IsingModel, ModelError, QuboModel, SpectrumTable,
+                     enumerate_spectrum)
 
 DEFAULT_EPSILON = 1e-10
 
@@ -39,6 +40,11 @@ class HardnessReport:
     epsilon: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon > 0:  # also rejects nan
+        raise HardnessError("epsilon must be positive")
+
+
 def cluster_subspaces(spectrum: SpectrumTable, epsilon: float = DEFAULT_EPSILON
                       ) -> tuple[Subspace, ...]:
     """Greedy left-to-right clustering of near-degenerate energies.
@@ -46,8 +52,7 @@ def cluster_subspaces(spectrum: SpectrumTable, epsilon: float = DEFAULT_EPSILON
     A new subspace starts when the next distinct energy differs from the
     running degeneracy-weighted mean by at least epsilon.
     """
-    if epsilon <= 0:
-        raise HardnessError("epsilon must be positive")
+    _check_epsilon(epsilon)
     out: list[Subspace] = []
     weighted = total = 0
     for e, m in zip(spectrum.energies.tolist(), spectrum.counts.tolist()):
@@ -168,12 +173,14 @@ def report_row(problem: str, rep: HardnessReport, note: str = "") -> dict:
 
 def report_rows(named_models: Sequence[tuple[str, IsingModel | QuboModel, str]],
                 epsilon: float = DEFAULT_EPSILON) -> list[dict]:
-    """One row per model; failures are reported in the row, not raised."""
+    """One row per model, holding the model's HardnessError or ModelError if
+    it has one; an epsilon that fails every row is raised."""
+    _check_epsilon(epsilon)
     rows = []
     for name, model, note in named_models:
         try:
             rep = analyze_model(model, epsilon)
-        except Exception as exc:  # row-level isolation
+        except (HardnessError, ModelError) as exc:
             rows.append({"problem": name, "error": str(exc), "note": note})
             continue
         rows.append(report_row(name, rep, note))

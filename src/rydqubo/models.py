@@ -230,7 +230,7 @@ def model_from_dict(data: Mapping) -> QuboModel | IsingModel:
         quadratic = {(int(i), int(j)): float(c) for i, j, c in data["quadratic"]}
         constant = float(data.get("constant", 0.0))
         convention = data.get("convention", "qubo")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
     if convention == "qubo":
         return QuboModel(n, tuple(linear), quadratic, constant)

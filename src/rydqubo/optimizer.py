@@ -115,10 +115,8 @@ class AnnealObjective:
         self.n_delta = len(template.delta_coeffs)
         self.n_omega = len(template.omega_coeffs)
         # fixed starting basis state; degenerate H(0) minima fall back to |00..0>
-        self._start = initial_basis_index(enc, template, require_unique=False)
         self._psi0 = np.zeros(1 << enc.n, dtype=complex)
-        self._psi0[self._start] = 1.0
-        self.evaluations = 0
+        self._psi0[initial_basis_index(enc, template, require_unique=False)] = 1.0
 
     def schedule_for(self, params: Sequence[float]) -> Schedule:
         params = tuple(float(p) for p in params)
@@ -135,7 +133,6 @@ class AnnealObjective:
                          ground_indices=self.ground, psi0=self._psi0)
 
     def __call__(self, params: Sequence[float]) -> float:
-        self.evaluations += 1
         _, traj = self.propagate(params)
         return float(traj.energy[-1])
 
@@ -185,16 +182,12 @@ def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
     return p
 
 
-def run_hybrid(enc: EncodedTarget, plan: StagePlan | None = None, seed: int = 0,
-               template: Schedule | None = None,
-               objective: AnnealObjective | None = None) -> OptimizationResult:
+def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
+               seed: int = 0) -> OptimizationResult:
     """Run the staged optimizer; returns the best schedule found, never raises
     on budget exhaustion."""
     plan = plan or StagePlan.default()
-    if objective is None:
-        if template is None:
-            raise ValueError("provide a schedule template or an objective")
-        objective = AnnealObjective(enc, template)
+    enc = objective.enc
     tracker = _Tracker(objective)
     params = initial_parameters(objective.template, seed)
 
@@ -209,14 +202,13 @@ def run_hybrid(enc: EncodedTarget, plan: StagePlan | None = None, seed: int = 0,
                 res = minimize(tracker, params, jac=jac, method="BFGS",
                                options={"maxiter": stage.max_evals,
                                         "gtol": stage.tolerance})
-                params = res.x
             else:
                 res = minimize(tracker, params, method="Nelder-Mead",
                                options={"maxfev": stage.max_evals,
                                         "fatol": stage.tolerance,
                                         "xatol": 1e-8,
                                         "adaptive": True})
-                params = res.x
+            params = res.x
         except _BudgetExceeded:
             exhausted = True
         if tracker.best_params is not None:

@@ -22,7 +22,8 @@ from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        rescale)
 from .hardness import format_csv
 from .models import IsingModel, QuboModel, as_ising, enumerate_spectrum
-from .optimizer import OptimizationResult, StagePlan, run_hybrid
+from .optimizer import (AnnealObjective, OptimizationResult, StagePlan,
+                        run_hybrid)
 from .problems import preset_instance
 
 DELTA0_CANDIDATES = (-1.0, -0.5, -2.0, 0.5, 2.0, -4.0, 4.0)
@@ -153,7 +154,7 @@ def run_pipeline(model: IsingModel | QuboModel,
         schedule = default_schedule(preset_name, enc, limits=limits)
 
     spectrum = enumerate_spectrum(as_ising(model))
-    result = run_hybrid(enc, plan, seed, template=schedule)
+    result = run_hybrid(AnnealObjective(enc, schedule), plan, seed)
 
     manifest = RunManifest(instance_name, mode, schedule.to_dict(),
                            plan.to_dict(), seed,

@@ -8,8 +8,8 @@ from rydqubo import annealer
 from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
                               DegenerateInitialStateError, PropagationConfig,
                               Schedule, Trajectory, _pauli_x_total, _run_steps,
-                              expectation, fidelity, initial_basis_index,
-                              initial_state, propagate, target_ground_indices)
+                              initial_basis_index, initial_state, propagate,
+                              target_ground_indices)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.problems import preset_instance
@@ -26,43 +26,78 @@ def single_atom(delta=0.0):
 # --- schedules ---------------------------------------------------------------
 
 def test_schedule_boundary_conditions():
-    for basis in ("fourier", "spline"):
-        s = Schedule(10.0, (0.3, -0.2, 0.1), (1.0, 0.5), delta0=-1.0,
-                     basis=basis)
-        assert s.delta_profile(0.0) == pytest.approx(-1.0, abs=1e-12)
-        assert s.delta_profile(10.0) == pytest.approx(1.0, abs=1e-12)
-        assert s.omega_profile(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert s.omega_profile(10.0) == pytest.approx(0.0, abs=1e-12)
+    s = Schedule(10.0, (0.3, -0.2, 0.1), (1.0, 0.5), delta0=-1.0)
+    delta_g, omega = s.profiles(np.array([0.0, 10.0]))
+    np.testing.assert_allclose(delta_g, [-1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(omega, [0.0, 0.0], atol=1e-12)
 
 
 def test_schedule_omega_clipping():
     s = Schedule(10.0, (), (100.0,), omega_max=2.0)
     t = np.linspace(0.0, 10.0, 50)
-    assert np.max(np.abs(s.omega_profile(t))) <= 2.0 + 1e-12
+    assert np.max(np.abs(s.profiles(t)[1])) <= 2.0 + 1e-12
 
 
 def test_schedule_rejects_bad_inputs():
     with pytest.raises(ValueError):
         Schedule(-1.0, (), ())
-    with pytest.raises(ValueError):
-        Schedule(1.0, (), (), basis="legendre")
     s = Schedule(1.0, (), (1.0,))
     with pytest.raises(ValueError):
-        s.omega_profile(2.0)
+        s.profiles(2.0)
+    data = s.to_dict()
+    for basis in ("spline", "legendre"):
+        with pytest.raises(ValueError, match="unknown basis"):
+            Schedule.from_dict({**data, "basis": basis})
 
 
 def test_schedule_json_round_trip():
-    s = Schedule(25.0, (0.1, 0.2), (0.3,), delta0=-2.0, basis="spline",
-                 omega_max=7.0, sample_count=101)
-    again = Schedule.from_dict(s.to_dict())
-    assert again == s
+    s = Schedule(25.0, (0.1, 0.2), (0.3,), delta0=-2.0, omega_max=7.0,
+                 sample_count=101)
+    data = s.to_dict()
+    assert data["basis"] == "fourier"
+    assert Schedule.from_dict(data) == s
+    del data["basis"]
+    assert Schedule.from_dict(data) == s
 
 
-def test_spline_basis_interpolates_controls():
-    s = Schedule(10.0, (0.5, -0.5), (2.0, 1.0, -1.0), basis="spline")
-    # control knots are equally spaced interior points
-    knots = np.linspace(0.0, 10.0, 4)[1:-1]
-    np.testing.assert_allclose(s.delta_profile(knots), [0.5, -0.5], atol=1e-12)
+def _reference_profiles(schedule, t):
+    """The per-mode loops ``profiles`` replaced, one per profile."""
+    tau = np.clip(np.asarray(t, dtype=float), 0.0, schedule.t_total) / schedule.t_total
+    delta_g = schedule.delta0 * (1.0 - tau) + tau
+    for k, a in enumerate(schedule.delta_coeffs, start=1):
+        delta_g = delta_g + a * np.sin(k * math.pi * tau)
+    omega = np.zeros_like(tau)
+    for k, b in enumerate(schedule.omega_coeffs, start=1):
+        omega = omega + b * np.sin(k * math.pi * tau)
+    return delta_g, np.clip(omega, -schedule.omega_max, schedule.omega_max)
+
+
+def test_schedule_profiles_match_reference():
+    """``profiles`` sums the sine-table columns in mode order, so it equals
+    the per-mode loops bit for bit; a matvec ``S @ a`` rounds differently."""
+    rng = np.random.default_rng(20240611)
+    counts = []
+    for case in range(240):
+        n_delta, n_omega = rng.integers(0, 9, size=2)
+        counts.append((n_delta, n_omega))
+        t_total = float(rng.uniform(0.5, 120.0))
+        sched = Schedule(t_total, rng.normal(scale=0.7, size=n_delta),
+                         rng.normal(scale=8.0, size=n_omega),
+                         delta0=float(rng.uniform(-4.0, 4.0)),
+                         omega_max=float(rng.uniform(1.0, 40.0)))
+        n_steps = int(rng.integers(1, 3000))
+        t_grid = np.linspace(0.0, t_total, n_steps + 1)
+        grids = (0.5 * (t_grid[:-1] + t_grid[1:]),
+                 np.linspace(0.0, t_total, int(rng.integers(2, 402))))
+        for t in grids:
+            for got, want in zip(sched.profiles(t), _reference_profiles(sched, t)):
+                assert got.shape == want.shape
+                assert (got == want).all(), (case, n_delta, n_omega)
+                assert (np.signbit(got) == np.signbit(want)).all()  # -0.0 prints "-0"
+        delta_g, omega = sched.profiles(0.0)
+        assert delta_g == sched.delta0 and omega == 0.0
+    # the draws cover empty and unequal coefficient lists
+    assert any(0 in c for c in counts) and any(a != b for a, b in counts)
 
 
 # --- target structure --------------------------------------------------------
@@ -95,18 +130,6 @@ def test_initial_state_degenerate_raises():
     with pytest.raises(DegenerateInitialStateError):
         initial_state(enc, sched)
     assert initial_basis_index(enc, sched, require_unique=False) == 0
-
-
-def test_expectation_checks_norm():
-    enc = single_atom(delta=1.0)
-    with pytest.raises(AnnealerError):
-        expectation(np.array([0.5, 0.0]), enc)
-
-
-def test_fidelity_sums_degenerate_overlaps():
-    psi = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    assert fidelity(psi, [1, 2]) == pytest.approx(1.0)
-    assert fidelity(psi, [1]) == pytest.approx(0.5)
 
 
 # --- propagation physics -----------------------------------------------------
@@ -166,8 +189,9 @@ def test_trajectory_samples_cover_schedule():
     assert len(traj.times) == 21
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(10.0)
-    np.testing.assert_allclose(traj.omega, sched.omega_profile(traj.times))
-    np.testing.assert_allclose(traj.delta_g, sched.delta_profile(traj.times))
+    delta_g, omega = sched.profiles(traj.times)
+    np.testing.assert_allclose(traj.omega, omega)
+    np.testing.assert_allclose(traj.delta_g, delta_g)
 
 
 def test_propagation_on_preset_encodings():
@@ -194,8 +218,7 @@ def _reference_run_steps(enc, schedule, psi0, n_steps, sample_times,
     """
     t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
     mid = 0.5 * (t_grid[:-1] + t_grid[1:])
-    dg = np.asarray(schedule.delta_profile(mid))
-    om = np.asarray(schedule.omega_profile(mid))
+    dg, om = schedule.profiles(mid)
     dt = schedule.t_total / n_steps
     v_part, delta_part = enc.diagonal_parts
     target = enc.diagonal_energies()

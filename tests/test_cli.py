@@ -267,16 +267,24 @@ def exit_status(capsys, argv):
 @pytest.fixture
 def input_files(tmp_path, xor_model_file):
     """Named input files: the xor_sat preset, the frustrated mixed preset, an
-    11-variable model, a model whose n overflows int, and layouts of two
-    atoms and of three atoms of which two coincide."""
+    11-variable model, a model whose n overflows int, layouts of two atoms
+    and of three atoms of which two coincide, a schedule in a basis other
+    than Fourier and a one-evaluation plan; and an output path in a missing
+    directory."""
     data = {"mixed": preset_instance("mixed").model.to_dict(),
             "n11": {"n": 11, "linear": [1.0] * 11,
                     "quadratic": [[0, 1, 1.0]]},
             "overflow": {"n": 1e400, "linear": [], "quadratic": []},
             "pair_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]]},
             "coincident_layout": {"positions_um": [[0.0, 0.0], [0.0, 0.0],
-                                                   [10.0, 0.0]]}}
-    files = {"{xor}": xor_model_file}
+                                                   [10.0, 0.0]]},
+            "spline_schedule": {"T_us": 2.0, "basis": "spline",
+                                "delta": {"coeffs": [0.5]},
+                                "omega": {"coeffs": [1.0]}},
+            "one_eval_plan": {"stages": [{"kind": "gradient",
+                                          "max_evals": 1}]}}
+    files = {"{xor}": xor_model_file,
+             "{missing_dir_out}": str(tmp_path / "missing" / "out.json")}
     for name, content in data.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(content))
@@ -317,6 +325,20 @@ def two_sat(params):
     pytest.param(["validate", "--model", "{mixed}",
                   "--layout", "{pair_layout}"],
                  3, "error: not encodable: ", id="validate-not-encodable"),
+    pytest.param(["anneal", "--model", "{xor}",
+                  "--schedule", "{spline_schedule}"],
+                 2, "error: cannot load schedule ", id="schedule-spline-basis"),
+    pytest.param(["problem", "--preset", "xor_sat", "--out",
+                  "{missing_dir_out}"],
+                 2, "error: cannot write ", id="out-unwritable"),
+    # --out-dir names an existing regular file, so it cannot be a directory
+    pytest.param(["pipeline", "--preset", "xor_sat", "--plan",
+                  "{one_eval_plan}", "--out-dir", "{xor}"],
+                 2, "error: cannot write ", id="out-dir-unwritable"),
+    pytest.param(["hardness", "--model", "{xor}", "--epsilon", "-1"],
+                 3, "error: epsilon must be positive", id="hardness-epsilon"),
+    pytest.param(["report", "--presets", "--epsilon", "-1"],
+                 3, "error: epsilon must be positive", id="report-epsilon"),
 ])
 def test_failure_exit_codes(capsys, input_files, argv, code, err_start):
     status, err = exit_status(capsys, [input_files.get(a, a) for a in argv])

@@ -1,9 +1,7 @@
 """No catch-all exception handler in the package.
 
 ``except Exception``, ``except BaseException`` and a bare ``except:`` would
-turn a bug into an exit code or a warning.  The one exception is
-``hardness.report_rows``, whose documented row isolation reports any
-failure of one model in that model's row of ``report --presets``.
+turn a bug into an exit code, a warning or a row of ``report --presets``.
 """
 
 import ast
@@ -13,7 +11,6 @@ import rydqubo
 
 PACKAGE = Path(rydqubo.__file__).parent
 CATCH_ALL = {"Exception", "BaseException"}
-ALLOWED = {("hardness", "report_rows")}
 
 
 def catch_all_handlers(source: str) -> list[tuple[str, int]]:
@@ -47,4 +44,4 @@ def test_package_has_no_catch_all_handler():
     found = [(path.stem, function, line)
              for path in sorted(PACKAGE.glob("*.py"))
              for function, line in catch_all_handlers(path.read_text())]
-    assert [f for f in found if f[:2] not in ALLOWED] == []
+    assert found == []

@@ -8,7 +8,7 @@ from rydqubo.hardness import (DEFAULT_EPSILON, HardnessError, Subspace,
                               cluster_subspaces, format_csv, format_table,
                               hardness_parameter, report_rows, sigma,
                               threatening_set)
-from rydqubo.models import QuboModel, enumerate_spectrum
+from rydqubo.models import ENUMERATION_CAP, QuboModel, enumerate_spectrum
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import random_qubo, spectrum_cases
@@ -154,12 +154,23 @@ def test_analyze_known_presets():
 
 def test_report_rows_isolation_and_flags():
     constant = QuboModel(1, (0.0,), {})
+    too_large = QuboModel(ENUMERATION_CAP + 1, (0.0,) * (ENUMERATION_CAP + 1), {})
     rows = report_rows([("good", preset_instance("xor_sat").model, ""),
-                        ("bad", constant, "flagged")])
+                        ("bad", constant, "flagged"),
+                        ("large", too_large, "")])
     assert rows[0]["HP"] > 0
     assert "error" in rows[1]
     assert rows[1]["note"] == "flagged"
+    assert "enumeration cap" in rows[2]["error"]
     table = format_table(rows)
     assert "good" in table and "bad" in table
     csv = format_csv(rows)
     assert csv.splitlines()[0].startswith("problem,")
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_report_rows_raises_bad_epsilon(epsilon):
+    """An epsilon that is not positive would fail every row alike, so it is
+    raised."""
+    with pytest.raises(HardnessError, match="epsilon must be positive"):
+        report_rows([("good", preset_instance("xor_sat").model, "")], epsilon)

@@ -148,6 +148,11 @@ def test_json_rejects_bad_convention():
                          "convention": "spins"})
 
 
+def test_json_rejects_overflowing_size():
+    with pytest.raises(ModelError, match="malformed model data"):
+        model_from_json('{"n": 1e400, "linear": [], "quadratic": []}')
+
+
 def test_as_conversions(rng):
     q = random_qubo(rng, 3)
     assert as_qubo(q) is q

@@ -127,13 +127,6 @@ def test_objective_parameter_split():
         obj.schedule_for([1.0])
 
 
-def test_objective_counts_evaluations():
-    obj = small_objective()
-    obj([0.0, 0.0, 1.0, 0.0])
-    obj([0.0, 0.0, 1.0, 0.0])
-    assert obj.evaluations == 2
-
-
 # --- hybrid loop -------------------------------------------------------------
 
 def quick_plan():
@@ -142,10 +135,8 @@ def quick_plan():
 
 
 def test_run_hybrid_improves_and_respects_budget():
-    enc = xor_pair_target()
-    obj = small_objective()
     plan = quick_plan()
-    res = run_hybrid(enc, plan, seed=0, objective=obj)
+    res = run_hybrid(small_objective(), plan, seed=0)
     assert res.evaluations <= sum(s.max_evals for s in plan.stages)
     assert len(res.stage_history) == len(plan.stages)
     # best-so-far trace never increases
@@ -157,27 +148,17 @@ def test_run_hybrid_improves_and_respects_budget():
 
 
 def test_run_hybrid_deterministic():
-    enc = xor_pair_target()
     plan = StagePlan((Stage("gradient", 20), Stage("simplex", 20)))
-    results = []
-    for _ in range(2):
-        obj = small_objective()
-        results.append(run_hybrid(enc, plan, seed=3, objective=obj))
-    a, b = results
+    a, b = (run_hybrid(small_objective(), plan, seed=3) for _ in range(2))
     np.testing.assert_array_equal(a.params, b.params)
     assert a.e_best == b.e_best
     assert a.evaluations == b.evaluations
 
 
-def test_run_hybrid_requires_template_or_objective():
-    with pytest.raises(ValueError):
-        run_hybrid(xor_pair_target())
-
-
 def test_run_hybrid_reports_source_cost():
-    enc = xor_pair_target()
-    res = run_hybrid(enc, quick_plan(), seed=0, objective=small_objective())
-    assert res.c_obt == pytest.approx(res.e_best / enc.scale)
+    obj = small_objective()
+    res = run_hybrid(obj, quick_plan(), seed=0)
+    assert res.c_obt == pytest.approx(res.e_best / obj.enc.scale)
     assert isinstance(res, OptimizationResult)
     # xor pair optimum is 0, maximum is 1
     assert res.ratio == pytest.approx(1.0 - res.c_obt, abs=1e-9)

@@ -58,7 +58,7 @@ def test_default_schedule_avoids_degenerate_start():
         sched = default_schedule(name, outcome.target)
         idx = initial_basis_index(outcome.target, sched, require_unique=False)
         assert 0 <= idx < (1 << outcome.target.n)
-        assert sched.delta_profile(sched.t_total) == pytest.approx(1.0)
+        assert sched.profiles(sched.t_total)[0] == pytest.approx(1.0)
 
 
 def test_manifest_hash_stable_and_timestamp_free():
@@ -70,6 +70,16 @@ def test_manifest_hash_stable_and_timestamp_free():
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
     assert len(a.hash()) == 16
+
+
+def test_default_manifest_hash_pinned():
+    """Schedules write ``"basis": "fourier"``, so manifest hashes of recorded
+    runs stay valid; this pins the default two_sat manifest."""
+    enc = encode_for_annealing(as_ising(preset_instance("two_sat").model)).target
+    manifest = RunManifest("two_sat", "ideal",
+                           default_schedule("two_sat", enc).to_dict(),
+                           StagePlan.default().to_dict(), 0)
+    assert manifest.hash() == "b57919759d872d54"
 
 
 def test_run_pipeline_outputs():
