@@ -3,13 +3,12 @@
 __version__ = "0.1.0"
 
 from .models import (IsingModel, QuboModel, SpectrumTable, as_ising, as_qubo,
-                     enumerate_spectrum, ising_to_qubo, model_from_json,
-                     model_to_json, qubo_to_ising, state_bits)
+                     enumerate_spectrum, ising_to_qubo, qubo_to_ising,
+                     state_bits)
 from .encoding import (AtomLayout, EncodedTarget, HardwareLimits,
                        NotEncodableError, embed_layout, encode, gauge_fix,
                        layout_interactions, rescale, validate)
-from .annealer import (PropagationConfig, Schedule, Trajectory, initial_state,
-                       propagate)
+from .annealer import PropagationConfig, Schedule, Trajectory, propagate
 from .optimizer import (AnnealObjective, OptimizationResult, Stage, StagePlan,
                         approximation_ratio, finite_difference_gradient,
                         run_hybrid)

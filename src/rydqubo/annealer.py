@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import EncodedTarget
+from .encoding import EncodedTarget, HardwareLimits
 
 DIM_CAP = 10  # atoms; 2^10 state-vector entries
 MAX_DOUBLINGS = 10  # adaptive step doublings before AnnealerError
@@ -22,10 +22,6 @@ BLOCK_BYTES = 1 << 18  # bytes of stacked step Hamiltonians per eigh call
 
 class AnnealerError(RuntimeError):
     pass
-
-
-class DegenerateInitialStateError(AnnealerError):
-    """H(0) has a degenerate diagonal ground state; pick a different Delta_G(0)."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,7 @@ class Schedule:
     delta_coeffs: tuple[float, ...]
     omega_coeffs: tuple[float, ...]
     delta0: float = -1.0
-    omega_max: float = 2.0 * math.pi * 5.0
+    omega_max: float = HardwareLimits.omega_max
     sample_count: int = 201
 
     def __post_init__(self):
@@ -82,7 +78,7 @@ class Schedule:
                         tuple(data["delta"]["coeffs"]),
                         tuple(data["omega"]["coeffs"]),
                         float(data["delta"].get("delta0", -1.0)),
-                        float(data["omega"].get("omega_max", 2.0 * math.pi * 5.0)),
+                        float(data["omega"].get("omega_max", Schedule.omega_max)),
                         int(data.get("sample_count", 201)))
 
 
@@ -122,27 +118,19 @@ def target_ground_indices(enc: EncodedTarget) -> np.ndarray:
     return np.flatnonzero(d <= d.min() + 1e-12 * enc.energy_scale)
 
 
-def initial_state(enc: EncodedTarget, schedule: Schedule) -> np.ndarray:
-    """Basis state minimizing the diagonal H(0); must be unique."""
-    idx = initial_basis_index(enc, schedule, require_unique=True)
-    psi = np.zeros(1 << enc.n, dtype=complex)
-    psi[idx] = 1.0
-    return psi
+def initial_basis_index(enc: EncodedTarget,
+                        schedule: Schedule) -> tuple[int, int]:
+    """(start index, number of tied minima) of the diagonal H(0).
 
-
-def initial_basis_index(enc: EncodedTarget, schedule: Schedule,
-                        require_unique: bool = True) -> int:
+    Among tied minima the anneal starts from |00..0> if it is one of them,
+    the easy state to prepare, and otherwise from the lowest tied index.
+    """
     _check_cap(enc.n)
     v_part, delta_part = enc.diagonal_parts
     diag0 = v_part - schedule.delta0 * delta_part
     tol = 1e-9 * enc.energy_scale
     minima = np.flatnonzero(diag0 <= diag0.min() + tol)
-    if len(minima) > 1 and require_unique:
-        raise DegenerateInitialStateError(
-            f"{len(minima)} basis states tie for the H(0) minimum; "
-            "choose a different Delta_G(0)")
-    # prefer the all-ground-atoms pattern among ties: it is the easy state to prepare
-    return 0 if 0 in minima else int(minima[0])
+    return (0 if 0 in minima else int(minima[0])), len(minima)
 
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
@@ -193,13 +181,19 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
               cfg: PropagationConfig = PropagationConfig(),
               ground_indices: Sequence[int] | None = None,
               psi0: np.ndarray | None = None) -> tuple[np.ndarray, Trajectory]:
-    """Solve i dpsi/dt = H(t) psi; step count doubles until E(T) is converged."""
+    """Solve i dpsi/dt = H(t) psi; step count doubles until E(T) is converged.
+
+    Without ``psi0`` the anneal starts from the basis state that
+    ``initial_basis_index`` picks; without ``ground_indices`` the fidelity is
+    taken on the ground set of the target.
+    """
     _check_cap(enc.n)
     x_total = _pauli_x_total(enc.n)
     if ground_indices is None:
         ground_indices = target_ground_indices(enc)
     if psi0 is None:
-        psi0 = initial_state(enc, schedule)
+        psi0 = np.zeros(1 << enc.n, dtype=complex)
+        psi0[initial_basis_index(enc, schedule)[0]] = 1.0
 
     sample_times = np.linspace(0.0, schedule.t_total, schedule.sample_count)
     tol = cfg.tolerance_rel * enc.energy_scale

@@ -2,14 +2,16 @@
 
 Exit codes: 0 success; 2 bad arguments (a missing or malformed input file, a
 schedule file whose basis is not "fourier", an unwritable --out or --out-dir
-path, unreadable family parameters, no --preset or --family for ``problem``,
-no --preset or --model for ``pipeline`` and ``optimize``, ``report`` without
-inputs, or a layout whose atom count differs from the model's or that puts
-two atoms on one site); 3 a problem, model or hardness analysis that cannot
-be built, or a model that cannot be encoded; 4 solution quality below
---threshold, or a failed validation; 5 propagation failure.  Subcommands
-raise; main() alone maps an exception to its exit code through FAILURES.
-Any other exception is a bug and prints a traceback.
+path (an --out-dir that cannot be created fails before the run), unreadable
+family parameters, no --preset or --family for ``problem``, no --preset or
+--model for ``pipeline`` and ``optimize``, ``report`` without inputs or with
+more than one of --from-spectral, --presets and result files, or a layout
+whose atom count differs from the model's or that puts two atoms on one
+site); 3 a problem, model or hardness analysis that cannot be built, or a
+model that cannot be encoded; 4 solution quality below --threshold, or a
+failed validation; 5 propagation failure. Subcommands raise; main() alone
+maps an exception to its exit code through FAILURES. Any other exception is
+a bug and prints a traceback.
 """
 
 from __future__ import annotations
@@ -90,11 +92,9 @@ def _load_limits(args) -> HardwareLimits:
                       lambda data: HardwareLimits(**data))
 
 
-def _write(path: Path, text: str, make_parent: bool = False) -> None:
+def _write(path: Path, text: str) -> None:
     """Write ``text`` and a newline to ``path``; an OSError is a UsageError."""
     try:
-        if make_parent:
-            path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
@@ -106,11 +106,6 @@ def _emit(args, text: str) -> None:
         _write(Path(args.out), text)
     else:
         print(text)
-
-
-def _write_out(args, name: str, text: str) -> None:
-    """Write ``text`` to the file ``name`` in --out-dir, creating the directory."""
-    _write(Path(args.out_dir) / name, text, make_parent=True)
 
 
 def cmd_problem(args) -> int:
@@ -229,19 +224,25 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
     limits = _load_limits(args)
     plan = (_load_json(args.plan, "plan", StagePlan.from_dict) if args.plan
             else StagePlan.default())
+    schedule = _load_schedule(args)
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_dir}: {exc}") from exc
     result = run_pipeline(model, instance_name, preset_name=preset_name,
                           mode=args.mode, plan=plan, seed=args.seed,
-                          schedule=_load_schedule(args), limits=limits)
+                          schedule=schedule, limits=limits)
 
-    _write_out(args, f"{instance_name}_result.json",
-               json.dumps(result_json(result), indent=2))
-    _write_out(args, f"{instance_name}_trajectory.csv", trajectory_csv(result))
+    _write(out_dir / f"{instance_name}_result.json",
+           json.dumps(result_json(result), indent=2))
+    _write(out_dir / f"{instance_name}_trajectory.csv", trajectory_csv(result))
     try:
         row = report_row(instance_name, analyze_model(as_ising(model)))
     except HardnessError as exc:
         print(f"warning: hardness row failed: {exc}", file=sys.stderr)
     else:
-        _write_out(args, f"{instance_name}_hardness.csv", format_csv([row]))
+        _write(out_dir / f"{instance_name}_hardness.csv", format_csv([row]))
 
     opt = result.optimization
     print(f"instance={instance_name} R={format_value(opt.ratio)} "
@@ -284,6 +285,10 @@ def _result_row(stem: str, data: dict) -> dict:
 
 
 def cmd_report(args) -> int:
+    sources = sum(map(bool, (args.from_spectral, args.presets, args.inputs)))
+    if sources != 1:
+        raise UsageError("no inputs given" if sources == 0 else
+                         "give one of --from-spectral, --presets or result files")
     if args.from_spectral:
         rows = _load_json(args.from_spectral, "spectral input",
                           lambda data: [_supplied_row(item) for item in data])
@@ -296,8 +301,6 @@ def cmd_report(args) -> int:
             named.append((name, preset.model, note))
         rows = report_rows(named, epsilon=args.epsilon)
     else:
-        if not args.inputs:
-            raise UsageError("no inputs given")
         rows = [_load_json(path, "result",
                            functools.partial(_result_row, Path(path).stem))
                 for path in args.inputs]

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .models import IsingModel, _bit_table
+from .models import IsingModel, _bit_table, _table_energies
 
 # hbar = 1; energies/frequencies in rad/us, lengths in um, times in us.
 GHZ_TO_RAD_PER_US = 2.0 * math.pi * 1.0e3
@@ -87,10 +87,10 @@ class EncodedTarget:
         spectrum and hardness work) never allocate the 2^n-row bit table.
         """
         xt = _bit_table(self.n)
-        v_part = np.zeros(1 << self.n)
-        for i, j in zip(*np.triu_indices(self.n, k=1)):
-            if self.v[i, j] != 0.0:
-                v_part += self.v[i, j] * xt[:, i] * xt[:, j]
+        pairs = {(i, j): self.v[i, j]
+                 for i, j in zip(*np.triu_indices(self.n, k=1))
+                 if self.v[i, j] != 0.0}
+        v_part = _table_energies(xt, 0.0, np.zeros(self.n), pairs)
         delta_part = xt @ self.delta_final
         v_part.flags.writeable = delta_part.flags.writeable = False
         return v_part, delta_part

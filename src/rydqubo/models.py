@@ -7,7 +7,6 @@ spin -1 (the excited state).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -215,14 +214,6 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
     return SpectrumTable(m.n, ordered[starts], counts, states)
 
 
-def model_to_json(model: QuboModel | IsingModel, path=None) -> str:
-    text = json.dumps(model.to_dict(), indent=2)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
-
-
 def model_from_dict(data: Mapping) -> QuboModel | IsingModel:
     try:
         n = int(data["n"])
@@ -237,15 +228,6 @@ def model_from_dict(data: Mapping) -> QuboModel | IsingModel:
     if convention == "ising":
         return IsingModel(n, tuple(linear), quadratic, constant)
     raise ModelError(f"unknown convention {convention!r}")
-
-
-def model_from_json(text_or_path: str) -> QuboModel | IsingModel:
-    if "\n" not in text_or_path and not text_or_path.lstrip().startswith("{"):
-        with open(text_or_path) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(text_or_path)
-    return model_from_dict(data)
 
 
 def as_ising(model: QuboModel | IsingModel) -> IsingModel:

@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .annealer import (PropagationConfig, Schedule, Trajectory,
-                       initial_basis_index, propagate, target_ground_indices)
+from .annealer import PropagationConfig, Schedule, Trajectory, propagate
 from .encoding import EncodedTarget
 
 FD_REL_STEP = 1e-4  # relative central-difference step of the gradient stages
@@ -111,12 +110,8 @@ class AnnealObjective:
         self.enc = enc
         self.template = template
         self.cfg = cfg or PropagationConfig(initial_steps=200, adaptive=False)
-        self.ground = target_ground_indices(enc)
         self.n_delta = len(template.delta_coeffs)
         self.n_omega = len(template.omega_coeffs)
-        # fixed starting basis state; degenerate H(0) minima fall back to |00..0>
-        self._psi0 = np.zeros(1 << enc.n, dtype=complex)
-        self._psi0[initial_basis_index(enc, template, require_unique=False)] = 1.0
 
     def schedule_for(self, params: Sequence[float]) -> Schedule:
         params = tuple(float(p) for p in params)
@@ -129,8 +124,7 @@ class AnnealObjective:
     def propagate(self, params: Sequence[float],
                   cfg: PropagationConfig | None = None):
         sched = self.schedule_for(params)
-        return propagate(self.enc, sched, cfg or self.cfg,
-                         ground_indices=self.ground, psi0=self._psi0)
+        return propagate(self.enc, sched, cfg or self.cfg)
 
     def __call__(self, params: Sequence[float]) -> float:
         _, traj = self.propagate(params)

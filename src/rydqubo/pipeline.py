@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .annealer import (DegenerateInitialStateError, Schedule, Trajectory,
-                       initial_basis_index)
+from .annealer import Schedule, Trajectory, initial_basis_index
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        NotEncodableError, embed_layout, encode, gauge_fix,
                        rescale)
@@ -96,8 +95,8 @@ def default_schedule(preset_name: str | None, enc: EncodedTarget,
     """Schedule template with a Delta_G(0) for which H(0) has a usable start.
 
     Scans a small candidate list for a non-degenerate diagonal minimum; if
-    every candidate is degenerate, picks one whose minima include the
-    all-ground-atoms state (the annealer then starts there).
+    every candidate is degenerate, picks the first one whose start state is
+    the all-ground-atoms state.
     """
     limits = limits or HardwareLimits()
     if t_total is None:
@@ -109,14 +108,11 @@ def default_schedule(preset_name: str | None, enc: EncodedTarget,
     fallback = None
     for cand in DELTA0_CANDIDATES:
         sched = replace(base, delta0=cand)
-        try:
-            initial_basis_index(enc, sched, require_unique=True)
+        index, ties = initial_basis_index(enc, sched)
+        if ties == 1:
             return sched
-        except DegenerateInitialStateError:
-            if fallback is None:
-                idx = initial_basis_index(enc, sched, require_unique=False)
-                if idx == 0:
-                    fallback = sched
+        if fallback is None and index == 0:
+            fallback = sched
     return fallback if fallback is not None else replace(base, delta0=-1.0)
 
 

@@ -4,6 +4,13 @@ import pytest
 from rydqubo.models import IsingModel, QuboModel, as_ising
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
+# A QUBO whose diagonal H(0) minimum is tied for every default Delta_G(0)
+# candidate without |00..0> among the ties, so its default schedule is the
+# fallback Delta_G(0) = -1: six states tie there, and the anneal starts from
+# index 6, the lowest of them.
+TIED_START_MODEL = {"n": 5, "linear": [-2, -2, 2, -2, 0],
+                    "quadratic": [[0, 3, -2], [1, 3, 1]]}
+
 
 def random_qubo(rng: np.random.Generator, n: int) -> QuboModel:
     linear = tuple(rng.normal(size=n))

@@ -6,10 +6,9 @@ import pytest
 
 from rydqubo import annealer
 from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
-                              DegenerateInitialStateError, PropagationConfig,
-                              Schedule, Trajectory, _pauli_x_total, _run_steps,
-                              initial_basis_index, initial_state, propagate,
-                              target_ground_indices)
+                              PropagationConfig, Schedule, Trajectory,
+                              _pauli_x_total, _run_steps, initial_basis_index,
+                              propagate, target_ground_indices)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.problems import preset_instance
@@ -120,16 +119,13 @@ def test_initial_state_unique_minimum():
     enc = single_atom(delta=1.0)
     sched = Schedule(1.0, (), (), delta0=-1.0)
     # H(0) diagonal = +delta * n_j, so |0> is the unique minimum
-    psi = initial_state(enc, sched)
-    np.testing.assert_allclose(psi, [1.0, 0.0])
+    assert initial_basis_index(enc, sched) == (0, 1)
 
 
-def test_initial_state_degenerate_raises():
+def test_initial_state_degenerate_starts_from_ground_atoms():
     enc = single_atom(delta=0.0)
     sched = Schedule(1.0, (), (), delta0=-1.0)
-    with pytest.raises(DegenerateInitialStateError):
-        initial_state(enc, sched)
-    assert initial_basis_index(enc, sched, require_unique=False) == 0
+    assert initial_basis_index(enc, sched) == (0, 2)
 
 
 # --- propagation physics -----------------------------------------------------

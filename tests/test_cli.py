@@ -9,7 +9,11 @@ import pytest
 
 from rydqubo import cli
 from rydqubo.cli import main
+from rydqubo.models import model_from_dict
+from rydqubo.pipeline import encode_for_annealing
 from rydqubo.problems import preset_instance
+
+from conftest import TIED_START_MODEL
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -269,8 +273,8 @@ def input_files(tmp_path, xor_model_file):
     """Named input files: the xor_sat preset, the frustrated mixed preset, an
     11-variable model, a model whose n overflows int, layouts of two atoms
     and of three atoms of which two coincide, a schedule in a basis other
-    than Fourier and a one-evaluation plan; and an output path in a missing
-    directory."""
+    than Fourier, a one-evaluation plan and a one-row spectral input; and an
+    output path in a missing directory."""
     data = {"mixed": preset_instance("mixed").model.to_dict(),
             "n11": {"n": 11, "linear": [1.0] * 11,
                     "quadratic": [[0, 1, 1.0]]},
@@ -282,7 +286,9 @@ def input_files(tmp_path, xor_model_file):
                                 "delta": {"coeffs": [0.5]},
                                 "omega": {"coeffs": [1.0]}},
             "one_eval_plan": {"stages": [{"kind": "gradient",
-                                          "max_evals": 1}]}}
+                                          "max_evals": 1}]},
+            "spectral": [{"problem": "x", "E0": -1.0, "gap": 0.5, "D_opt": 1,
+                          "threat_degeneracies": []}]}
     files = {"{xor}": xor_model_file,
              "{missing_dir_out}": str(tmp_path / "missing" / "out.json")}
     for name, content in data.items():
@@ -339,11 +345,42 @@ def two_sat(params):
                  3, "error: epsilon must be positive", id="hardness-epsilon"),
     pytest.param(["report", "--presets", "--epsilon", "-1"],
                  3, "error: epsilon must be positive", id="report-epsilon"),
+    # one input source per report: --presets does not ignore the others
+    pytest.param(["report", "--presets", "missing.json"],
+                 2, "error: give one of ", id="report-presets-and-file"),
+    pytest.param(["report", "--from-spectral", "{spectral}", "--presets"],
+                 2, "error: give one of ", id="report-spectral-and-presets"),
 ])
 def test_failure_exit_codes(capsys, input_files, argv, code, err_start):
     status, err = exit_status(capsys, [input_files.get(a, a) for a in argv])
     assert status == code
     assert err.startswith(err_start), err
+
+
+def test_out_dir_fails_before_the_run(monkeypatch, capsys, input_files):
+    def run_pipeline(*args, **kwargs):
+        raise AssertionError("the run started before --out-dir was created")
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    status, err = exit_status(capsys, ["pipeline", "--preset", "xor_sat",
+                                       "--out-dir", input_files["{xor}"]])
+    assert status == 2
+    assert err.startswith("error: cannot write ")
+
+
+def test_anneal_tied_start_runs_where_pipeline_starts(capsys, tmp_path):
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(TIED_START_MODEL))
+    code, out, err = run(capsys, "anneal", "--model", str(path),
+                         "--duration", "2", "--steps", "20")
+    assert code == 0, err
+    assert err.startswith("# E(T)=")
+    # E(0) is the target energy of basis state 6, where pipeline starts too
+    header, first = out.splitlines()[:2]
+    e0 = float(first.split(",")[header.split(",").index("E")])
+    enc = encode_for_annealing(model_from_dict(TIED_START_MODEL)).target
+    assert e0 == pytest.approx(enc.diagonal_energies()[6] + enc.constant,
+                               rel=1e-11)
 
 
 def test_unexpected_exception_keeps_traceback(monkeypatch, xor_model_file):

@@ -6,10 +6,11 @@ from rydqubo.encoding import (AtomLayout, C6_DEFAULT, EncodedTarget,
                               NotEncodableError, embed_layout, encode,
                               gauge_fix, layout_interactions, rescale,
                               validate)
-from rydqubo.models import IsingModel, as_ising
+from rydqubo.models import IsingModel, _bit_table, as_ising
+from rydqubo.pipeline import encode_for_annealing
 from rydqubo.problems import preset_instance
 
-from conftest import random_antiferro_ising
+from conftest import random_antiferro_ising, spectrum_cases
 
 
 def test_encode_reproduces_energies(rng):
@@ -180,3 +181,28 @@ def test_validate_flags_misplaced_atom():
 def test_hardware_limits_validation():
     with pytest.raises(ValueError):
         HardwareLimits(r_min=-1.0)
+
+
+def _loop_v_part(enc):
+    """sum_{j<k} V_jk x_j x_k by the per-pair loop ``diagonal_parts`` had
+    before it shared the models pair-sum kernel."""
+    xt = _bit_table(enc.n)
+    v_part = np.zeros(1 << enc.n)
+    for i, j in zip(*np.triu_indices(enc.n, k=1)):
+        if enc.v[i, j] != 0.0:
+            v_part += enc.v[i, j] * xt[:, i] * xt[:, j]
+    return v_part
+
+
+def test_diagonal_parts_bit_identical_to_pair_loop(rng):
+    # presets in both conventions (mixed keeps signed couplings), then random
+    # targets with n = 0-8 whose couplings are signed, zero or absent
+    targets = [encode_for_annealing(m).target for m in spectrum_cases(rng)]
+    for n in range(9):
+        v = np.triu(rng.choice([-1.5, 0.0, 0.0, 0.7, 2.0], size=(n, n)), 1)
+        targets.append(EncodedTarget(n, v + v.T, rng.normal(size=n), 0.2))
+    assert any(np.any(t.v < 0) for t in targets)
+    for enc in targets:
+        v_part, delta_part = enc.diagonal_parts
+        assert v_part.tobytes() == _loop_v_part(enc).tobytes()
+        assert delta_part.tobytes() == (_bit_table(enc.n) @ enc.delta_final).tobytes()

@@ -7,12 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydqubo.annealer import PropagationConfig, Schedule
+from rydqubo.annealer import (PropagationConfig, Schedule,
+                              initial_basis_index, propagate,
+                              target_ground_indices)
 from rydqubo.encoding import IsingModel, encode
+from rydqubo.models import model_from_dict
 from rydqubo.optimizer import (AnnealObjective, OptimizationResult, Stage,
                                StagePlan, approximation_ratio,
                                finite_difference_gradient, initial_parameters,
                                run_hybrid)
+from rydqubo.pipeline import default_schedule, encode_for_annealing
+from rydqubo.problems import preset_instance
+
+from conftest import TIED_START_MODEL
 
 
 def xor_pair_target():
@@ -125,6 +132,33 @@ def test_objective_parameter_split():
     assert sched.omega_coeffs == (3.0, 4.0)
     with pytest.raises(ValueError):
         obj.schedule_for([1.0])
+
+
+@pytest.mark.parametrize("source", ["tied_start", "clustering"])
+def test_objective_starts_where_propagate_does(source):
+    model = (model_from_dict(TIED_START_MODEL) if source == "tied_start"
+             else preset_instance(source).model)
+    enc = encode_for_annealing(model).target
+    template = default_schedule(None, enc, t_total=2.0)
+    start = initial_basis_index(enc, template)
+    if source == "tied_start":
+        assert start == (6, 6)
+    obj = AnnealObjective(enc, template,
+                          PropagationConfig(initial_steps=20, adaptive=False))
+    params = initial_parameters(template, seed=3)
+    sched = obj.schedule_for(params)
+    # propagate's defaults must equal an explicit start vector and ground set
+    psi0 = np.zeros(1 << enc.n, dtype=complex)
+    psi0[start[0]] = 1.0
+    psi, traj = obj.propagate(params)
+    for psi_b, traj_b in (propagate(enc, sched, obj.cfg),
+                          propagate(enc, sched, obj.cfg,
+                                    ground_indices=target_ground_indices(enc),
+                                    psi0=psi0)):
+        assert (psi == psi_b).all()
+        for field in ("times", "omega", "delta_g", "energy", "fidelity"):
+            assert (getattr(traj, field) == getattr(traj_b, field)).all()
+        assert traj.norm_error == traj_b.norm_error
 
 
 # --- hybrid loop -------------------------------------------------------------
