@@ -2,16 +2,17 @@
 
 Exit codes: 0 success; 2 bad arguments (a missing or malformed input file, a
 schedule file whose basis is not "fourier", an unwritable --out or --out-dir
-path (an --out-dir that cannot be created fails before the run), unreadable
-family parameters, no --preset or --family for ``problem``, no --preset or
---model for ``pipeline`` and ``optimize``, ``report`` without inputs or with
-more than one of --from-spectral, --presets and result files, or a layout
-whose atom count differs from the model's or that puts two atoms on one
-site); 3 a problem, model or hardness analysis that cannot be built, or a
-model that cannot be encoded; 4 solution quality below --threshold, or a
-failed validation; 5 propagation failure. Subcommands raise; main() alone
-maps an exception to its exit code through FAILURES. Any other exception is
-a bug and prints a traceback.
+path (an --out-dir that cannot be created fails before the run), family
+parameters that are unreadable, fractional where an integer is read or not
+read, no --preset or --family for ``problem``, no --preset or --model for
+``pipeline`` and ``optimize``, ``report`` without inputs or with more than
+one of --from-spectral, --presets and result files, or a layout whose atom
+count differs from the model's or that puts two atoms on one site); 3 a
+problem, model or hardness analysis that cannot be built, or a model that
+cannot be encoded; 4 solution quality below --threshold, or a failed
+validation; 5 propagation failure. Subcommands raise; main() alone maps an
+exception to its exit code through FAILURES. Any other exception is a bug
+and prints a traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .hardness import (DEFAULT_EPSILON, HardnessError, analyze_model,
                        format_value, report_row, report_rows)
 from .models import (ModelError, as_ising, enumerate_spectrum,
                      model_from_dict, state_bits)
-from .optimizer import StagePlan
+from .optimizer import AnnealObjective, StagePlan, initial_parameters
 from .pipeline import (default_schedule, encode_for_annealing, result_json,
                        run_pipeline, trajectory_csv, trajectory_table)
 from .problems import (PRESET_NAMES, ProblemError, build_from_params,
@@ -209,8 +210,12 @@ def _load_schedule(args) -> Schedule | None:
 def cmd_anneal(args) -> int:
     outcome, limits = _encoded(args, args.mode)
     enc = outcome.target
-    schedule = _load_schedule(args) or default_schedule(
-        None, enc, t_total=args.duration, limits=limits)
+    schedule = _load_schedule(args)
+    if schedule is None:  # the pulse the optimizer starts from
+        template = default_schedule(None, enc, t_total=args.duration,
+                                    limits=limits)
+        schedule = AnnealObjective(enc, template).schedule_for(
+            initial_parameters(template))
     _, traj = propagate(enc, schedule,
                         PropagationConfig(initial_steps=args.steps))
     rows = trajectory_table(traj, enc.delta_final)

@@ -120,15 +120,15 @@ def encode(m: IsingModel, allow_negative: bool = False) -> EncodedTarget:
     """
     n = m.n
     v = np.zeros((n, n))
-    for (i, j), coupling in m.j.items():
+    for (i, j), coupling in m.quadratic.items():
         if coupling < 0 and not allow_negative:
             raise NotEncodableError(
                 f"negative coupling J[{i},{j}] = {coupling}; C6 > 0 requires "
                 "J >= 0 (try a gauge fix or allow_negative for ideal mode)",
                 pair=(i, j))
         v[i, j] = v[j, i] = 4.0 * coupling
-    delta = 2.0 * np.asarray(m.h) + 0.5 * v.sum(axis=1)
-    constant = m.constant + sum(m.h) + sum(m.j.values())
+    delta = 2.0 * np.asarray(m.linear) + 0.5 * v.sum(axis=1)
+    constant = m.constant + sum(m.linear) + sum(m.quadratic.values())
     return EncodedTarget(n, v, delta, constant, 1.0)
 
 
@@ -141,7 +141,7 @@ def gauge_fix(m: IsingModel) -> tuple[IsingModel, tuple[int, ...]]:
     negative couplings, which no gauge can repair.
     """
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(m.n)}
-    for (i, j), coupling in m.j.items():
+    for (i, j), coupling in m.quadratic.items():
         if coupling == 0.0:
             continue
         sign = 1 if coupling < 0 else 0
@@ -164,23 +164,18 @@ def gauge_fix(m: IsingModel) -> tuple[IsingModel, tuple[int, ...]]:
                     raise FrustratedModelError(
                         "frustrated coupling signs: no spin-flip gauge yields "
                         "all-nonnegative couplings", pair=(min(u, w), max(u, w)))
-    h = tuple(hi if f == 0 else -hi for hi, f in zip(m.h, flips))
+    h = tuple(hi if f == 0 else -hi for hi, f in zip(m.linear, flips))
     jj = {key: (c if flips[key[0]] == flips[key[1]] else -c)
-          for key, c in m.j.items()}
+          for key, c in m.quadratic.items()}
     return IsingModel(m.n, h, jj, m.constant), tuple(flips)
 
 
-@dataclass(frozen=True)
-class RescaleReport:
-    scale: float
-    binding: str  # "none", "delta_max", or "r_min"
-
-
-def rescale(t: EncodedTarget, limits: HardwareLimits) -> tuple[EncodedTarget, RescaleReport]:
+def rescale(t: EncodedTarget, limits: HardwareLimits) -> tuple[EncodedTarget, str]:
     """Uniform multiplicative shrink so detunings and distances are feasible.
 
-    The scale factor leaves the ground set and the approximation ratio
-    unchanged.  Targets already within limits are returned with scale 1.
+    Returns the target and the limit that binds: "none", "delta_max" or
+    "r_min".  The scale factor leaves the ground set and the approximation
+    ratio unchanged.  Targets already within limits are returned as they are.
     """
     lam = 1.0
     binding = "none"
@@ -194,10 +189,10 @@ def rescale(t: EncodedTarget, limits: HardwareLimits) -> tuple[EncodedTarget, Re
         lam = v_cap / max_v
         binding = "r_min"
     if lam == 1.0:
-        return t, RescaleReport(1.0, "none")
+        return t, "none"
     scaled = EncodedTarget(t.n, t.v * lam, t.delta_final * lam,
                            t.constant * lam, t.scale * lam)
-    return scaled, RescaleReport(lam, binding)
+    return scaled, binding
 
 
 # --- geometry --------------------------------------------------------------
@@ -334,15 +329,10 @@ def validate(t: EncodedTarget, layout: AtomLayout, tol: float = 1e-3) -> Validat
     errs = np.abs(achieved - t.v) / vmax
     np.fill_diagonal(errs, 0.0)
     worst = np.unravel_index(np.argmax(errs), errs.shape)
-    unwanted = 0.0
-    offending = []
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if t.v[i, j] == 0.0:
-                unwanted = max(unwanted, errs[i, j])
-            if errs[i, j] > tol:
-                offending.append((i, j))
+    iu, ju = np.triu_indices(t.n, k=1)
+    pair_errs = errs[iu, ju]
+    unwanted = max([0.0, *pair_errs[t.v[iu, ju] == 0.0].tolist()])
+    offending = tuple(zip(iu[pair_errs > tol].tolist(), ju[pair_errs > tol].tolist()))
     return ValidationReport(float(errs[worst]),
                             (int(min(worst)), int(max(worst))),
-                            float(unwanted), tuple(offending),
-                            len(offending) == 0)
+                            unwanted, offending, not offending)

@@ -8,7 +8,7 @@ spin -1 (the excited state).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -52,13 +52,18 @@ def _table_energies(table: np.ndarray, constant: float, linear: Sequence[float],
 
 
 @dataclass(frozen=True)
-class QuboModel:
-    """Quadratic polynomial over binary variables x in {0, 1}^n."""
+class _QuadraticModel:
+    """const + sum_i linear_i v_i + sum_{i<j} quadratic_ij v_i v_j.
+
+    A subclass names its ``convention`` and says through ``values`` how a
+    bit pattern x maps to the variable values v.
+    """
 
     n: int
     linear: tuple[float, ...]
     quadratic: dict[tuple[int, int], float]
     constant: float = 0.0
+    convention: ClassVar[str]
 
     def __post_init__(self):
         if self.n < 0:
@@ -69,20 +74,20 @@ class QuboModel:
         object.__setattr__(self, "quadratic", _normalize_pairs(self.n, self.quadratic))
         object.__setattr__(self, "constant", float(self.constant))
 
-    def evaluate(self, x: Sequence[int]) -> float:
-        if len(x) != self.n:
-            raise ModelError(f"assignment length {len(x)} != n={self.n}")
+    def evaluate(self, v: Sequence[int]) -> float:
+        if len(v) != self.n:
+            raise ModelError(f"assignment length {len(v)} != n={self.n}")
         e = self.constant
         for i, a in enumerate(self.linear):
-            e += a * x[i]
+            e += a * v[i]
         for (i, j), b in self.quadratic.items():
-            e += b * x[i] * x[j]
+            e += b * v[i] * v[j]
         return e
 
     def energies(self) -> np.ndarray:
-        """Energy of every assignment, indexed by the integer bit pattern."""
-        return _table_energies(_bit_table(self.n), self.constant, self.linear,
-                               self.quadratic)
+        """Energy of every assignment, indexed by the integer bit pattern x."""
+        return _table_energies(self.values(_bit_table(self.n)), self.constant,
+                               self.linear, self.quadratic)
 
     def to_dict(self) -> dict:
         return {
@@ -90,83 +95,53 @@ class QuboModel:
             "linear": list(self.linear),
             "quadratic": [[i, j, c] for (i, j), c in self.quadratic.items()],
             "constant": self.constant,
-            "convention": "qubo",
+            "convention": self.convention,
         }
 
 
-@dataclass(frozen=True)
-class IsingModel:
-    """Spin model  const + sum_i h_i s_i + sum_{i<j} J_ij s_i s_j,  s in {-1,+1}^n."""
+class QuboModel(_QuadraticModel):
+    """Quadratic polynomial over binary variables x in {0, 1}^n."""
 
-    n: int
-    h: tuple[float, ...]
-    j: dict[tuple[int, int], float]
-    constant: float = 0.0
+    convention = "qubo"
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ModelError("n must be nonnegative")
-        if len(self.h) != self.n:
-            raise ModelError("field count must equal n")
-        object.__setattr__(self, "h", tuple(float(a) for a in self.h))
-        object.__setattr__(self, "j", _normalize_pairs(self.n, self.j))
-        object.__setattr__(self, "constant", float(self.constant))
+    @staticmethod
+    def values(bits: np.ndarray) -> np.ndarray:
+        return bits
 
-    def evaluate(self, s: Sequence[int]) -> float:
-        if len(s) != self.n:
-            raise ModelError(f"assignment length {len(s)} != n={self.n}")
-        e = self.constant
-        for i, a in enumerate(self.h):
-            e += a * s[i]
-        for (i, j), b in self.j.items():
-            e += b * s[i] * s[j]
-        return e
 
-    def energies(self) -> np.ndarray:
-        """Energy of every assignment, indexed by the integer *bit* pattern x."""
-        return _table_energies(1.0 - 2.0 * _bit_table(self.n), self.constant,
-                               self.h, self.j)
+class IsingModel(_QuadraticModel):
+    """Spin model over s in {-1, +1}^n, with s_i = 1 - 2 x_i."""
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "linear": list(self.h),
-            "quadratic": [[i, j, c] for (i, j), c in self.j.items()],
-            "constant": self.constant,
-            "convention": "ising",
-        }
+    convention = "ising"
+
+    @staticmethod
+    def values(bits: np.ndarray) -> np.ndarray:
+        return 1.0 - 2.0 * bits
+
+
+def _substitute(m: _QuadraticModel, offset: float, scale: float, cls):
+    """``m`` as a ``cls`` model after the substitution v = offset + scale * w."""
+    linear = [0.0] * m.n
+    const = m.constant
+    for i, a in enumerate(m.linear):
+        const += a * offset
+        linear[i] += a * scale
+    for (i, j), b in m.quadratic.items():
+        const += b * (offset * offset)
+        linear[i] += b * (offset * scale)
+        linear[j] += b * (offset * scale)
+    quad = {key: b * (scale * scale) for key, b in m.quadratic.items()}
+    return cls(m.n, tuple(linear), quad, const)
 
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
     """Convert via x_i = (1 - s_i)/2; energies agree exactly on every assignment."""
-    h = [0.0] * q.n
-    jj: dict[tuple[int, int], float] = {}
-    const = q.constant
-    for i, a in enumerate(q.linear):
-        const += a / 2.0
-        h[i] -= a / 2.0
-    for (i, j), b in q.quadratic.items():
-        const += b / 4.0
-        h[i] -= b / 4.0
-        h[j] -= b / 4.0
-        jj[(i, j)] = jj.get((i, j), 0.0) + b / 4.0
-    return IsingModel(q.n, tuple(h), jj, const)
+    return _substitute(q, 0.5, -0.5, IsingModel)
 
 
 def ising_to_qubo(m: IsingModel) -> QuboModel:
     """Inverse substitution s_i = 1 - 2 x_i."""
-    linear = [0.0] * m.n
-    quad: dict[tuple[int, int], float] = {}
-    const = m.constant
-    for i, a in enumerate(m.h):
-        const += a
-        linear[i] -= 2.0 * a
-    for (i, j), b in m.j.items():
-        const += b
-        linear[i] -= 2.0 * b
-        linear[j] -= 2.0 * b
-        quad[(i, j)] = quad.get((i, j), 0.0) + 4.0 * b
-    return QuboModel(m.n, tuple(linear), quad, const)
+    return _substitute(m, 1.0, -2.0, QuboModel)
 
 
 @dataclass(frozen=True)
@@ -223,10 +198,9 @@ def model_from_dict(data: Mapping) -> QuboModel | IsingModel:
         convention = data.get("convention", "qubo")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
-    if convention == "qubo":
-        return QuboModel(n, tuple(linear), quadratic, constant)
-    if convention == "ising":
-        return IsingModel(n, tuple(linear), quadratic, constant)
+    for cls in (QuboModel, IsingModel):
+        if convention == cls.convention:
+            return cls(n, tuple(linear), quadratic, constant)
     raise ModelError(f"unknown convention {convention!r}")
 
 

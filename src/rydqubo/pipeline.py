@@ -1,4 +1,4 @@
-"""End-to-end orchestration: build -> encode -> (layout) -> optimize -> report.
+"""End-to-end orchestration: build -> encode -> optimize -> report.
 
 Shared by the CLI and by programmatic callers.  Runs are described by a
 manifest whose hash is embedded in every output file; identical manifests
@@ -17,8 +17,7 @@ import numpy as np
 from . import __version__
 from .annealer import Schedule, Trajectory, initial_basis_index
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
-                       NotEncodableError, embed_layout, encode, gauge_fix,
-                       rescale)
+                       encode, gauge_fix, rescale)
 from .hardness import format_csv
 from .models import IsingModel, QuboModel, as_ising, enumerate_spectrum
 from .optimizer import (AnnealObjective, OptimizationResult, StagePlan,
@@ -63,30 +62,23 @@ class EncodingOutcome:
 def encode_for_annealing(model: IsingModel | QuboModel,
                          mode: str = "ideal",
                          limits: HardwareLimits | None = None) -> EncodingOutcome:
-    """Encode a model, gauge-fixing negative couplings when possible.
+    """Gauge-fix, encode and rescale a model.
 
     Frustrated coupling signs cannot be gauged away; in ideal mode the signed
     interactions are kept (they cannot be realized geometrically, which is
     flagged), in physical mode the error propagates.
     """
     ising = as_ising(model)
-    limits = limits or HardwareLimits()
-    flips = (0,) * ising.n
     signed = False
     try:
-        target = encode(ising)
-    except NotEncodableError:
-        try:
-            gauged, flips = gauge_fix(ising)
-            target = encode(gauged)
-        except FrustratedModelError:
-            if mode != "ideal":
-                raise
-            target = encode(ising, allow_negative=True)
-            flips = (0,) * ising.n
-            signed = True
-    target, rep = rescale(target, limits)
-    return EncodingOutcome(target, flips, signed, rep.binding)
+        ising, flips = gauge_fix(ising)
+    except FrustratedModelError:
+        if mode != "ideal":
+            raise
+        flips, signed = (0,) * ising.n, True
+    target, binding = rescale(encode(ising, allow_negative=signed),
+                              limits or HardwareLimits())
+    return EncodingOutcome(target, flips, signed, binding)
 
 
 def default_schedule(preset_name: str | None, enc: EncodedTarget,
@@ -125,8 +117,6 @@ class PipelineResult:
     c_max: float
     ground_states: tuple[int, ...]
     trajectory_rows: list[dict]
-    layout: object | None = None
-    layout_report: object | None = None
 
 
 def run_pipeline(model: IsingModel | QuboModel,
@@ -141,11 +131,6 @@ def run_pipeline(model: IsingModel | QuboModel,
     plan = plan or StagePlan.default()
     outcome = encode_for_annealing(model, mode=mode, limits=limits)
     enc = outcome.target
-
-    layout = layout_report = None
-    if mode == "physical":
-        layout, layout_report = embed_layout(enc, seed=seed, limits=limits)
-
     if schedule is None:
         schedule = default_schedule(preset_name, enc, limits=limits)
 
@@ -161,8 +146,7 @@ def run_pipeline(model: IsingModel | QuboModel,
     # ground patterns in the source-model frame (gauge flips only affect the
     # encoded target, whose ground set the objective already tracks)
     return PipelineResult(manifest, outcome, result, spectrum.e_min,
-                          spectrum.e_max, spectrum.ground_states, rows, layout,
-                          layout_report)
+                          spectrum.e_max, spectrum.ground_states, rows)
 
 
 def trajectory_table(traj: Trajectory, delta_final: np.ndarray) -> list[dict]:

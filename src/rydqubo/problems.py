@@ -419,50 +419,66 @@ def preset_instance(name: str) -> Preset:
     raise ProblemError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
+def _int(value) -> int:
+    """int(value), refusing a float that is not integral."""
+    if isinstance(value, float) and int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
     """(instance, model) of one family from JSON-style parameters, as the CLI
-    reads them; missing required keys raise KeyError."""
+    reads them; missing required keys raise KeyError, keys the family does not
+    read and non-integral integer fields raise ValueError."""
+    params = {**params}  # each key is popped as it is read
     if family == "two_sat":
-        clauses = tuple(tuple((int(i), bool(neg)) for i, neg in clause)
-                        for clause in params["clauses"])
-        inst = TwoSatInstance(int(params["n"]), clauses,
-                              float(params.get("penalty", 1.0)))
-        return inst, build_two_sat(inst)
-    if family == "xor_sat":
-        cons = tuple((int(i), int(j), int(b)) for i, j, b in params["constraints"])
-        inst = XorSatInstance(int(params["n"]), cons,
-                              float(params.get("weight", 1.0)))
-        return inst, build_xor_sat(inst)
-    if family == "mixed":
-        ts, _ = build_from_params("two_sat", params["two_sat"])
-        xs, _ = build_from_params("xor_sat", params["xor_sat"])
-        return (ts, xs), build_mixed(ts, xs)
-    if family == "set_packing":
-        inst = SetPackingInstance(int(params["n"]),
-                                  tuple(float(w) for w in params["weights"]),
-                                  tuple((int(i), int(j)) for i, j in params["conflicts"]),
-                                  float(params.get("penalty", 2.0)))
-        return inst, build_set_packing(inst)
-    if family == "qap":
-        flow = tuple(tuple(float(v) for v in row) for row in params["flow"])
-        dist = tuple(tuple(float(v) for v in row) for row in params["distance"])
-        inst = QapInstance(flow, dist, float(params["penalty_facility"]),
-                           float(params["penalty_location"]))
-        return inst, build_qap(inst)
-    if family == "clustering":
-        w = tuple(tuple(float(v) for v in row) for row in params["dissimilarity"])
+        clauses = tuple(tuple((_int(i), bool(neg)) for i, neg in clause)
+                        for clause in params.pop("clauses"))
+        inst = TwoSatInstance(_int(params.pop("n")), clauses,
+                              float(params.pop("penalty", 1.0)))
+        model = build_two_sat(inst)
+    elif family == "xor_sat":
+        cons = tuple((_int(i), _int(j), _int(b))
+                     for i, j, b in params.pop("constraints"))
+        inst = XorSatInstance(_int(params.pop("n")), cons,
+                              float(params.pop("weight", 1.0)))
+        model = build_xor_sat(inst)
+    elif family == "mixed":
+        ts, _ = build_from_params("two_sat", params.pop("two_sat"))
+        xs, _ = build_from_params("xor_sat", params.pop("xor_sat"))
+        inst, model = (ts, xs), build_mixed(ts, xs)
+    elif family == "set_packing":
+        inst = SetPackingInstance(_int(params.pop("n")),
+                                  tuple(float(w) for w in params.pop("weights")),
+                                  tuple((_int(i), _int(j))
+                                        for i, j in params.pop("conflicts")),
+                                  float(params.pop("penalty", 2.0)))
+        model = build_set_packing(inst)
+    elif family == "qap":
+        flow = tuple(tuple(float(v) for v in row) for row in params.pop("flow"))
+        dist = tuple(tuple(float(v) for v in row) for row in params.pop("distance"))
+        inst = QapInstance(flow, dist, float(params.pop("penalty_facility")),
+                           float(params.pop("penalty_location")))
+        model = build_qap(inst)
+    elif family == "clustering":
+        w = tuple(tuple(float(v) for v in row) for row in params.pop("dissimilarity"))
         inst = ClusteringInstance(w)
-        return inst, build_binary_clustering(inst)
-    if family == "protein":
-        length = int(params["length"])
-        exclusions = params.get("exclusions")
+        model = build_binary_clustering(inst)
+    elif family == "protein":
+        length = _int(params.pop("length"))
+        exclusions = params.pop("exclusions", None)
         if exclusions is None:
             exclusions = shared_residue_exclusions(length)
         else:
-            exclusions = tuple((int(p), int(q)) for p, q in exclusions)
-        inst = ProteinToyInstance(length, tuple(int(h) for h in params["hydrophobic"]),
+            exclusions = tuple((_int(p), _int(q)) for p, q in exclusions)
+        inst = ProteinToyInstance(length,
+                                  tuple(_int(h) for h in params.pop("hydrophobic")),
                                   exclusions,
-                                  float(params.get("penalty_linear", 0.5)),
-                                  float(params.get("penalty_exclusion", 2.0)))
-        return inst, build_protein_toy(inst)
-    raise ProblemError(f"unknown family {family!r}")
+                                  float(params.pop("penalty_linear", 0.5)),
+                                  float(params.pop("penalty_exclusion", 2.0)))
+        model = build_protein_toy(inst)
+    else:
+        raise ProblemError(f"unknown family {family!r}")
+    if params:
+        raise ValueError(f"{family} does not read {', '.join(sorted(params))}")
+    return inst, model

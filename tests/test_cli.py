@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from rydqubo import cli
+from rydqubo.annealer import PropagationConfig
 from rydqubo.cli import main
+from rydqubo.hardness import format_value
 from rydqubo.models import model_from_dict
-from rydqubo.pipeline import encode_for_annealing
-from rydqubo.problems import preset_instance
+from rydqubo.optimizer import AnnealObjective, initial_parameters
+from rydqubo.pipeline import default_schedule, encode_for_annealing
+from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import TIED_START_MODEL
 
@@ -302,6 +306,10 @@ def two_sat(params):
     return ["problem", "--family", "two_sat", "--params", params]
 
 
+QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
+                         "penalty_facility": 8, "penalty_location": 8})
+
+
 @pytest.mark.parametrize("argv, code, err_start", [
     pytest.param(two_sat('{"n": 2, "clauses": [[0, 1]]}'), 2,
                  "error: bad family parameters: TypeError: ",
@@ -315,6 +323,27 @@ def two_sat(params):
     # a ModelError from the instance itself is not a usage error
     pytest.param(two_sat('{"n": -1, "clauses": []}'), 3,
                  "error: n must be nonnegative", id="params-ModelError"),
+    # an integer field is not truncated, and a key the family does not
+    # read is not ignored
+    pytest.param(two_sat('{"n": 2.9, "clauses": [[[0, false], [1.9, false]]]}'),
+                 2, "error: bad family parameters: ValueError: ",
+                 id="params-fractional-index"),
+    pytest.param(["problem", "--family", "protein", "--params",
+                  '{"length": 4, "hydrophobic": [1.7, 1, 0, 1]}'],
+                 2, "error: bad family parameters: ValueError: ",
+                 id="params-fractional-flag"),
+    pytest.param(["problem", "--family", "xor_sat", "--params",
+                  '{"n": 2, "constraints": [[0, 1, 1.5]]}'],
+                 2, "error: bad family parameters: ValueError: ",
+                 id="params-fractional-parity"),
+    pytest.param(["problem", "--family", "qap", "--params", QAP_PARAMS,
+                  "--n", "7"],
+                 2, "error: bad family parameters: ValueError: ",
+                 id="params-unread-n"),
+    pytest.param(["problem", "--family", "xor_sat", "--params",
+                  '{"n": 2, "constraints": [[0, 1, 1]]}', "--clauses", "[]"],
+                 2, "error: bad family parameters: ValueError: ",
+                 id="params-unread-clauses"),
     pytest.param(["problem"], 2, "error: provide --preset or --family",
                  id="problem-no-source"),
     pytest.param(["anneal", "--model", "{xor}", "--duration", "-1"], 2,
@@ -381,6 +410,62 @@ def test_anneal_tied_start_runs_where_pipeline_starts(capsys, tmp_path):
     enc = encode_for_annealing(model_from_dict(TIED_START_MODEL)).target
     assert e0 == pytest.approx(enc.diagonal_energies()[6] + enc.constant,
                                rel=1e-11)
+
+
+def test_anneal_default_drives_the_optimizer_start_pulse(capsys,
+                                                         xor_model_file):
+    code, out, err = run(capsys, "anneal", "--model", xor_model_file,
+                         "--duration", "2", "--steps", "20")
+    assert code == 0, err
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    omega = [float(row[header.index("omega")]) for row in rows]
+    assert all(w > 0 for w in omega[1:-1])
+    enc = encode_for_annealing(preset_instance("xor_sat").model).target
+    template = default_schedule(None, enc, t_total=2.0)
+    _, traj = AnnealObjective(enc, template).propagate(
+        initial_parameters(template), PropagationConfig(initial_steps=20))
+    assert [row[header.index("E")] for row in rows] == [
+        format_value(e) for e in traj.energy.tolist()]
+
+
+def test_physical_pipeline_runs_without_couplings(capsys, input_files,
+                                                  tmp_path):
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps({"n": 2, "linear": [1, -1], "quadratic": []}))
+    code, _, err = run(capsys, "pipeline", "--model", str(path),
+                       "--mode", "physical", "--threshold", "0",
+                       "--plan", input_files["{one_eval_plan}"],
+                       "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "uncoupled_result.json").exists()
+
+
+# SHA-256 over the exit code and stdout of each run in
+# test_arithmetic_outputs_pinned
+ARITHMETIC_OUTPUTS_SHA256 = (
+    "3c7dd7397ce04e15b1459f0a405e386e729f81ac63ccd787c6491bc604ff8e23")
+
+
+def test_arithmetic_outputs_pinned(capsys, tmp_path):
+    """problem, spectrum, encode (both modes) and hardness --csv on every
+    preset, and report --presets --csv: outputs of pure arithmetic at 12
+    significant digits, pinned byte for byte."""
+    digest = hashlib.sha256()
+
+    def record(*argv):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        digest.update(f"{code}\n{out}".encode())
+        return out
+
+    for name in PRESET_NAMES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(record("problem", "--preset", name))
+        for argv in (["spectrum"], ["encode", "--mode", "ideal"],
+                     ["encode", "--mode", "physical"], ["hardness", "--csv"]):
+            record(argv[0], "--model", str(path), *argv[1:])
+    record("report", "--presets", "--csv")
+    assert digest.hexdigest() == ARITHMETIC_OUTPUTS_SHA256
 
 
 def test_unexpected_exception_keeps_traceback(monkeypatch, xor_model_file):

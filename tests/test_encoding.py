@@ -54,12 +54,12 @@ def test_gauge_fix_round_trip(rng):
         base = random_antiferro_ising(rng, n)
         flips = rng.integers(2, size=n)
         # flip spins of a nonneg-coupling model to hide the signs
-        h = tuple(hi if f == 0 else -hi for hi, f in zip(base.h, flips))
+        h = tuple(hi if f == 0 else -hi for hi, f in zip(base.linear, flips))
         j = {key: (c if flips[key[0]] == flips[key[1]] else -c)
-             for key, c in base.j.items()}
+             for key, c in base.quadratic.items()}
         disguised = IsingModel(n, h, j, base.constant)
         gauged, mask = gauge_fix(disguised)
-        assert all(c >= 0 for c in gauged.j.values())
+        assert all(c >= 0 for c in gauged.quadratic.values())
         # energies are a permutation of the originals: x <-> x XOR mask
         mask_int = sum(b << i for i, b in enumerate(mask))
         e_g = gauged.energies()
@@ -82,9 +82,9 @@ def test_rescale_preserves_argmin(rng):
         enc = encode(m)
         big = EncodedTarget(enc.n, enc.v * 1e4, enc.delta_final * 1e4,
                             enc.constant * 1e4, enc.scale * 1e4)
-        scaled, report = rescale(big, limits)
-        assert report.scale < 1.0
-        assert report.binding in ("delta_max", "r_min")
+        scaled, binding = rescale(big, limits)
+        assert scaled.scale < big.scale
+        assert binding in ("delta_max", "r_min")
         e_before = big.diagonal_energies()
         e_after = scaled.diagonal_energies()
         argmin_before = set(np.flatnonzero(e_before <= e_before.min() + 1e-9 * np.ptp(e_before)))
@@ -98,8 +98,8 @@ def test_rescale_preserves_argmin(rng):
 
 def test_rescale_within_limits_is_identity():
     enc = encode(IsingModel(2, (0.1, 0.1), {(0, 1): 0.5}))
-    scaled, report = rescale(enc, HardwareLimits())
-    assert report.scale == 1.0 and report.binding == "none"
+    scaled, binding = rescale(enc, HardwareLimits())
+    assert scaled.scale == 1.0 and binding == "none"
     assert scaled is enc
 
 

@@ -142,6 +142,17 @@ def test_json_round_trip(rng):
     np.testing.assert_allclose(m.energies(), m2.energies(), atol=0)
 
 
+def test_qubo_and_ising_models_stay_distinct():
+    fields = (2, (1.0, -0.5), {(0, 1): 0.25}, 0.75)
+    q, m = QuboModel(*fields), IsingModel(*fields)
+    assert q != m and m != q
+    assert q == QuboModel(*fields) and m == IsingModel(*fields)
+    for model in (q, m):
+        again = model_from_dict(model.to_dict())
+        assert type(again) is type(model)
+        assert again == model
+
+
 def test_json_rejects_bad_convention():
     with pytest.raises(ModelError):
         model_from_dict({"n": 1, "linear": [0.0], "quadratic": [],

@@ -5,13 +5,16 @@ import pytest
 
 import rydqubo.optimizer
 from rydqubo.annealer import PropagationConfig, Schedule, initial_basis_index
-from rydqubo.encoding import HardwareLimits, NotEncodableError
-from rydqubo.models import IsingModel, as_ising
+from rydqubo.encoding import (FrustratedModelError, HardwareLimits,
+                              NotEncodableError, encode, gauge_fix, rescale)
+from rydqubo.models import IsingModel, QuboModel, as_ising
 from rydqubo.optimizer import Stage, StagePlan
 from rydqubo.pipeline import (RunManifest, default_schedule,
                               encode_for_annealing, result_json, run_pipeline,
                               trajectory_csv)
-from rydqubo.problems import preset_instance
+from rydqubo.problems import PRESET_NAMES, preset_instance
+
+from conftest import random_integer_qubo, random_qubo
 
 
 def tiny_plan():
@@ -50,6 +53,73 @@ def test_encoding_matches_source_after_gauge():
     e_src = model.energies()
     perm = [k ^ mask for k in range(len(e_src))]
     np.testing.assert_allclose(e_enc, e_src[perm], atol=1e-10)
+
+
+def _three_call_encode(model, mode):
+    """Reference encoding by up to three ``encode`` calls: encode, on a
+    negative coupling gauge-fix and encode again, and on frustrated signs
+    encode the signed couplings (ideal mode) or re-raise."""
+    ising = as_ising(model)
+    flips = (0,) * ising.n
+    signed = False
+    try:
+        target = encode(ising)
+    except NotEncodableError:
+        try:
+            gauged, flips = gauge_fix(ising)
+            target = encode(gauged)
+        except FrustratedModelError:
+            if mode != "ideal":
+                raise
+            target = encode(ising, allow_negative=True)
+            flips = (0,) * ising.n
+            signed = True
+    target, binding = rescale(target, HardwareLimits())
+    return target, flips, signed, binding
+
+
+def _outcome_or_error(encoder, model, mode):
+    try:
+        target, flips, signed, binding = encoder(model, mode)
+    except NotEncodableError as exc:
+        return type(exc), str(exc)
+    return (target.v.tobytes(), target.delta_final.tobytes(), target.constant,
+            target.scale, flips, signed, binding)
+
+
+def _one_call_encode(model, mode):
+    outcome = encode_for_annealing(model, mode=mode)
+    return (outcome.target, outcome.flips, outcome.signed,
+            outcome.scale_binding)
+
+
+def test_encode_for_annealing_equals_three_call_path():
+    rng = np.random.default_rng(11)
+    models = []
+    for name in PRESET_NAMES:
+        model = preset_instance(name).model
+        models += [model, as_ising(model)]
+    for n in range(9):
+        models += [random_qubo(rng, n), random_integer_qubo(rng, n)]
+    models += [
+        # frustrated, zero and -0.0 couplings
+        IsingModel(3, (0.5, 0.0, -0.5), {(0, 1): 1.0, (0, 2): -1.0,
+                                         (1, 2): 1.0}),
+        QuboModel(3, (1.0, -1.0, 0.0), {(0, 1): 0.0, (1, 2): -2.0}),
+        IsingModel(3, (-0.0, 1.0, 0.0), {(0, 1): -0.0, (1, 2): -1.0}),
+        # shrunk by the detuning limit, and by the minimum spacing
+        QuboModel(2, (-1e4, 3e3), {(0, 1): 5e3}),
+        IsingModel(2, (-5e3, -5e3), {(0, 1): 5e3}),
+    ]
+    seen = set()
+    for model in models:
+        for mode in ("ideal", "physical"):
+            new = _outcome_or_error(_one_call_encode, model, mode)
+            assert new == _outcome_or_error(_three_call_encode, model, mode)
+            seen.add(new[0] if len(new) == 2 else (new[5], new[6]))
+    assert FrustratedModelError in seen
+    assert {(False, "none"), (True, "none"), (False, "delta_max"),
+            (False, "r_min")} <= seen
 
 
 def test_default_schedule_avoids_degenerate_start():
