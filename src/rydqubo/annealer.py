@@ -47,14 +47,20 @@ class Schedule:
         object.__setattr__(self, "delta_coeffs", tuple(float(c) for c in self.delta_coeffs))
         object.__setattr__(self, "omega_coeffs", tuple(float(c) for c in self.omega_coeffs))
 
-    def profiles(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(Delta_G(t), Omega(t)), each summed mode by mode from one sine table."""
+    def sine_table(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, S): tau = t/T and S[..., n-1] = sin(n pi tau) for every mode
+        n of either profile; S is dDelta_G/da_n and, where the clip is
+        inactive, dOmega/db_n."""
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > self.t_total + 1e-12):
             raise ValueError("time outside [0, T]")
         tau = np.clip(t, 0.0, self.t_total) / self.t_total
         modes = max(len(self.delta_coeffs), len(self.omega_coeffs))
-        sines = np.sin(np.multiply.outer(tau, np.arange(1, modes + 1) * math.pi))
+        return tau, np.sin(np.multiply.outer(tau, np.arange(1, modes + 1) * math.pi))
+
+    def profiles(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(Delta_G(t), Omega(t)), each summed mode by mode from one sine table."""
+        tau, sines = self.sine_table(t)
         delta_g = self.delta0 * (1.0 - tau) + tau
         for k, a in enumerate(self.delta_coeffs):
             delta_g = delta_g + a * sines[..., k]
@@ -133,31 +139,44 @@ def initial_basis_index(enc: EncodedTarget,
     return (0 if 0 in minima else int(minima[0])), len(minima)
 
 
-def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
-               n_steps: int, sample_times: np.ndarray,
-               ground_indices: Sequence[int], x_total: np.ndarray):
+def _start_state(enc: EncodedTarget, schedule: Schedule) -> np.ndarray:
+    """The basis state ``initial_basis_index`` picks, as a state vector."""
+    psi0 = np.zeros(1 << enc.n, dtype=complex)
+    psi0[initial_basis_index(enc, schedule)[0]] = 1.0
+    return psi0
+
+
+def _step_count(schedule: Schedule, cfg: PropagationConfig) -> int:
+    """cfg.initial_steps rounded up to a multiple of the sample intervals, so
+    the step grid is commensurate with the sample grid and the last sample is
+    the final step."""
+    intervals = schedule.sample_count - 1
+    return intervals * max(1, -(-cfg.initial_steps // intervals))
+
+
+def _step_grid(schedule: Schedule, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grid times t_0..t_N, step midpoints) of n_steps equal steps."""
+    t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
+    return t_grid, 0.5 * (t_grid[:-1] + t_grid[1:])
+
+
+def _sweep(enc: EncodedTarget, schedule: Schedule, psi: np.ndarray,
+           n_steps: int, x_total: np.ndarray):
     """Piecewise-constant propagation with exact step exponentials.
 
     H is evaluated at each step midpoint; the step unitary comes from an
     eigendecomposition of the real-symmetric H, so the norm is preserved to
     round-off.  The step Hamiltonians are decomposed in stacked blocks of at
-    most BLOCK_BYTES.  Returns the final state and, at each sample time, the
-    grid time, energy, fidelity and | ||psi|| - 1 |.
+    most BLOCK_BYTES.  Yields, per block, (lo, evals, evecs, states): the
+    eigen-pairs of steps lo, lo + 1, ... and states[k], the state before
+    step lo + k, whose last row is the state after the block.
     """
-    t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
-    mid = 0.5 * (t_grid[:-1] + t_grid[1:])
+    _, mid = _step_grid(schedule, n_steps)
     dg, om = schedule.profiles(mid)
     dt = schedule.t_total / n_steps
     v_part, delta_part = enc.diagonal_parts
-    target = enc.diagonal_energies()
-
-    sample_idx = np.searchsorted(t_grid, sample_times - 1e-12)
-    snap_steps, snap_of_sample = np.unique(sample_idx, return_inverse=True)
-    snap_row = {step: row for row, step in enumerate(snap_steps.tolist())}
-    snaps = np.empty((len(snap_steps), len(psi0)), dtype=complex)
-    psi = psi0.astype(complex)
-    snaps[snap_steps == 0] = psi
-    diag = np.arange(len(psi0))
+    psi = psi.astype(complex)
+    diag = np.arange(len(psi))
     block = max(1, BLOCK_BYTES // x_total.nbytes)
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
@@ -165,16 +184,104 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
         h[:, diag, diag] += v_part - dg[lo:hi, None] * delta_part
         evals, evecs = np.linalg.eigh(h)
         phase = np.exp(-1j * evals * dt)
+        states = np.empty((hi - lo + 1, len(psi)), dtype=complex)
+        states[0] = psi
         for k in range(hi - lo):
             psi = evecs[k] @ (phase[k] * (evecs[k].T @ psi))
-            if lo + k + 1 in snap_row:
-                snaps[snap_row[lo + k + 1]] = psi
+            states[k + 1] = psi
+        yield lo, evals, evecs, states
+
+
+def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
+               n_steps: int, sample_times: np.ndarray,
+               ground_indices: Sequence[int], x_total: np.ndarray):
+    """``_sweep`` read at the sample times: returns the final state and, at
+    each sample time, the grid time, energy, fidelity and | ||psi|| - 1 |."""
+    t_grid, _ = _step_grid(schedule, n_steps)
+    target = enc.diagonal_energies()
+
+    sample_idx = np.searchsorted(t_grid, sample_times - 1e-12)
+    snap_steps, snap_of_sample = np.unique(sample_idx, return_inverse=True)
+    snaps = np.empty((len(snap_steps), len(psi0)), dtype=complex)
+    for lo, _, _, states in _sweep(enc, schedule, psi0, n_steps, x_total):
+        rows = np.flatnonzero((snap_steps >= lo) & (snap_steps < lo + len(states)))
+        snaps[rows] = states[snap_steps[rows] - lo]
 
     probs = np.abs(snaps[snap_of_sample]) ** 2
     energy = np.array([row @ target for row in probs]) + enc.constant
     fids = probs[:, list(ground_indices)].sum(axis=1)
     norm_err = np.abs(np.sqrt(probs.sum(axis=1)) - 1.0)
-    return psi, t_grid[sample_idx], energy, fids, norm_err
+    return states[-1], t_grid[sample_idx], energy, fids, norm_err
+
+
+def energy_gradient(enc: EncodedTarget, schedule: Schedule,
+                    cfg: PropagationConfig = PropagationConfig(adaptive=False)
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
+    """(E(T), dE/d delta_coeffs, dE/d omega_coeffs) of the fixed-step anneal.
+
+    E(T) equals ``propagate(enc, schedule, cfg)[1].energy[-1]`` bit for bit,
+    and the gradient is the exact gradient of that discretized E(T) (GRAPE,
+    Khaneja et al., JMR 172, 296, 2005).  One forward sweep keeps each
+    step's eigen-pairs H_k = V diag(lambda) V^T, which costs
+    n_steps * 4^n * 8 bytes; an adjoint sweep runs back from
+    lam_N = D psi_N by lam_k = U_k^dag lam_{k+1}.  The sensitivity of step k
+    to a parameter theta of H_k is 2 Re[a^H (Gamma o V^T dH/dtheta V) b]
+    with a = V^T lam_{k+1}, b = V^T psi_k and the eigenbasis Frechet
+    derivative of exp(-i dt H) (de Fouquieres et al., JMR 212, 412, 2011)
+    Gamma_jl = -i dt exp(-i dt (lambda_j + lambda_l)/2)
+    sinc(dt (lambda_j - lambda_l)/2), which stays finite at degenerate
+    eigenvalues.  dH/dOmega = X_total/2 and dH/dDelta_G = -diag(delta); the
+    coefficient gradients are S^T times these sensitivities, with S the sine
+    table, and the Omega gradient is zero on steps where the clip is active.
+    A non-finite value or gradient raises FloatingPointError.
+    """
+    if cfg.adaptive:
+        raise ValueError("the gradient is of a fixed-step propagation; "
+                         "use adaptive=False")
+    _check_cap(enc.n)
+    x_total = _pauli_x_total(enc.n)
+    n_steps = _step_count(schedule, cfg)
+    dt = schedule.t_total / n_steps
+    _, delta_part = enc.diagonal_parts
+    target = enc.diagonal_energies()
+    blocks = list(_sweep(enc, schedule, _start_state(enc, schedule), n_steps,
+                         x_total))
+    psi = blocks[-1][3][-1]
+    energy = float(np.abs(psi) ** 2 @ target + enc.constant)
+
+    # dE/dDelta_G and dE/dOmega at each step midpoint
+    sens = np.empty((2, n_steps))
+    lam = target * psi
+    for lo, evals, evecs, states in reversed(blocks):
+        vt = evecs.transpose(0, 2, 1)
+        b = (vt @ states[:-1, :, None])[..., 0]
+        a = np.empty_like(b)
+        back = np.exp(1j * evals * dt)
+        for k in reversed(range(len(b))):
+            a[k] = vt[k] @ lam
+            lam = evecs[k] @ (back[k] * a[k])
+        # the sensitivity is 2 sum_pq (dH/dtheta)_pq (V R V^T)_pq with
+        # R_jl = Re[conj(a_j) Gamma_jl b_l] = dt sinc_jl Im[conj(a_j) p_j p_l b_l]
+        # and p = exp(-i dt lambda / 2)
+        half = np.exp(-0.5j * dt * evals)
+        sinc = np.sinc((0.5 * dt / math.pi)
+                       * (evals[:, :, None] - evals[:, None, :]))
+        r = dt * sinc * ((a.conj() * half)[:, :, None]
+                         * (half * b)[:, None, :]).imag
+        vr = evecs @ r
+        # dH/dDelta_G = -diag(delta), dH/dOmega = X_total / 2
+        sens[0, lo:lo + len(b)] = -2.0 * (vr * evecs).sum(axis=2) @ delta_part
+        sens[1, lo:lo + len(b)] = (vr * (x_total @ evecs)).sum(axis=(1, 2))
+
+    _, mid = _step_grid(schedule, n_steps)
+    _, sines = schedule.sine_table(mid)
+    sens[1] *= np.abs(schedule.profiles(mid)[1]) < schedule.omega_max
+    grad_delta = sines[:, :len(schedule.delta_coeffs)].T @ sens[0]
+    grad_omega = sines[:, :len(schedule.omega_coeffs)].T @ sens[1]
+    if not (math.isfinite(energy) and np.isfinite(grad_delta).all()
+            and np.isfinite(grad_omega).all()):
+        raise FloatingPointError("non-finite objective or gradient")
+    return energy, grad_delta, grad_omega
 
 
 def propagate(enc: EncodedTarget, schedule: Schedule,
@@ -192,16 +299,11 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
     if ground_indices is None:
         ground_indices = target_ground_indices(enc)
     if psi0 is None:
-        psi0 = np.zeros(1 << enc.n, dtype=complex)
-        psi0[initial_basis_index(enc, schedule)[0]] = 1.0
+        psi0 = _start_state(enc, schedule)
 
     sample_times = np.linspace(0.0, schedule.t_total, schedule.sample_count)
     tol = cfg.tolerance_rel * enc.energy_scale
-
-    # keep the step grid commensurate with the sample grid, so the last
-    # sample is the final step
-    intervals = schedule.sample_count - 1
-    n_steps = intervals * max(1, -(-cfg.initial_steps // intervals))
+    n_steps = _step_count(schedule, cfg)
     psi, times, energy, fids, norm_err = _run_steps(
         enc, schedule, psi0, n_steps, sample_times, ground_indices, x_total)
     if cfg.adaptive:

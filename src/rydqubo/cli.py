@@ -3,14 +3,16 @@
 Exit codes: 0 success; 2 bad arguments (a missing or malformed input file, a
 schedule file whose basis is not "fourier", an unwritable --out or --out-dir
 path (an --out-dir that cannot be created fails before the run), family
-parameters that are unreadable, fractional where an integer is read or not
-read, no --preset or --family for ``problem``, no --preset or --model for
+parameters that are unreadable, fractional where an integer is read, not
+read, or a two_sat negation flag other than a boolean, 0 or 1, no --preset
+or --family for ``problem``, no --preset or --model for
 ``pipeline`` and ``optimize``, ``report`` without inputs or with more than
 one of --from-spectral, --presets and result files, or a layout whose atom
 count differs from the model's or that puts two atoms on one site); 3 a
 problem, model or hardness analysis that cannot be built, or a model that
 cannot be encoded; 4 solution quality below --threshold, or a failed
-validation; 5 propagation failure. Subcommands raise; main() alone maps an
+validation; 5 propagation failure. A reader that closes stdout early ends
+the command quietly with exit 0. Subcommands raise; main() alone maps an
 exception to its exit code through FAILURES. Any other exception is a bug
 and prints a traceback.
 """
@@ -21,6 +23,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -413,7 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as ``| head`` does; point stdout at
+        # devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except _MAPPED as exc:
         code, prefix = next((code, prefix) for kind, code, prefix in FAILURES
                             if isinstance(exc, kind))

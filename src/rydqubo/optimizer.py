@@ -1,10 +1,12 @@
 """Hybrid pulse-shape optimization: gradient -> simplex -> gradient.
 
 The objective is the final-time expectation of the encoded target
-Hamiltonian; the gradient stage uses BFGS fed with deterministic central
-finite differences, the middle stage is a Nelder-Mead simplex restarted at
-the incumbent.  Identical (target, plan, seed) inputs reproduce bit-identical
-results.
+Hamiltonian; the gradient stages run BFGS on the objective's value and its
+exact adjoint gradient (``annealer.energy_gradient``), the middle stage is a
+Nelder-Mead simplex restarted at the incumbent.  A stage budget counts
+objective evaluations: a value is 1, a gradient 2P for P coefficients, the
+central-difference probes it replaces.  Identical (target, plan, seed) inputs
+reproduce bit-identical results.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .annealer import PropagationConfig, Schedule, Trajectory, propagate
+from .annealer import (PropagationConfig, Schedule, Trajectory,
+                       energy_gradient, propagate)
 from .encoding import EncodedTarget
 
-FD_REL_STEP = 1e-4  # relative central-difference step of the gradient stages
+FD_REL_STEP = 1e-4  # relative step of the central-difference test oracle
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,11 @@ def approximation_ratio(c_max: float, c_opt: float, c_obt: float) -> float:
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float],
                                params: np.ndarray) -> np.ndarray:
-    """Central differences with per-coordinate step h_i = FD_REL_STEP*(1+|p_i|)."""
+    """Central differences with per-coordinate step h_i = FD_REL_STEP*(1+|p_i|).
+
+    The optimizer does not use it: it is the oracle the gradient is tested
+    against.
+    """
     params = np.asarray(params, dtype=float)
     grad = np.empty_like(params)
     for i in range(params.size):
@@ -130,13 +137,24 @@ class AnnealObjective:
         _, traj = self.propagate(params)
         return float(traj.energy[-1])
 
+    def value_and_gradient(self, params: Sequence[float]
+                           ) -> tuple[float, np.ndarray]:
+        """(E(T), exact dE/dparams); E(T) equals ``self(params)`` bit for bit."""
+        energy, grad_delta, grad_omega = energy_gradient(
+            self.enc, self.schedule_for(params), self.cfg)
+        return energy, np.concatenate((grad_delta, grad_omega))
+
 
 class _BudgetExceeded(Exception):
     pass
 
 
 class _Tracker:
-    """Wraps an objective: counts evaluations, tracks the incumbent, enforces budgets."""
+    """Wraps an objective: counts evaluations, tracks the incumbent, enforces budgets.
+
+    The trace gets one best-so-far entry per charged evaluation.  Only
+    evaluated values become the incumbent.
+    """
 
     def __init__(self, fn: AnnealObjective):
         self.fn = fn
@@ -149,16 +167,36 @@ class _Tracker:
     def set_budget(self, limit: int):
         self.limit = self.count + limit
 
-    def __call__(self, params: np.ndarray) -> float:
+    def _charge_value(self) -> None:
         if self.count >= self.limit:
             raise _BudgetExceeded
         self.count += 1
-        e = self.fn(params)
+
+    def _record(self, params: np.ndarray, e: float) -> None:
         if e < self.best_e:
             self.best_e = e
             self.best_params = np.asarray(params, dtype=float).copy()
         self.trace.append(self.best_e)
+
+    def __call__(self, params: np.ndarray) -> float:
+        self._charge_value()
+        e = self.fn(params)
+        self._record(params, e)
         return e
+
+    def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
+        """1 evaluation for the value, as ``__call__``, then 2P for the
+        gradient; when fewer than 2P remain, the rest is charged and the
+        budget is exceeded."""
+        self._charge_value()
+        e, grad = self.fn.value_and_gradient(params)
+        self._record(params, e)
+        probes = min(2 * grad.size, self.limit - self.count)
+        self.count += probes
+        self.trace.extend([self.best_e] * probes)
+        if probes < 2 * grad.size:
+            raise _BudgetExceeded
+        return e, grad
 
 
 def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
@@ -192,8 +230,8 @@ def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
         mark = len(tracker.trace)
         try:
             if stage.kind == "gradient":
-                jac = lambda p: finite_difference_gradient(tracker, p)
-                res = minimize(tracker, params, jac=jac, method="BFGS",
+                res = minimize(tracker.value_and_gradient, params, jac=True,
+                               method="BFGS",
                                options={"maxiter": stage.max_evals,
                                         "gtol": stage.tolerance})
             else:

@@ -426,13 +426,21 @@ def _int(value) -> int:
     return int(value)
 
 
+def _flag(value) -> bool:
+    """A negation flag: a JSON boolean or the integer 0 or 1, nothing else."""
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise ValueError(f"expected a boolean flag, got {value!r}")
+
+
 def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
     """(instance, model) of one family from JSON-style parameters, as the CLI
     reads them; missing required keys raise KeyError, keys the family does not
-    read and non-integral integer fields raise ValueError."""
+    read, non-integral integer fields and two_sat negation flags that are
+    not a boolean, 0 or 1 raise ValueError."""
     params = {**params}  # each key is popped as it is read
     if family == "two_sat":
-        clauses = tuple(tuple((_int(i), bool(neg)) for i, neg in clause)
+        clauses = tuple(tuple((_int(i), _flag(neg)) for i, neg in clause)
                         for clause in params.pop("clauses"))
         inst = TwoSatInstance(_int(params.pop("n")), clauses,
                               float(params.pop("penalty", 1.0)))

@@ -7,8 +7,9 @@ import pytest
 from rydqubo import annealer
 from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
                               PropagationConfig, Schedule, Trajectory,
-                              _pauli_x_total, _run_steps, initial_basis_index,
-                              propagate, target_ground_indices)
+                              _pauli_x_total, _run_steps, energy_gradient,
+                              initial_basis_index, propagate,
+                              target_ground_indices)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.problems import preset_instance
@@ -328,3 +329,50 @@ def test_adaptive_propagation_bit_identical_two_sat(monkeypatch):
     for field in ("times", "omega", "delta_g", "energy", "fidelity"):
         assert (getattr(traj, field) == getattr(traj_ref, field)).all()
     assert traj.norm_error == traj_ref.norm_error
+
+
+# --- exact gradient ------------------------------------------------------------
+
+def _central_differences(f, params, h=1e-6):
+    grad = np.empty_like(params)
+    for i in range(params.size):
+        up, dn = params.copy(), params.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (f(up) - f(dn)) / (2.0 * h)
+    return grad
+
+
+def test_energy_gradient_zero_on_clipped_steps():
+    """b_1 drives |Omega| past omega_max on about half the steps; the clipped
+    steps must add nothing, or the gradient would miss central differences."""
+    enc = _preset_target("qap")
+    template = Schedule(6.0, (0.3, -0.2), (0.0, 0.0), omega_max=2.0,
+                        sample_count=21)
+    cfg = PropagationConfig(initial_steps=200, adaptive=False)
+    b = np.array([3.0, 0.4])
+    mid = (np.arange(200) + 0.5) * 6.0 / 200
+    unclipped = template.sine_table(mid)[1][:, :2] @ b
+    clipped = np.abs(unclipped) > template.omega_max
+    assert 0.3 < clipped.mean() < 0.7
+    # away from the kink: no step sits within a finite-difference probe of it
+    assert np.min(np.abs(np.abs(unclipped) - template.omega_max)) > 1e-4
+
+    def energy(omega_coeffs):
+        sched = replace(template, omega_coeffs=tuple(omega_coeffs))
+        return float(propagate(enc, sched, cfg)[1].energy[-1])
+
+    value, grad_delta, grad_omega = energy_gradient(
+        enc, replace(template, omega_coeffs=tuple(b)), cfg)
+    assert value == energy(b)
+    assert grad_delta.shape == (2,)
+    fd = _central_differences(energy, b)
+    assert np.linalg.norm(grad_omega - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+def test_energy_gradient_refuses_non_finite_and_adaptive():
+    enc = single_atom(delta=1.0)
+    with pytest.raises(FloatingPointError):
+        energy_gradient(enc, Schedule(2.0, (float("nan"),), (1.0,)))
+    with pytest.raises(ValueError, match="fixed-step"):
+        energy_gradient(enc, Schedule(2.0, (), (1.0,)), PropagationConfig())

@@ -328,6 +328,10 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
     pytest.param(two_sat('{"n": 2.9, "clauses": [[[0, false], [1.9, false]]]}'),
                  2, "error: bad family parameters: ValueError: ",
                  id="params-fractional-index"),
+    # a negation flag is a boolean, 0 or 1; "false" is not false
+    pytest.param(two_sat('{"n": 2, "clauses": [[[0, "false"], [1, 0.5]]]}'),
+                 2, "error: bad family parameters: ValueError: ",
+                 id="params-non-boolean-flag"),
     pytest.param(["problem", "--family", "protein", "--params",
                   '{"length": 4, "hydrophobic": [1.7, 1, 0, 1]}'],
                  2, "error: bad family parameters: ValueError: ",
@@ -486,3 +490,21 @@ def test_bad_duration_exits_2_without_traceback(xor_model_file):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "--duration: must be positive" in proc.stderr
+
+
+def test_closed_stdout_exits_0_quietly():
+    """A reader that closes the pipe early, as ``| head`` does, is no failure.
+    The read end is closed before the child starts, so its first write fails
+    whatever the pipe's buffer size."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rydqubo.cli", "problem",
+                               "--preset", "two_sat"], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

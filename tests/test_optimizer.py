@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rydqubo import optimizer
 from rydqubo.annealer import (PropagationConfig, Schedule,
                               initial_basis_index, propagate,
                               target_ground_indices)
 from rydqubo.encoding import IsingModel, encode
-from rydqubo.models import model_from_dict
+from rydqubo.models import as_ising, model_from_dict
 from rydqubo.optimizer import (AnnealObjective, OptimizationResult, Stage,
                                StagePlan, approximation_ratio,
                                finite_difference_gradient, initial_parameters,
                                run_hybrid)
 from rydqubo.pipeline import default_schedule, encode_for_annealing
-from rydqubo.problems import preset_instance
+from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import TIED_START_MODEL
 
@@ -123,6 +124,32 @@ def test_gradient_rejects_non_finite():
         finite_difference_gradient(f, np.zeros(2))
 
 
+def preset_objective(name):
+    enc = encode_for_annealing(as_ising(preset_instance(name).model)).target
+    return AnnealObjective(enc, default_schedule(name, enc))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_adjoint_gradient_matches_central_differences(name):
+    """At the start pulse and three seeded starts, the value is the objective
+    bit for bit and the gradient is central differences at h = 1e-6 within
+    1e-5 relative.  The scale is at least 1: clustering's start pulse is
+    nearly flat (|g| = 0.01), and there the round-off of the differences,
+    about 3e-7, is the whole discrepancy."""
+    obj = preset_objective(name)
+    for seed in range(4):
+        p = initial_parameters(obj.template, seed)
+        value, grad = obj.value_and_gradient(p)
+        assert value == obj(p)
+        fd = np.empty_like(p)
+        for i in range(p.size):
+            up, dn = p.copy(), p.copy()
+            up[i] += 1e-6
+            dn[i] -= 1e-6
+            fd[i] = (obj(up) - obj(dn)) / 2e-6
+        assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
+
+
 # --- objective ---------------------------------------------------------------
 
 def test_objective_parameter_split():
@@ -189,6 +216,30 @@ def test_run_hybrid_deterministic():
     assert a.evaluations == b.evaluations
 
 
+def test_run_hybrid_uses_no_finite_differences(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("finite differences in the optimizer")
+
+    monkeypatch.setattr(optimizer, "finite_difference_gradient", refuse)
+    res = run_hybrid(small_objective(), quick_plan(), seed=0)
+    assert res.evaluations > 0
+
+
+def test_gradient_stage_charges_probes_until_the_budget_is_spent():
+    """A value costs 1 evaluation and a gradient 2P = 8: three points and
+    a fourth value leave 2 of 30, which the fourth gradient spends."""
+    res = run_hybrid(small_objective(), StagePlan((Stage("gradient", 30),)))
+    assert res.evaluations == 30
+    assert res.budget_exhausted
+    assert len(res.stage_history[0]) == 30
+
+
+def test_default_plan_spends_every_evaluation():
+    res = run_hybrid(preset_objective("two_sat"))
+    assert res.evaluations == 800
+    assert [len(stage) for stage in res.stage_history] == [200, 400, 200]
+
+
 def test_run_hybrid_reports_source_cost():
     obj = small_objective()
     res = run_hybrid(obj, quick_plan(), seed=0)
@@ -209,12 +260,15 @@ from rydqubo.problems import preset_instance
 for name in ("two_sat", "qap", "clustering"):
     enc = encode_for_annealing(as_ising(preset_instance(name).model)).target
     objective = AnnealObjective(enc, default_schedule(name, enc))
-    print(name, objective(initial_parameters(objective.template)).hex())
+    params = initial_parameters(objective.template)
+    _, grad = objective.value_and_gradient(params)
+    print(name, objective(params).hex(), *map(float.hex, grad.tolist()))
 """
 
 
 def test_objective_invariant_to_blas_threads():
-    """The solve presets' objective is bit-identical on 1 and 2 BLAS threads."""
+    """The solve presets' objective and its gradient are bit-identical on 1
+    and 2 BLAS threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for threads in ("1", "2"):
