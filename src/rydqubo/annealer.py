@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import EncodedTarget, HardwareLimits
+from .models import _int
 
 DIM_CAP = 10  # atoms; 2^10 state-vector entries
 MAX_DOUBLINGS = 10  # adaptive step doublings before AnnealerError
@@ -40,7 +41,7 @@ class Schedule:
     sample_count: int = 201
 
     def __post_init__(self):
-        if self.t_total <= 0:
+        if not self.t_total > 0:  # also rejects nan
             raise ValueError("protocol duration must be positive")
         if self.sample_count < 2:
             raise ValueError("sample_count must be at least 2")
@@ -85,7 +86,7 @@ class Schedule:
                         tuple(data["omega"]["coeffs"]),
                         float(data["delta"].get("delta0", -1.0)),
                         float(data["omega"].get("omega_max", Schedule.omega_max)),
-                        int(data.get("sample_count", 201)))
+                        _int(data.get("sample_count", 201)))
 
 
 @dataclass(frozen=True)
@@ -193,25 +194,27 @@ def _sweep(enc: EncodedTarget, schedule: Schedule, psi: np.ndarray,
 
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
-               n_steps: int, sample_times: np.ndarray,
-               ground_indices: Sequence[int], x_total: np.ndarray):
-    """``_sweep`` read at the sample times: returns the final state and, at
-    each sample time, the grid time, energy, fidelity and | ||psi|| - 1 |."""
-    t_grid, _ = _step_grid(schedule, n_steps)
-    target = enc.diagonal_energies()
-
-    sample_idx = np.searchsorted(t_grid, sample_times - 1e-12)
-    snap_steps, snap_of_sample = np.unique(sample_idx, return_inverse=True)
-    snaps = np.empty((len(snap_steps), len(psi0)), dtype=complex)
+               n_steps: int, ground_indices: Sequence[int],
+               x_total: np.ndarray) -> tuple[np.ndarray, Trajectory]:
+    """``_sweep`` read at every stride-th state, stride = n_steps /
+    (sample_count - 1): returns the final state and the trajectory at those
+    grid times.  n_steps must be a multiple of sample_count - 1, as
+    ``_step_count`` makes it and doubling keeps it."""
+    stride = n_steps // (schedule.sample_count - 1)
+    snaps = []
     for lo, _, _, states in _sweep(enc, schedule, psi0, n_steps, x_total):
-        rows = np.flatnonzero((snap_steps >= lo) & (snap_steps < lo + len(states)))
-        snaps[rows] = states[snap_steps[rows] - lo]
+        # a block's last row is the next block's first; copies free the block
+        snaps.append(states[-lo % stride:-1:stride].copy())
 
-    probs = np.abs(snaps[snap_of_sample]) ** 2
+    target = enc.diagonal_energies()
+    probs = np.abs(np.concatenate([*snaps, states[-1:]])) ** 2
     energy = np.array([row @ target for row in probs]) + enc.constant
     fids = probs[:, list(ground_indices)].sum(axis=1)
     norm_err = np.abs(np.sqrt(probs.sum(axis=1)) - 1.0)
-    return states[-1], t_grid[sample_idx], energy, fids, norm_err
+    times = _step_grid(schedule, n_steps)[0][::stride]
+    delta_g, omega = schedule.profiles(times)
+    return states[-1], Trajectory(times, omega, delta_g, energy, fids,
+                                  float(norm_err.max()))
 
 
 def energy_gradient(enc: EncodedTarget, schedule: Schedule,
@@ -301,25 +304,20 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
     if psi0 is None:
         psi0 = _start_state(enc, schedule)
 
-    sample_times = np.linspace(0.0, schedule.t_total, schedule.sample_count)
     tol = cfg.tolerance_rel * enc.energy_scale
     n_steps = _step_count(schedule, cfg)
-    psi, times, energy, fids, norm_err = _run_steps(
-        enc, schedule, psi0, n_steps, sample_times, ground_indices, x_total)
+    psi, traj = _run_steps(enc, schedule, psi0, n_steps, ground_indices,
+                           x_total)
     if cfg.adaptive:
         for _ in range(MAX_DOUBLINGS):
             n_steps *= 2
-            e_prev = energy[-1]
-            psi, times, energy, fids, norm_err = _run_steps(
-                enc, schedule, psi0, n_steps, sample_times, ground_indices,
-                x_total)
-            if abs(energy[-1] - e_prev) < tol:
+            e_prev = traj.energy[-1]
+            psi, traj = _run_steps(enc, schedule, psi0, n_steps,
+                                   ground_indices, x_total)
+            if abs(traj.energy[-1] - e_prev) < tol:
                 break
         else:
             raise AnnealerError(
                 f"E(T) not converged to {cfg.tolerance_rel} after "
                 f"{MAX_DOUBLINGS} step doublings")
-
-    delta_g, omega = schedule.profiles(times)
-    traj = Trajectory(times, omega, delta_g, energy, fids, float(norm_err.max()))
     return psi, traj

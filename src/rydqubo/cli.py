@@ -1,6 +1,8 @@
 """Command-line surface: build -> encode -> layout -> optimize -> report.
 
-Exit codes: 0 success; 2 bad arguments (a missing or malformed input file, a
+Exit codes: 0 success; 2 bad arguments (a non-positive --duration or
+--steps, a missing or malformed input file, a non-finite number in any JSON
+input, a fractional number where an input file holds an integer, a
 schedule file whose basis is not "fourier", an unwritable --out or --out-dir
 path (an --out-dir that cannot be created fails before the run), family
 parameters that are unreadable, fractional where an integer is read, not
@@ -23,6 +25,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,13 +34,13 @@ from .annealer import AnnealerError, PropagationConfig, Schedule, propagate
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
                        embed_layout, validate)
 from .hardness import (DEFAULT_EPSILON, HardnessError, analyze_model,
-                       analyze_supplied, format_csv, format_table,
-                       format_value, report_row, report_rows)
-from .models import (ModelError, as_ising, enumerate_spectrum,
-                     model_from_dict, state_bits)
+                       analyze_spectrum, analyze_supplied, format_csv,
+                       format_table, format_value, report_row, report_rows)
+from .models import (ModelError, _int, enumerate_spectrum, model_from_dict,
+                     state_bits)
 from .optimizer import AnnealObjective, StagePlan, initial_parameters
 from .pipeline import (default_schedule, encode_for_annealing, result_json,
-                       run_pipeline, trajectory_csv, trajectory_table)
+                       run_pipeline, trajectory_csv)
 from .problems import (PRESET_NAMES, ProblemError, build_from_params,
                        preset_instance)
 
@@ -65,12 +68,30 @@ FAILURES = (
 _MAPPED = tuple(kind for kind, _, _ in FAILURES)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise OverflowError(f"number {text} overflows a float")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _parse_json(text: str):
+    """JSON text as Python data; NaN and +-Infinity raise ValueError, and a
+    number that overflows a float raises OverflowError."""
+    return json.loads(text, parse_float=_finite_float,
+                      parse_constant=_reject_constant)
+
+
 def _load_json(path: str, what: str, parse):
     """``parse`` applied to the JSON in ``path``; every failure is a
     UsageError."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
+            return parse(_parse_json(fh.read()))
     except (OSError, AttributeError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise UsageError(
@@ -119,10 +140,10 @@ def cmd_problem(args) -> int:
         meta["preset"] = preset.name
     elif args.family:
         with _bad_input("family parameters"):
-            params = json.loads(args.params) if args.params else {}
+            params = _parse_json(args.params) if args.params else {}
             for key in ("constraints", "clauses"):
                 if getattr(args, key):
-                    params[key] = json.loads(getattr(args, key))
+                    params[key] = _parse_json(getattr(args, key))
             if "n" not in params and args.n is not None:
                 params["n"] = args.n
             _, model = build_from_params(args.family, params)
@@ -221,8 +242,7 @@ def cmd_anneal(args) -> int:
             initial_parameters(template))
     _, traj = propagate(enc, schedule,
                         PropagationConfig(initial_steps=args.steps))
-    rows = trajectory_table(traj, enc.delta_final)
-    _emit(args, format_csv(rows, list(rows[0])))
+    _emit(args, trajectory_csv(traj, enc.delta_final))
     print(f"# E(T)={format_value(traj.energy[-1])} "
           f"F(T)={format_value(traj.fidelity[-1])}", file=sys.stderr)
     return EXIT_OK
@@ -244,15 +264,17 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
 
     _write(out_dir / f"{instance_name}_result.json",
            json.dumps(result_json(result), indent=2))
-    _write(out_dir / f"{instance_name}_trajectory.csv", trajectory_csv(result))
+    opt = result.optimization
+    _write(out_dir / f"{instance_name}_trajectory.csv",
+           f"# manifest {result.manifest.hash()}\n"
+           + trajectory_csv(opt.trajectory, result.outcome.target.delta_final))
     try:
-        row = report_row(instance_name, analyze_model(as_ising(model)))
+        row = report_row(instance_name, analyze_spectrum(result.spectrum))
     except HardnessError as exc:
         print(f"warning: hardness row failed: {exc}", file=sys.stderr)
     else:
         _write(out_dir / f"{instance_name}_hardness.csv", format_csv([row]))
 
-    opt = result.optimization
     print(f"instance={instance_name} R={format_value(opt.ratio)} "
           f"F={format_value(opt.f_best)} E={format_value(opt.e_best)} "
           f"evaluations={opt.evaluations} "
@@ -272,8 +294,8 @@ def cmd_pipeline(args) -> int:
 
 def _supplied_row(item: dict) -> dict:
     rep = analyze_supplied(
-        float(item["E0"]), float(item["gap"]), int(item["D_opt"]),
-        int(item.get("D_E1", 0)),
+        float(item["E0"]), float(item["gap"]), _int(item["D_opt"]),
+        _int(item.get("D_E1", 0)),
         [(float(d), float(de)) for d, de in item["threat_degeneracies"]],
         float(item["E_max"]) if "E_max" in item else None)
     # a width normalization replaces the provenance note instead of extending it
@@ -318,6 +340,13 @@ def cmd_report(args) -> int:
 
 def positive_float(text: str) -> float:
     value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -385,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--schedule", help="schedule JSON file")
     p.add_argument("--duration", type=positive_float, default=None)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--out")
     add_common(p, "--config", "--mode")
     p.set_defaults(func=cmd_anneal)

@@ -50,7 +50,7 @@ class HardwareLimits:
     def __post_init__(self):
         for name in ("delta_max", "omega_max", "r_min", "r_far", "t_max",
                      "c6", "lifetime_us"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects nan
                 raise ValueError(f"{name} must be positive")
 
 

@@ -19,6 +19,13 @@ class ModelError(ValueError):
     """Invalid model data or incompatible model operands."""
 
 
+def _int(value) -> int:
+    """int(value), refusing a float that is not integral."""
+    if isinstance(value, float) and int(value) != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _normalize_pairs(n: int, quadratic: Mapping) -> dict[tuple[int, int], float]:
     out: dict[tuple[int, int], float] = {}
     for (i, j), coeff in quadratic.items():
@@ -191,9 +198,12 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
 
 def model_from_dict(data: Mapping) -> QuboModel | IsingModel:
     try:
-        n = int(data["n"])
+        n = _int(data["n"])
         linear = [float(a) for a in data["linear"]]
-        quadratic = {(int(i), int(j)): float(c) for i, j, c in data["quadratic"]}
+        quadratic: dict[tuple[int, int], float] = {}
+        for i, j, c in data["quadratic"]:  # a repeated pair sums, as (j, i) does
+            key = (_int(i), _int(j))
+            quadratic[key] = quadratic.get(key, 0.0) + float(c)
         constant = float(data.get("constant", 0.0))
         convention = data.get("convention", "qubo")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -21,6 +21,7 @@ from scipy.optimize import minimize
 from .annealer import (PropagationConfig, Schedule, Trajectory,
                        energy_gradient, propagate)
 from .encoding import EncodedTarget
+from .models import _int
 
 FD_REL_STEP = 1e-4  # relative step of the central-difference test oracle
 
@@ -58,7 +59,7 @@ class StagePlan:
 
     @staticmethod
     def from_dict(data: dict) -> "StagePlan":
-        return StagePlan(tuple(Stage(s["kind"], int(s["max_evals"]),
+        return StagePlan(tuple(Stage(s["kind"], _int(s["max_evals"]),
                                      float(s.get("tolerance", 1e-9)))
                                for s in data["stages"]))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .annealer import Schedule, Trajectory, initial_basis_index
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        encode, gauge_fix, rescale)
 from .hardness import format_csv
-from .models import IsingModel, QuboModel, as_ising, enumerate_spectrum
+from .models import (IsingModel, QuboModel, SpectrumTable, as_ising,
+                     enumerate_spectrum)
 from .optimizer import (AnnealObjective, OptimizationResult, StagePlan,
                         run_hybrid)
 from .problems import preset_instance
@@ -39,10 +40,7 @@ class RunManifest:
     timestamp: str = ""
 
     def to_dict(self) -> dict:
-        return {"instance": self.instance, "mode": self.mode,
-                "schedule": self.schedule, "plan": self.plan,
-                "seed": self.seed, "version": self.version,
-                "timestamp": self.timestamp}
+        return asdict(self)
 
     def hash(self) -> str:
         # the timestamp is metadata, not identity
@@ -113,10 +111,13 @@ class PipelineResult:
     manifest: RunManifest
     outcome: EncodingOutcome
     optimization: OptimizationResult
-    c_opt: float
-    c_max: float
-    ground_states: tuple[int, ...]
-    trajectory_rows: list[dict]
+    spectrum: SpectrumTable        # of the source model
+
+    @property
+    def ground_states(self) -> tuple[int, ...]:
+        """Ground patterns in the source-model frame; gauge flips only affect
+        the encoded target, whose ground set the objective already tracks."""
+        return self.spectrum.ground_states
 
 
 def run_pipeline(model: IsingModel | QuboModel,
@@ -141,32 +142,19 @@ def run_pipeline(model: IsingModel | QuboModel,
                            plan.to_dict(), seed,
                            timestamp=datetime.datetime.now(
                                datetime.timezone.utc).isoformat())
-    rows = trajectory_table(result.trajectory, enc.delta_final)
-
-    # ground patterns in the source-model frame (gauge flips only affect the
-    # encoded target, whose ground set the objective already tracks)
-    return PipelineResult(manifest, outcome, result, spectrum.e_min,
-                          spectrum.e_max, spectrum.ground_states, rows)
+    return PipelineResult(manifest, outcome, result, spectrum)
 
 
-def trajectory_table(traj: Trajectory, delta_final: np.ndarray) -> list[dict]:
-    """One row per sample: t, Omega, Delta_G, each Delta_j(t) = Delta_G(t)
-    Delta_j(T), E and F."""
-    rows = []
-    for k in range(len(traj.times)):
-        row = {"t_us": traj.times[k], "omega": traj.omega[k],
-               "delta_G": traj.delta_g[k]}
-        for j in range(len(delta_final)):
-            row[f"delta_{j + 1}"] = traj.delta_g[k] * delta_final[j]
-        row["E"] = traj.energy[k]
-        row["F"] = traj.fidelity[k]
-        rows.append(row)
-    return rows
-
-
-def trajectory_csv(result: PipelineResult) -> str:
-    return ("# manifest " + result.manifest.hash() + "\n" +
-            format_csv(result.trajectory_rows, list(result.trajectory_rows[0])))
+def trajectory_csv(traj: Trajectory, delta_final: np.ndarray) -> str:
+    """The trajectory as CSV, one row per sample: t, Omega, Delta_G, each
+    Delta_j(t) = Delta_G(t) Delta_j(T), E and F."""
+    columns = ["t_us", "omega", "delta_G",
+               *(f"delta_{j + 1}" for j in range(len(delta_final))), "E", "F"]
+    table = np.column_stack((traj.times, traj.omega, traj.delta_g,
+                             np.multiply.outer(traj.delta_g, delta_final),
+                             traj.energy, traj.fidelity))
+    return format_csv([dict(zip(columns, row)) for row in table.tolist()],
+                      columns)
 
 
 def result_json(result: PipelineResult) -> dict:
@@ -184,8 +172,8 @@ def result_json(result: PipelineResult) -> dict:
         "E_final": opt.e_best,
         "F_final": opt.f_best,
         "R": opt.ratio,
-        "C_opt": result.c_opt,
-        "C_max": result.c_max,
+        "C_opt": result.spectrum.e_min,
+        "C_max": result.spectrum.e_max,
         "C_obt": opt.c_obt,
         "evaluations": opt.evaluations,
         "budget_exhausted": opt.budget_exhausted,

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import QuboModel
+from .models import QuboModel, _int
 
 Literal = tuple[int, bool]  # (variable index, negated flag)
 
@@ -417,13 +417,6 @@ def preset_instance(name: str) -> Preset:
                 "degeneracy_pinned": False, "duration_us": 80.0}
         return Preset(name, inst, build_protein_toy(inst), meta)
     raise ProblemError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-
-
-def _int(value) -> int:
-    """int(value), refusing a float that is not integral."""
-    if isinstance(value, float) and int(value) != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _flag(value) -> bool:

@@ -39,8 +39,9 @@ def test_schedule_omega_clipping():
 
 
 def test_schedule_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        Schedule(-1.0, (), ())
+    for duration in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            Schedule(duration, (), ())
     s = Schedule(1.0, (), (1.0,))
     with pytest.raises(ValueError):
         s.profiles(2.0)
@@ -48,6 +49,9 @@ def test_schedule_rejects_bad_inputs():
     for basis in ("spline", "legendre"):
         with pytest.raises(ValueError, match="unknown basis"):
             Schedule.from_dict({**data, "basis": basis})
+    with pytest.raises(ValueError, match="expected an integer"):
+        Schedule.from_dict({**data, "sample_count": 3.7})
+    assert Schedule.from_dict({**data, "sample_count": 3.0}).sample_count == 3
 
 
 def test_schedule_json_round_trip():
@@ -206,12 +210,12 @@ def test_propagation_on_preset_encodings():
 
 # --- blocked propagation against the per-step reference ----------------------
 
-def _reference_run_steps(enc, schedule, psi0, n_steps, sample_times,
-                         ground_indices, x_total):
+def _reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
+                         x_total):
     """One eigh per step: the loop the stacked blocks replaced.
 
-    Returns the final state and, per sample, the grid time, energy,
-    fidelity and norm error, as ``_run_steps`` does.
+    Returns the final state and the trajectory at every stride-th grid
+    time, as ``_run_steps`` does.
     """
     t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
     mid = 0.5 * (t_grid[:-1] + t_grid[1:])
@@ -219,39 +223,46 @@ def _reference_run_steps(enc, schedule, psi0, n_steps, sample_times,
     dt = schedule.t_total / n_steps
     v_part, delta_part = enc.diagonal_parts
     target = enc.diagonal_energies()
-
-    sample_idx = np.searchsorted(t_grid, sample_times - 1e-12)
-    records = {}
+    stride = n_steps // (schedule.sample_count - 1)
+    records = []
     psi = psi0.astype(complex).copy()
 
-    def record(step_index):
+    def record():
         probs = np.abs(psi) ** 2
         e = float(probs @ target) + enc.constant
         f = float(probs[list(ground_indices)].sum())
         nrm = abs(math.sqrt(float(probs.sum())) - 1.0)
-        records[step_index] = (e, f, nrm)
+        records.append((e, f, nrm))
 
-    record(0)
+    record()
     for step in range(n_steps):
         h = (om[step] / 2.0) * x_total
         h[np.diag_indices_from(h)] += v_part - dg[step] * delta_part
         evals, evecs = np.linalg.eigh(h)
         psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
-        if step + 1 in sample_idx or step + 1 == n_steps:
-            record(step + 1)
-    e, f, nrm = (np.array([records[int(i)][c] for i in sample_idx])
-                 for c in range(3))
-    return psi, t_grid[sample_idx], e, f, nrm
+        if (step + 1) % stride == 0:
+            record()
+    e, f, nrm = (np.array(column) for column in zip(*records))
+    times = t_grid[::stride]
+    delta_g, omega = schedule.profiles(times)
+    return psi, Trajectory(times, omega, delta_g, e, f, float(nrm.max()))
 
 
-def _assert_runs_identical(enc, schedule, psi0, n_steps, sample_times,
-                           ground):
-    x_total = _pauli_x_total(enc.n)
-    args = (enc, schedule, psi0, n_steps, sample_times, ground, x_total)
-    got, want = _run_steps(*args), _reference_run_steps(*args)
-    for a, b in zip(got, want):
+def _assert_trajectories_identical(got, want):
+    for field in ("times", "omega", "delta_g", "energy", "fidelity"):
+        a, b = getattr(got, field), getattr(want, field)
         assert a.shape == b.shape
         assert (a == b).all()
+    assert got.norm_error == want.norm_error
+
+
+def _assert_runs_identical(enc, schedule, psi0, n_steps, ground):
+    x_total = _pauli_x_total(enc.n)
+    args = (enc, schedule, psi0, n_steps, ground, x_total)
+    (psi, traj), (psi_ref, traj_ref) = (_run_steps(*args),
+                                        _reference_run_steps(*args))
+    assert (psi == psi_ref).all()
+    _assert_trajectories_identical(traj, traj_ref)
 
 
 def _preset_target(name):
@@ -271,31 +282,19 @@ def test_blocked_steps_bit_identical_to_per_step_loop(n, rng):
     sched = Schedule(3.0, (0.2, -0.1), (1.5, 0.4), sample_count=21)
     psi0 = np.zeros(1 << n, dtype=complex)
     psi0[0] = 1.0
-    _assert_runs_identical(enc, sched, psi0, 200,
-                           np.linspace(0.0, 3.0, 21), [1])
+    _assert_runs_identical(enc, sched, psi0, 200, [1])
 
 
 def test_blocked_steps_bit_identical_across_blocks():
     enc = _preset_target("clustering")
     assert enc.n == 5
-    n_steps = 3 * (BLOCK_BYTES // (8 * 32 * 32)) + 7  # three full blocks + a partial one
+    # three full blocks and a partial one, on a multiple of the 10 intervals
+    n_steps = 3 * (BLOCK_BYTES // (8 * 32 * 32)) + 14
     sched = Schedule(4.0, (0.3,), (2.0, -0.5), sample_count=11)
     psi0 = np.zeros(32, dtype=complex)
     psi0[0] = 1.0
     _assert_runs_identical(enc, sched, psi0, n_steps,
-                           np.linspace(0.0, 4.0, 11),
                            target_ground_indices(enc))
-
-
-def test_blocked_steps_bit_identical_incommensurate_samples(rng):
-    enc = _random_target(rng, 3)
-    sched = Schedule(2.0, (0.1,), (1.0,))
-    psi0 = np.zeros(8, dtype=complex)
-    psi0[0] = 1.0
-    # 17 samples on 50 steps, and 60 samples on 13 steps (repeated indices)
-    for n_steps, count in ((50, 17), (13, 60)):
-        _assert_runs_identical(enc, sched, psi0, n_steps,
-                               np.linspace(0.0, 2.0, count), [2, 5])
 
 
 def test_blocked_steps_bit_identical_superposition_start(rng):
@@ -303,8 +302,7 @@ def test_blocked_steps_bit_identical_superposition_start(rng):
     sched = Schedule(2.5, (-0.2,), (0.8, 0.3), sample_count=26)
     psi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi0 /= np.linalg.norm(psi0)
-    _assert_runs_identical(enc, sched, psi0, 150,
-                           np.linspace(0.0, 2.5, 26), [0, 3, 9])
+    _assert_runs_identical(enc, sched, psi0, 150, [0, 3, 9])
 
 
 def test_adaptive_propagation_bit_identical_two_sat(monkeypatch):
@@ -326,9 +324,7 @@ def test_adaptive_propagation_bit_identical_two_sat(monkeypatch):
     psi_ref, traj_ref = propagate(enc, sched, cfg)
     assert len(calls) > 2  # the adaptive loop doubled at least twice
     assert (psi == psi_ref).all()
-    for field in ("times", "omega", "delta_g", "energy", "fidelity"):
-        assert (getattr(traj, field) == getattr(traj_ref, field)).all()
-    assert traj.norm_error == traj_ref.norm_error
+    _assert_trajectories_identical(traj, traj_ref)
 
 
 # --- exact gradient ------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rydqubo import cli
+from rydqubo import cli, models
 from rydqubo.annealer import PropagationConfig
 from rydqubo.cli import main
 from rydqubo.hardness import format_value
@@ -277,12 +277,32 @@ def input_files(tmp_path, xor_model_file):
     """Named input files: the xor_sat preset, the frustrated mixed preset, an
     11-variable model, a model whose n overflows int, layouts of two atoms
     and of three atoms of which two coincide, a schedule in a basis other
-    than Fourier, a one-evaluation plan and a one-row spectral input; and an
-    output path in a missing directory."""
+    than Fourier, a one-evaluation plan and a one-row spectral input; files
+    that hold NaN or Infinity, or a fractional number where an integer is
+    read; an output path in a missing directory, and an output directory."""
+    nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
+                                   "omega": {"coeffs": [1.0]}}
+    gradient = {"kind": "gradient", "max_evals": 1}
+    spectral = {"problem": "x", "E0": -1.0, "gap": 0.5, "D_opt": 1,
+                "threat_degeneracies": []}
     data = {"mixed": preset_instance("mixed").model.to_dict(),
             "n11": {"n": 11, "linear": [1.0] * 11,
                     "quadratic": [[0, 1, 1.0]]},
             "overflow": {"n": 1e400, "linear": [], "quadratic": []},
+            "nan_model": {"n": 2, "linear": [nan, 1.0], "quadratic": []},
+            "fractional_n_model": {"n": 2.9, "linear": [1.0, 1.0],
+                                   "quadratic": []},
+            "fractional_pair_model": {"n": 3, "linear": [1.0] * 3,
+                                      "quadratic": [[0.5, 2, 1.0]]},
+            "nan_schedule": {**schedule, "delta": {"coeffs": [nan]}},
+            "nan_duration_schedule": {**schedule, "T_us": nan},
+            "fractional_schedule": {**schedule, "sample_count": 3.7},
+            "nan_config": {"omega_max": nan},
+            "infinite_config": {"t_max": float("inf")},
+            "nan_plan": {"stages": [{**gradient, "tolerance": nan}]},
+            "fractional_plan": {"stages": [{**gradient, "max_evals": 2.9}]},
+            "infinite_spectral": [{**spectral, "E0": -float("inf")}],
+            "fractional_spectral": [{**spectral, "D_opt": 1.5}],
             "pair_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]]},
             "coincident_layout": {"positions_um": [[0.0, 0.0], [0.0, 0.0],
                                                    [10.0, 0.0]]},
@@ -294,7 +314,8 @@ def input_files(tmp_path, xor_model_file):
             "spectral": [{"problem": "x", "E0": -1.0, "gap": 0.5, "D_opt": 1,
                           "threat_degeneracies": []}]}
     files = {"{xor}": xor_model_file,
-             "{missing_dir_out}": str(tmp_path / "missing" / "out.json")}
+             "{missing_dir_out}": str(tmp_path / "missing" / "out.json"),
+             "{out_dir}": str(tmp_path / "runs")}
     for name, content in data.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(content))
@@ -348,6 +369,54 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                   '{"n": 2, "constraints": [[0, 1, 1]]}', "--clauses", "[]"],
                  2, "error: bad family parameters: ValueError: ",
                  id="params-unread-clauses"),
+    pytest.param(two_sat('{"n": 2, "clauses": [[[0, false], [1, false]]], '
+                         '"penalty": NaN}'),
+                 2, "error: bad family parameters: ValueError: non-finite",
+                 id="params-nan"),
+    pytest.param(["problem", "--family", "xor_sat", "--params", '{"n": 2}',
+                  "--constraints", "[[0, 1, Infinity]]"],
+                 2, "error: bad family parameters: ValueError: non-finite",
+                 id="constraints-infinity"),
+    pytest.param(["problem", "--family", "two_sat", "--n", "2",
+                  "--clauses", "[[[0, false], [1, 1e400]]]"],
+                 2, "error: bad family parameters: OverflowError: ",
+                 id="clauses-overflow"),
+    pytest.param(["spectrum", "--model", "{nan_model}"], 2,
+                 "error: cannot load model ", id="model-nan"),
+    pytest.param(["hardness", "--model", "{nan_model}"], 2,
+                 "error: cannot load model ", id="hardness-model-nan"),
+    pytest.param(["spectrum", "--model", "{fractional_n_model}"], 2,
+                 "error: cannot load model ", id="model-fractional-n"),
+    pytest.param(["spectrum", "--model", "{fractional_pair_model}"], 2,
+                 "error: cannot load model ", id="model-fractional-pair"),
+    pytest.param(["anneal", "--model", "{xor}", "--schedule",
+                  "{nan_schedule}"],
+                 2, "error: cannot load schedule ", id="schedule-nan"),
+    pytest.param(["anneal", "--model", "{xor}", "--schedule",
+                  "{nan_duration_schedule}"],
+                 2, "error: cannot load schedule ", id="schedule-nan-duration"),
+    pytest.param(["anneal", "--model", "{xor}", "--schedule",
+                  "{fractional_schedule}"],
+                 2, "error: cannot load schedule ", id="schedule-fractional"),
+    pytest.param(["anneal", "--model", "{xor}", "--config", "{nan_config}"],
+                 2, "error: cannot load config ", id="config-nan"),
+    pytest.param(["anneal", "--model", "{xor}", "--config",
+                  "{infinite_config}"],
+                 2, "error: cannot load config ", id="config-infinity"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--plan", "{nan_plan}",
+                  "--out-dir", "{out_dir}"], 2, "error: cannot load plan ", id="plan-nan"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--plan",
+                  "{fractional_plan}", "--out-dir", "{out_dir}"],
+                 2, "error: cannot load plan ", id="plan-fractional"),
+    pytest.param(["report", "--from-spectral", "{infinite_spectral}"], 2,
+                 "error: cannot load spectral input ", id="spectral-infinity"),
+    pytest.param(["report", "--from-spectral", "{fractional_spectral}"], 2,
+                 "error: cannot load spectral input ",
+                 id="spectral-fractional"),
+    pytest.param(["anneal", "--model", "{xor}", "--steps", "0"], 2,
+                 "usage: rydqubo anneal", id="anneal-steps-zero"),
+    pytest.param(["anneal", "--model", "{xor}", "--steps", "-5"], 2,
+                 "usage: rydqubo anneal", id="anneal-steps-negative"),
     pytest.param(["problem"], 2, "error: provide --preset or --family",
                  id="problem-no-source"),
     pytest.param(["anneal", "--model", "{xor}", "--duration", "-1"], 2,
@@ -430,6 +499,66 @@ def test_anneal_default_drives_the_optimizer_start_pulse(capsys,
         initial_parameters(template), PropagationConfig(initial_steps=20))
     assert [row[header.index("E")] for row in rows] == [
         format_value(e) for e in traj.energy.tolist()]
+
+
+@pytest.fixture
+def short_run_files(tmp_path):
+    """(plan, schedule) files of a two-evaluation run over 2 us."""
+    plan, schedule = tmp_path / "plan.json", tmp_path / "schedule.json"
+    plan.write_text(json.dumps(
+        {"stages": [{"kind": "gradient", "max_evals": 2}]}))
+    schedule.write_text(json.dumps(
+        {"T_us": 2.0, "delta": {"coeffs": [0.0]}, "omega": {"coeffs": [1.0]},
+         "sample_count": 11}))
+    return str(plan), str(schedule)
+
+
+def test_pipeline_enumerates_the_spectrum_once(monkeypatch, capsys,
+                                               short_run_files, tmp_path):
+    """The hardness row reads the spectrum the run enumerated."""
+    real = models.enumerate_spectrum
+    calls = []
+
+    def counting(model):
+        calls.append(model.n)
+        return real(model)
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "rydqubo"
+               and getattr(module, "enumerate_spectrum", None) is real]
+    assert {"rydqubo.pipeline", "rydqubo.hardness"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "enumerate_spectrum", counting)
+    plan, schedule = short_run_files
+    code, _, err = run(capsys, "pipeline", "--preset", "xor_sat",
+                       "--plan", plan, "--schedule", schedule,
+                       "--threshold", "0", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert calls == [3]
+    assert (tmp_path / "xor_sat_hardness.csv").read_text().startswith(
+        "problem,")
+
+
+def test_anneal_and_pipeline_share_one_trajectory_table(
+        capsys, xor_model_file, short_run_files, tmp_path):
+    """The pipeline trajectory file is its manifest line and then the table
+    ``anneal`` prints for the optimized schedule."""
+    plan, schedule = short_run_files
+    code, _, err = run(capsys, "pipeline", "--model", xor_model_file,
+                       "--plan", plan, "--schedule", schedule,
+                       "--threshold", "0", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    result = json.loads((tmp_path / "xor_result.json").read_text())
+    optimized = tmp_path / "optimized.json"
+    optimized.write_text(json.dumps(result["schedule"]))
+    code, out, err = run(capsys, "anneal", "--model", xor_model_file,
+                         "--schedule", str(optimized))
+    assert code == 0, err
+    manifest, table = (tmp_path / "xor_trajectory.csv").read_text().split(
+        "\n", 1)
+    assert manifest == f"# manifest {result['manifest_hash']}"
+    assert table == out
+    assert len(out.splitlines()) == 1 + 11
 
 
 def test_physical_pipeline_runs_without_couplings(capsys, input_files,

@@ -179,8 +179,10 @@ def test_validate_flags_misplaced_atom():
 
 
 def test_hardware_limits_validation():
-    with pytest.raises(ValueError):
-        HardwareLimits(r_min=-1.0)
+    for field in ("r_min", "omega_max", "t_max"):
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"{field} must be positive"):
+                HardwareLimits(**{field: value})
 
 
 def _loop_v_part(enc):

@@ -159,6 +159,23 @@ def test_json_rejects_bad_convention():
                          "convention": "spins"})
 
 
+def test_json_sums_repeated_pairs():
+    for pairs in ([[0, 1, 1.0], [0, 1, 2.0]], [[0, 1, 1.0], [1, 0, 2.0]]):
+        model = model_from_dict({"n": 2, "linear": [0.0, 0.0],
+                                 "quadratic": pairs})
+        assert model.quadratic == {(0, 1): 3.0}
+
+
+def test_json_rejects_fractional_integers():
+    for data in ({"n": 2.9, "linear": [1.0, 1.0], "quadratic": []},
+                 {"n": 3, "linear": [0.0] * 3, "quadratic": [[0.5, 2, 1.0]]}):
+        with pytest.raises(ModelError, match="expected an integer"):
+            model_from_dict(data)
+    model = model_from_dict({"n": 3.0, "linear": [0.0] * 3,
+                             "quadratic": [[0.0, 2.0, 1.0]]})
+    assert model.n == 3 and model.quadratic == {(0, 2): 1.0}
+
+
 def test_json_rejects_overflowing_size():
     with pytest.raises(ModelError, match="malformed model data"):
         model_from_dict(json.loads('{"n": 1e400, "linear": [], "quadratic": []}'))

@@ -48,6 +48,11 @@ def test_stage_plan_round_trip():
         Stage("gradient", 0)
     with pytest.raises(ValueError):
         StagePlan(())
+    data = {"stages": [{"kind": "gradient", "max_evals": 2.9}]}
+    with pytest.raises(ValueError, match="expected an integer"):
+        StagePlan.from_dict(data)
+    data["stages"][0]["max_evals"] = 3.0
+    assert StagePlan.from_dict(data).stages[0].max_evals == 3
 
 
 def test_default_plan_budgets():

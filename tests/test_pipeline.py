@@ -7,6 +7,7 @@ import rydqubo.optimizer
 from rydqubo.annealer import PropagationConfig, Schedule, initial_basis_index
 from rydqubo.encoding import (FrustratedModelError, HardwareLimits,
                               NotEncodableError, encode, gauge_fix, rescale)
+from rydqubo.hardness import format_value
 from rydqubo.models import IsingModel, QuboModel, as_ising
 from rydqubo.optimizer import Stage, StagePlan
 from rydqubo.pipeline import (RunManifest, default_schedule,
@@ -165,13 +166,12 @@ def test_run_pipeline_outputs():
     assert len(payload["ground_states"]) == 6
     json.dumps(payload)  # fully serializable
 
-    csv = trajectory_csv(result)
-    lines = csv.splitlines()
-    assert lines[0].startswith("#") and result.manifest.hash() in lines[0]
-    header = lines[1].split(",")
-    assert header[:3] == ["t_us", "omega", "delta_G"]
-    assert header[-2:] == ["E", "F"]
-    assert len(lines) == 2 + len(result.trajectory_rows)
+    traj = result.optimization.trajectory
+    lines = trajectory_csv(traj, result.outcome.target.delta_final).splitlines()
+    header = lines[0].split(",")
+    assert header == ["t_us", "omega", "delta_G", "delta_1", "delta_2",
+                      "delta_3", "E", "F"]
+    assert len(lines) == 1 + len(traj.times)
 
 
 def test_run_pipeline_ground_states_in_source_frame():
@@ -208,9 +208,10 @@ def test_run_pipeline_propagates_final_pulse_once(monkeypatch):
     assert adaptive.count(True) == 1
     traj = result.optimization.trajectory
     delta_final = result.outcome.target.delta_final
-    assert len(result.trajectory_rows) == len(traj.times)
-    for k, row in enumerate(result.trajectory_rows):
-        assert list(row.values()) == [
+    lines = trajectory_csv(traj, delta_final).splitlines()
+    assert len(lines) == 1 + len(traj.times)
+    for k, line in enumerate(lines[1:]):
+        assert line.split(",") == [format_value(v) for v in (
             traj.times[k], traj.omega[k], traj.delta_g[k],
             *(traj.delta_g[k] * delta_final), traj.energy[k],
-            traj.fidelity[k]]
+            traj.fidelity[k])]
