@@ -10,8 +10,7 @@ from .encoding import (AtomLayout, EncodedTarget, HardwareLimits,
                        layout_interactions, rescale, validate)
 from .annealer import PropagationConfig, Schedule, Trajectory, propagate
 from .optimizer import (AnnealObjective, OptimizationResult, Stage, StagePlan,
-                        approximation_ratio, finite_difference_gradient,
-                        run_hybrid)
+                        approximation_ratio, run_hybrid)
 from .hardness import (HardnessReport, Subspace, analyze_model,
                        analyze_spectrum, cluster_subspaces, format_csv,
                        format_table, hardness_parameter, report_rows, sigma,

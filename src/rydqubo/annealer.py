@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import EncodedTarget, HardwareLimits
-from .models import _int
+from .models import _float, _int
 
 DIM_CAP = 10  # atoms; 2^10 state-vector entries
 MAX_DOUBLINGS = 10  # adaptive step doublings before AnnealerError
@@ -41,12 +41,15 @@ class Schedule:
     sample_count: int = 201
 
     def __post_init__(self):
-        if not self.t_total > 0:  # also rejects nan
+        if not _float(self.t_total) > 0:
             raise ValueError("protocol duration must be positive")
+        if not _float(self.omega_max) > 0:
+            raise ValueError("omega_max must be positive")
+        _float(self.delta0)  # refuses a string or a non-finite value
         if self.sample_count < 2:
             raise ValueError("sample_count must be at least 2")
-        object.__setattr__(self, "delta_coeffs", tuple(float(c) for c in self.delta_coeffs))
-        object.__setattr__(self, "omega_coeffs", tuple(float(c) for c in self.omega_coeffs))
+        object.__setattr__(self, "delta_coeffs", tuple(map(_float, self.delta_coeffs)))
+        object.__setattr__(self, "omega_coeffs", tuple(map(_float, self.omega_coeffs)))
 
     def sine_table(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(tau, S): tau = t/T and S[..., n-1] = sin(n pi tau) for every mode
@@ -81,11 +84,11 @@ class Schedule:
     def from_dict(data: dict) -> "Schedule":
         if data.get("basis", "fourier") != "fourier":
             raise ValueError(f"unknown basis {data['basis']!r}")
-        return Schedule(float(data["T_us"]),
+        return Schedule(_float(data["T_us"]),
                         tuple(data["delta"]["coeffs"]),
                         tuple(data["omega"]["coeffs"]),
-                        float(data["delta"].get("delta0", -1.0)),
-                        float(data["omega"].get("omega_max", Schedule.omega_max)),
+                        _float(data["delta"].get("delta0", -1.0)),
+                        _float(data["omega"].get("omega_max", Schedule.omega_max)),
                         _int(data.get("sample_count", 201)))
 
 
@@ -147,12 +150,12 @@ def _start_state(enc: EncodedTarget, schedule: Schedule) -> np.ndarray:
     return psi0
 
 
-def _step_count(schedule: Schedule, cfg: PropagationConfig) -> int:
-    """cfg.initial_steps rounded up to a multiple of the sample intervals, so
-    the step grid is commensurate with the sample grid and the last sample is
-    the final step."""
+def _step_count(schedule: Schedule, initial_steps: int) -> int:
+    """initial_steps rounded up to a multiple of the sample intervals, so the
+    step grid is commensurate with the sample grid and the last sample is the
+    final step."""
     intervals = schedule.sample_count - 1
-    return intervals * max(1, -(-cfg.initial_steps // intervals))
+    return intervals * max(1, -(-initial_steps // intervals))
 
 
 def _step_grid(schedule: Schedule, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +221,14 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
 
 
 def energy_gradient(enc: EncodedTarget, schedule: Schedule,
-                    cfg: PropagationConfig = PropagationConfig(adaptive=False)
-                    ) -> tuple[float, np.ndarray, np.ndarray]:
-    """(E(T), dE/d delta_coeffs, dE/d omega_coeffs) of the fixed-step anneal.
+                    initial_steps: int = 200) -> tuple[float, np.ndarray]:
+    """(E(T), dE/d(delta_coeffs, omega_coeffs)) of the fixed-step anneal.
 
-    E(T) equals ``propagate(enc, schedule, cfg)[1].energy[-1]`` bit for bit,
-    and the gradient is the exact gradient of that discretized E(T) (GRAPE,
-    Khaneja et al., JMR 172, 296, 2005).  One forward sweep keeps each
-    step's eigen-pairs H_k = V diag(lambda) V^T, which costs
+    E(T) equals ``propagate(enc, schedule, PropagationConfig(initial_steps,
+    adaptive=False))[1].energy[-1]`` bit for bit, and the gradient is the
+    exact gradient of that discretized E(T) (GRAPE, Khaneja et al., JMR 172,
+    296, 2005).  One forward sweep keeps each step's eigen-pairs
+    H_k = V diag(lambda) V^T, which costs
     n_steps * 4^n * 8 bytes; an adjoint sweep runs back from
     lam_N = D psi_N by lam_k = U_k^dag lam_{k+1}.  The sensitivity of step k
     to a parameter theta of H_k is 2 Re[a^H (Gamma o V^T dH/dtheta V) b]
@@ -238,12 +241,9 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     table, and the Omega gradient is zero on steps where the clip is active.
     A non-finite value or gradient raises FloatingPointError.
     """
-    if cfg.adaptive:
-        raise ValueError("the gradient is of a fixed-step propagation; "
-                         "use adaptive=False")
     _check_cap(enc.n)
     x_total = _pauli_x_total(enc.n)
-    n_steps = _step_count(schedule, cfg)
+    n_steps = _step_count(schedule, initial_steps)
     dt = schedule.t_total / n_steps
     _, delta_part = enc.diagonal_parts
     target = enc.diagonal_energies()
@@ -279,12 +279,11 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     _, mid = _step_grid(schedule, n_steps)
     _, sines = schedule.sine_table(mid)
     sens[1] *= np.abs(schedule.profiles(mid)[1]) < schedule.omega_max
-    grad_delta = sines[:, :len(schedule.delta_coeffs)].T @ sens[0]
-    grad_omega = sines[:, :len(schedule.omega_coeffs)].T @ sens[1]
-    if not (math.isfinite(energy) and np.isfinite(grad_delta).all()
-            and np.isfinite(grad_omega).all()):
+    grad = np.concatenate((sines[:, :len(schedule.delta_coeffs)].T @ sens[0],
+                           sines[:, :len(schedule.omega_coeffs)].T @ sens[1]))
+    if not (math.isfinite(energy) and np.isfinite(grad).all()):
         raise FloatingPointError("non-finite objective or gradient")
-    return energy, grad_delta, grad_omega
+    return energy, grad
 
 
 def propagate(enc: EncodedTarget, schedule: Schedule,
@@ -305,7 +304,7 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
         psi0 = _start_state(enc, schedule)
 
     tol = cfg.tolerance_rel * enc.energy_scale
-    n_steps = _step_count(schedule, cfg)
+    n_steps = _step_count(schedule, cfg.initial_steps)
     psi, traj = _run_steps(enc, schedule, psi0, n_steps, ground_indices,
                            x_total)
     if cfg.adaptive:

@@ -2,21 +2,21 @@
 
 Exit codes: 0 success; 2 bad arguments (a non-positive --duration or
 --steps, a missing or malformed input file, a non-finite number in any JSON
-input, a fractional number where an input file holds an integer, a
-schedule file whose basis is not "fourier", an unwritable --out or --out-dir
-path (an --out-dir that cannot be created fails before the run), family
-parameters that are unreadable, fractional where an integer is read, not
-read, or a two_sat negation flag other than a boolean, 0 or 1, no --preset
-or --family for ``problem``, no --preset or --model for
-``pipeline`` and ``optimize``, ``report`` without inputs or with more than
-one of --from-spectral, --presets and result files, or a layout whose atom
-count differs from the model's or that puts two atoms on one site); 3 a
-problem, model or hardness analysis that cannot be built, or a model that
-cannot be encoded; 4 solution quality below --threshold, or a failed
-validation; 5 propagation failure. A reader that closes stdout early ends
-the command quietly with exit 0. Subcommands raise; main() alone maps an
-exception to its exit code through FAILURES. Any other exception is a bug
-and prints a traceback.
+input, a string where a number belongs, a fractional number where an input
+file holds an integer, a schedule file whose basis is not "fourier" or whose
+omega_max is not positive, an unwritable --out or --out-dir path (an
+--out-dir that cannot be created fails before the run), family parameters
+that are unreadable, fractional where an integer is read, not read, or a
+two_sat negation flag other than a boolean, 0 or 1, no --preset or --family
+for ``problem``, no --preset or --model for ``pipeline``, ``report``
+without inputs or with more than one of --from-spectral, --presets and
+result files, or a layout whose atom count differs from the model's or that
+puts two atoms on one site); 3 a problem, model or hardness analysis that
+cannot be built, or a model that cannot be encoded; 4 solution quality below
+--threshold, or a failed validation; 5 propagation failure. A reader that
+closes stdout early ends the command quietly with exit 0. Subcommands raise;
+main() alone maps an exception to its exit code through FAILURES. Any other
+exception is a bug and prints a traceback.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
 from .hardness import (DEFAULT_EPSILON, HardnessError, analyze_model,
                        analyze_spectrum, analyze_supplied, format_csv,
                        format_table, format_value, report_row, report_rows)
-from .models import (ModelError, _int, enumerate_spectrum, model_from_dict,
-                     state_bits)
+from .models import (ModelError, _float, _int, enumerate_spectrum,
+                     model_from_dict, state_bits)
 from .optimizer import AnnealObjective, StagePlan, initial_parameters
 from .pipeline import (default_schedule, encode_for_annealing, result_json,
                        run_pipeline, trajectory_csv)
@@ -294,10 +294,10 @@ def cmd_pipeline(args) -> int:
 
 def _supplied_row(item: dict) -> dict:
     rep = analyze_supplied(
-        float(item["E0"]), float(item["gap"]), _int(item["D_opt"]),
+        _float(item["E0"]), _float(item["gap"]), _int(item["D_opt"]),
         _int(item.get("D_E1", 0)),
-        [(float(d), float(de)) for d, de in item["threat_degeneracies"]],
-        float(item["E_max"]) if "E_max" in item else None)
+        [(_int(d), _float(de)) for d, de in item["threat_degeneracies"]],
+        _float(item["E_max"]) if "E_max" in item else None)
     # a width normalization replaces the provenance note instead of extending it
     return report_row(item["problem"], rep, "" if rep.normalized_by_width
                       else "from supplied spectral quantities")
@@ -419,16 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "--config", "--mode")
     p.set_defaults(func=cmd_anneal)
 
-    for name, help_text in (("optimize", "optimize a pulse schedule"),
-                            ("pipeline", "full build-encode-optimize run")):
-        p = add_parser(name, help=help_text)
-        p.add_argument("--preset", choices=PRESET_NAMES)
-        p.add_argument("--model")
-        p.add_argument("--plan", help="stage plan JSON file")
-        p.add_argument("--schedule", help="schedule JSON file")
-        p.add_argument("--threshold", type=float, default=0.98)
-        add_common(p, *common)
-        p.set_defaults(func=cmd_pipeline)
+    p = add_parser("pipeline", help="full build-encode-optimize run")
+    p.add_argument("--preset", choices=PRESET_NAMES)
+    p.add_argument("--model")
+    p.add_argument("--plan", help="stage plan JSON file")
+    p.add_argument("--schedule", help="schedule JSON file")
+    p.add_argument("--threshold", type=float, default=0.98)
+    add_common(p, *common)
+    p.set_defaults(func=cmd_pipeline)
 
     p = add_parser("report", help="aggregate hardness/result rows")
     p.add_argument("inputs", nargs="*", help="result JSON files")

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .models import IsingModel, _bit_table, _table_energies
+from .models import IsingModel, _bit_table, _float, _table_energies
 
 # hbar = 1; energies/frequencies in rad/us, lengths in um, times in us.
 GHZ_TO_RAD_PER_US = 2.0 * math.pi * 1.0e3
@@ -224,8 +224,9 @@ class AtomLayout:
 
     @staticmethod
     def from_dict(data: dict) -> "AtomLayout":
-        return AtomLayout(np.asarray(data["positions_um"], dtype=float),
-                          float(data.get("C6", C6_DEFAULT)))
+        return AtomLayout(np.array([[_float(x) for x in row]
+                                    for row in data["positions_um"]]),
+                          _float(data.get("C6", C6_DEFAULT)))
 
 
 def layout_interactions(layout: AtomLayout) -> np.ndarray:
@@ -332,7 +333,8 @@ def validate(t: EncodedTarget, layout: AtomLayout, tol: float = 1e-3) -> Validat
     iu, ju = np.triu_indices(t.n, k=1)
     pair_errs = errs[iu, ju]
     unwanted = max([0.0, *pair_errs[t.v[iu, ju] == 0.0].tolist()])
-    offending = tuple(zip(iu[pair_errs > tol].tolist(), ju[pair_errs > tol].tolist()))
+    bad = ~(pair_errs <= tol)  # a NaN error offends too
+    offending = tuple(zip(iu[bad].tolist(), ju[bad].tolist()))
     return ValidationReport(float(errs[worst]),
                             (int(min(worst)), int(max(worst))),
                             unwanted, offending, not offending)

@@ -7,6 +7,7 @@ spin -1 (the excited state).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
@@ -20,10 +21,18 @@ class ModelError(ValueError):
 
 
 def _int(value) -> int:
-    """int(value), refusing a float that is not integral."""
-    if isinstance(value, float) and int(value) != value:
+    """int(value), refusing a string and a float that is not integral."""
+    if isinstance(value, str) or (isinstance(value, float)
+                                  and int(value) != value):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _float(value) -> float:
+    """float(value), refusing a string and a non-finite number."""
+    if isinstance(value, str) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _normalize_pairs(n: int, quadratic: Mapping) -> dict[tuple[int, int], float]:
@@ -42,10 +51,17 @@ def _normalize_pairs(n: int, quadratic: Mapping) -> dict[tuple[int, int], float]
 def _bit_table(n: int) -> np.ndarray:
     """All 2^n assignments as a (2^n, n) 0/1 array; bit i of index k is x_i.
 
-    The shifts run in int32, which holds every index up to ENUMERATION_CAP.
+    The shifts run in int32, which holds every index up to ENUMERATION_CAP,
+    on row blocks of 2^14 states, so that the integer temporaries stay small
+    beside the float table.
     """
-    states = np.arange(1 << n, dtype=np.int32)
-    return ((states[:, None] >> np.arange(n, dtype=np.int32)) & 1).astype(np.float64)
+    table = np.empty((1 << n, n))
+    shifts = np.arange(n, dtype=np.int32)
+    block = 1 << 14
+    for lo in range(0, 1 << n, block):
+        states = np.arange(lo, min(lo + block, 1 << n), dtype=np.int32)
+        table[lo:lo + len(states)] = (states[:, None] >> shifts) & 1
+    return table
 
 
 def _table_energies(table: np.ndarray, constant: float, linear: Sequence[float],
@@ -199,12 +215,12 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
 def model_from_dict(data: Mapping) -> QuboModel | IsingModel:
     try:
         n = _int(data["n"])
-        linear = [float(a) for a in data["linear"]]
+        linear = [_float(a) for a in data["linear"]]
         quadratic: dict[tuple[int, int], float] = {}
         for i, j, c in data["quadratic"]:  # a repeated pair sums, as (j, i) does
             key = (_int(i), _int(j))
-            quadratic[key] = quadratic.get(key, 0.0) + float(c)
-        constant = float(data.get("constant", 0.0))
+            quadratic[key] = quadratic.get(key, 0.0) + _float(c)
+        constant = _float(data.get("constant", 0.0))
         convention = data.get("convention", "qubo")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -21,9 +21,7 @@ from scipy.optimize import minimize
 from .annealer import (PropagationConfig, Schedule, Trajectory,
                        energy_gradient, propagate)
 from .encoding import EncodedTarget
-from .models import _int
-
-FD_REL_STEP = 1e-4  # relative step of the central-difference test oracle
+from .models import _float, _int
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class StagePlan:
     @staticmethod
     def from_dict(data: dict) -> "StagePlan":
         return StagePlan(tuple(Stage(s["kind"], _int(s["max_evals"]),
-                                     float(s.get("tolerance", 1e-9)))
+                                     _float(s.get("tolerance", 1e-9)))
                                for s in data["stages"]))
 
 
@@ -86,28 +84,6 @@ def approximation_ratio(c_max: float, c_opt: float, c_obt: float) -> float:
     if c_max == c_opt:
         return 1.0
     return (c_max - c_obt) / (c_max - c_opt)
-
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float],
-                               params: np.ndarray) -> np.ndarray:
-    """Central differences with per-coordinate step h_i = FD_REL_STEP*(1+|p_i|).
-
-    The optimizer does not use it: it is the oracle the gradient is tested
-    against.
-    """
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        h = FD_REL_STEP * (1.0 + abs(params[i]))
-        up = params.copy()
-        dn = params.copy()
-        up[i] += h
-        dn[i] -= h
-        fu, fd = f(up), f(dn)
-        if not (math.isfinite(fu) and math.isfinite(fd)):
-            raise FloatingPointError(f"non-finite objective at probe {i}")
-        grad[i] = (fu - fd) / (2.0 * h)
-    return grad
 
 
 class AnnealObjective:
@@ -141,9 +117,11 @@ class AnnealObjective:
     def value_and_gradient(self, params: Sequence[float]
                            ) -> tuple[float, np.ndarray]:
         """(E(T), exact dE/dparams); E(T) equals ``self(params)`` bit for bit."""
-        energy, grad_delta, grad_omega = energy_gradient(
-            self.enc, self.schedule_for(params), self.cfg)
-        return energy, np.concatenate((grad_delta, grad_omega))
+        if self.cfg.adaptive:
+            raise ValueError("the gradient is of a fixed-step propagation; "
+                             "use adaptive=False")
+        return energy_gradient(self.enc, self.schedule_for(params),
+                               self.cfg.initial_steps)
 
 
 class _BudgetExceeded(Exception):

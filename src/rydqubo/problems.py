@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import QuboModel, _int
+from .models import QuboModel, _float, _int
 
 Literal = tuple[int, bool]  # (variable index, negated flag)
 
@@ -429,20 +429,21 @@ def _flag(value) -> bool:
 def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
     """(instance, model) of one family from JSON-style parameters, as the CLI
     reads them; missing required keys raise KeyError, keys the family does not
-    read, non-integral integer fields and two_sat negation flags that are
-    not a boolean, 0 or 1 raise ValueError."""
+    read, a string or non-finite value where a number is read, non-integral
+    integer fields and two_sat negation flags that are not a boolean, 0 or 1
+    raise ValueError."""
     params = {**params}  # each key is popped as it is read
     if family == "two_sat":
         clauses = tuple(tuple((_int(i), _flag(neg)) for i, neg in clause)
                         for clause in params.pop("clauses"))
         inst = TwoSatInstance(_int(params.pop("n")), clauses,
-                              float(params.pop("penalty", 1.0)))
+                              _float(params.pop("penalty", 1.0)))
         model = build_two_sat(inst)
     elif family == "xor_sat":
         cons = tuple((_int(i), _int(j), _int(b))
                      for i, j, b in params.pop("constraints"))
         inst = XorSatInstance(_int(params.pop("n")), cons,
-                              float(params.pop("weight", 1.0)))
+                              _float(params.pop("weight", 1.0)))
         model = build_xor_sat(inst)
     elif family == "mixed":
         ts, _ = build_from_params("two_sat", params.pop("two_sat"))
@@ -450,19 +451,19 @@ def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
         inst, model = (ts, xs), build_mixed(ts, xs)
     elif family == "set_packing":
         inst = SetPackingInstance(_int(params.pop("n")),
-                                  tuple(float(w) for w in params.pop("weights")),
+                                  tuple(_float(w) for w in params.pop("weights")),
                                   tuple((_int(i), _int(j))
                                         for i, j in params.pop("conflicts")),
-                                  float(params.pop("penalty", 2.0)))
+                                  _float(params.pop("penalty", 2.0)))
         model = build_set_packing(inst)
     elif family == "qap":
-        flow = tuple(tuple(float(v) for v in row) for row in params.pop("flow"))
-        dist = tuple(tuple(float(v) for v in row) for row in params.pop("distance"))
-        inst = QapInstance(flow, dist, float(params.pop("penalty_facility")),
-                           float(params.pop("penalty_location")))
+        flow = tuple(tuple(_float(v) for v in row) for row in params.pop("flow"))
+        dist = tuple(tuple(_float(v) for v in row) for row in params.pop("distance"))
+        inst = QapInstance(flow, dist, _float(params.pop("penalty_facility")),
+                           _float(params.pop("penalty_location")))
         model = build_qap(inst)
     elif family == "clustering":
-        w = tuple(tuple(float(v) for v in row) for row in params.pop("dissimilarity"))
+        w = tuple(tuple(_float(v) for v in row) for row in params.pop("dissimilarity"))
         inst = ClusteringInstance(w)
         model = build_binary_clustering(inst)
     elif family == "protein":
@@ -475,8 +476,8 @@ def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
         inst = ProteinToyInstance(length,
                                   tuple(_int(h) for h in params.pop("hydrophobic")),
                                   exclusions,
-                                  float(params.pop("penalty_linear", 0.5)),
-                                  float(params.pop("penalty_exclusion", 2.0)))
+                                  _float(params.pop("penalty_linear", 0.5)),
+                                  _float(params.pop("penalty_exclusion", 2.0)))
         model = build_protein_toy(inst)
     else:
         raise ProblemError(f"unknown family {family!r}")

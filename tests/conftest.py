@@ -48,6 +48,35 @@ def spectrum_cases(rng: np.random.Generator):
         yield random_integer_qubo(rng, n)
 
 
+def central_differences(f, params, h=1e-6):
+    """Second-order central differences with one absolute step h."""
+    params = np.asarray(params, dtype=float)
+    grad = np.empty_like(params)
+    for i in range(params.size):
+        up, dn = params.copy(), params.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (f(up) - f(dn)) / (2.0 * h)
+    return grad
+
+
+def stencil_gradient(f, params, rel_step=1e-3):
+    """Five-point (fourth-order) central stencil with per-coordinate step
+    h_i = rel_step * (1 + |p_i|)."""
+    params = np.asarray(params, dtype=float)
+    grad = np.empty_like(params)
+    for i in range(params.size):
+        h = rel_step * (1.0 + abs(params[i]))
+        probes = []
+        for mult in (-2, -1, 1, 2):
+            p = params.copy()
+            p[i] += mult * h
+            probes.append(f(p))
+        fm2, fm1, fp1, fp2 = probes
+        grad[i] = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    return grad
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)

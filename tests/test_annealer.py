@@ -14,6 +14,8 @@ from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.problems import preset_instance
 
+from conftest import central_differences
+
 
 def xor_pair_target():
     return encode(IsingModel(2, (0.0, 0.0), {(0, 1): 0.5}, 0.5))
@@ -52,6 +54,34 @@ def test_schedule_rejects_bad_inputs():
     with pytest.raises(ValueError, match="expected an integer"):
         Schedule.from_dict({**data, "sample_count": 3.7})
     assert Schedule.from_dict({**data, "sample_count": 3.0}).sample_count == 3
+
+
+def test_schedule_refuses_non_positive_omega_max():
+    """omega_max = -1 used to clip Omega to -1 at every time, t = 0 and T
+    included, and the anneal ran."""
+    for omega_max in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="omega_max must be positive"):
+            Schedule(2.0, (), (1.0,), omega_max=omega_max)
+
+
+def test_schedule_refuses_non_finite_and_string_numbers():
+    """A NaN coefficient used to be accepted, and propagate then ran all its
+    step doublings before it raised an AnnealerError that named the wrong
+    cause."""
+    for bad in (float("nan"), float("inf"), "0.5"):
+        for kwargs in ({"delta_coeffs": (0.1, bad)}, {"omega_coeffs": (bad,)},
+                       {"delta0": bad}, {"t_total": bad},
+                       {"omega_max": bad}):
+            with pytest.raises(ValueError):
+                Schedule(**{"t_total": 2.0, "delta_coeffs": (),
+                            "omega_coeffs": (1.0,), **kwargs})
+    data = Schedule(2.0, (0.5,), (1.0,)).to_dict()
+    for key in ("T_us", "sample_count"):
+        with pytest.raises(ValueError):
+            Schedule.from_dict({**data, key: "2"})
+    with pytest.raises(ValueError):
+        Schedule.from_dict({**data, "omega": {"coeffs": [1.0],
+                                              "omega_max": "5"}})
 
 
 def test_schedule_json_round_trip():
@@ -329,16 +359,6 @@ def test_adaptive_propagation_bit_identical_two_sat(monkeypatch):
 
 # --- exact gradient ------------------------------------------------------------
 
-def _central_differences(f, params, h=1e-6):
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        up, dn = params.copy(), params.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (f(up) - f(dn)) / (2.0 * h)
-    return grad
-
-
 def test_energy_gradient_zero_on_clipped_steps():
     """b_1 drives |Omega| past omega_max on about half the steps; the clipped
     steps must add nothing, or the gradient would miss central differences."""
@@ -358,17 +378,15 @@ def test_energy_gradient_zero_on_clipped_steps():
         sched = replace(template, omega_coeffs=tuple(omega_coeffs))
         return float(propagate(enc, sched, cfg)[1].energy[-1])
 
-    value, grad_delta, grad_omega = energy_gradient(
-        enc, replace(template, omega_coeffs=tuple(b)), cfg)
+    value, grad = energy_gradient(enc, replace(template, omega_coeffs=tuple(b)),
+                                  cfg.initial_steps)
     assert value == energy(b)
-    assert grad_delta.shape == (2,)
-    fd = _central_differences(energy, b)
-    assert np.linalg.norm(grad_omega - fd) <= 1e-5 * np.linalg.norm(fd)
+    assert grad.shape == (4,)
+    fd = central_differences(energy, b)
+    assert np.linalg.norm(grad[2:] - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
-def test_energy_gradient_refuses_non_finite_and_adaptive():
-    enc = single_atom(delta=1.0)
+def test_energy_gradient_refuses_non_finite():
+    enc = EncodedTarget(1, np.zeros((1, 1)), np.array([1.0]), float("nan"))
     with pytest.raises(FloatingPointError):
-        energy_gradient(enc, Schedule(2.0, (float("nan"),), (1.0,)))
-    with pytest.raises(ValueError, match="fixed-step"):
-        energy_gradient(enc, Schedule(2.0, (), (1.0,)), PropagationConfig())
+        energy_gradient(enc, Schedule(2.0, (0.5,), (1.0,)))

@@ -151,28 +151,6 @@ def test_pipeline_threshold_exit_4(capsys, tmp_path):
     assert (tmp_path / "xor_sat_hardness.csv").exists()
 
 
-def test_optimize_matches_pipeline(capsys, tmp_path):
-    plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps(
-        {"stages": [{"kind": "gradient", "max_evals": 3}]}))
-    schedule = tmp_path / "schedule.json"
-    schedule.write_text(json.dumps(
-        {"T_us": 2.0, "delta": {"coeffs": [0.0]}, "omega": {"coeffs": [1.0]},
-         "sample_count": 11}))
-    outputs = {}
-    for command in ("optimize", "pipeline"):
-        out_dir = tmp_path / command
-        code, out, _ = run(capsys, command, "--preset", "xor_sat",
-                           "--plan", str(plan), "--schedule", str(schedule),
-                           "--out-dir", str(out_dir))
-        result = json.loads((out_dir / "xor_sat_result.json").read_text())
-        del result["manifest"]["timestamp"]
-        files = [(out_dir / f"xor_sat_{kind}.csv").read_text()
-                 for kind in ("trajectory", "hardness")]
-        outputs[command] = (code, out, result, files)
-    assert outputs["optimize"] == outputs["pipeline"]
-
-
 @pytest.mark.parametrize("flag, content", [
     ("--plan", {"steps": []}),        # no "stages"
     ("--schedule", None),             # missing file
@@ -278,8 +256,9 @@ def input_files(tmp_path, xor_model_file):
     11-variable model, a model whose n overflows int, layouts of two atoms
     and of three atoms of which two coincide, a schedule in a basis other
     than Fourier, a one-evaluation plan and a one-row spectral input; files
-    that hold NaN or Infinity, or a fractional number where an integer is
-    read; an output path in a missing directory, and an output directory."""
+    that hold NaN or Infinity, a string where a number is read, a fractional
+    number where an integer is read, or a negative omega_max; an output
+    path in a missing directory, and an output directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
     gradient = {"kind": "gradient", "max_evals": 1}
@@ -312,7 +291,18 @@ def input_files(tmp_path, xor_model_file):
             "one_eval_plan": {"stages": [{"kind": "gradient",
                                           "max_evals": 1}]},
             "spectral": [{"problem": "x", "E0": -1.0, "gap": 0.5, "D_opt": 1,
-                          "threat_degeneracies": []}]}
+                          "threat_degeneracies": []}],
+            "string_model": {"n": 3, "linear": ["nan", 1, 1],
+                             "quadratic": []},
+            "string_schedule": {**schedule, "delta": {"coeffs": ["nan"]}},
+            "negative_omega_schedule": {**schedule, "omega": {
+                "coeffs": [1.0], "omega_max": -1.0}},
+            "string_plan": {"stages": [{**gradient, "tolerance": "nan"}]},
+            "string_spectral": [{**spectral, "E0": "nan"}],
+            "fractional_threat_spectral": [
+                {**spectral, "threat_degeneracies": [[1.5, 0.5]]}],
+            "string_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]],
+                              "C6": "nan"}}
     files = {"{xor}": xor_model_file,
              "{missing_dir_out}": str(tmp_path / "missing" / "out.json"),
              "{out_dir}": str(tmp_path / "runs")}
@@ -452,6 +442,33 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                  2, "error: give one of ", id="report-presets-and-file"),
     pytest.param(["report", "--from-spectral", "{spectral}", "--presets"],
                  2, "error: give one of ", id="report-spectral-and-presets"),
+    # a quoted number is a string, and float("nan") would read it as NaN
+    pytest.param(["anneal", "--model", "{xor}", "--schedule",
+                  "{string_schedule}"],
+                 2, "error: cannot load schedule ", id="schedule-string"),
+    pytest.param(["spectrum", "--model", "{string_model}"], 2,
+                 "error: cannot load model ", id="model-string"),
+    pytest.param(two_sat('{"n": 2, "clauses": [[[0, false], [1, false]]], '
+                         '"penalty": "nan"}'),
+                 2, "error: bad family parameters: ValueError: ",
+                 id="params-string"),
+    pytest.param(["report", "--from-spectral", "{string_spectral}"], 2,
+                 "error: cannot load spectral input ", id="spectral-string"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--plan",
+                  "{string_plan}", "--out-dir", "{out_dir}"],
+                 2, "error: cannot load plan ", id="plan-string"),
+    pytest.param(["validate", "--model", "{xor}", "--layout",
+                  "{string_layout}"],
+                 2, "error: cannot load layout ", id="layout-string"),
+    pytest.param(["report", "--from-spectral", "{fractional_threat_spectral}"],
+                 2, "error: cannot load spectral input ",
+                 id="spectral-fractional-threat"),
+    pytest.param(["anneal", "--model", "{xor}", "--schedule",
+                  "{negative_omega_schedule}"],
+                 2, "error: cannot load schedule ",
+                 id="schedule-negative-omega-max"),
+    pytest.param(["optimize", "--preset", "xor_sat"], 2, "usage: rydqubo",
+                 id="optimize-removed"),
 ])
 def test_failure_exit_codes(capsys, input_files, argv, code, err_start):
     status, err = exit_status(capsys, [input_files.get(a, a) for a in argv])

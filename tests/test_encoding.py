@@ -122,6 +122,26 @@ def test_layout_json_round_trip(rng):
     assert again.c6 == layout.c6
 
 
+def test_layout_json_rejects_strings_and_non_finite_numbers():
+    pair = [[0.0, 0.0], [10.0, 0.0]]
+    for data in ({"positions_um": pair, "C6": "nan"},
+                 {"positions_um": pair, "C6": float("inf")},
+                 {"positions_um": [["0", 0.0], [10.0, 0.0]]},
+                 {"positions_um": [[0.0, float("nan")], [10.0, 0.0]]}):
+        with pytest.raises(ValueError):
+            AtomLayout.from_dict(data)
+
+
+def test_validate_counts_a_nan_error_as_offending():
+    """A NaN pair error is not within tolerance: it must fail validation."""
+    v = np.array([[0.0, 1.0], [1.0, 0.0]])
+    target = EncodedTarget(2, v, np.ones(2), 0.0)
+    layout = AtomLayout(np.array([[0.0, 0.0], [10.0, 0.0]]), float("nan"))
+    report = validate(target, layout)
+    assert report.offending_pairs == ((0, 1),)
+    assert not report.passed
+
+
 def chain_target(n, spacing=6.0):
     """A fully-realizable target: V from actual positions on a line."""
     pos = np.stack([np.arange(n) * spacing, np.zeros(n)], axis=1)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rydqubo.models import (ENUMERATION_CAP, ModelError, IsingModel,
-                            QuboModel, as_ising, as_qubo, enumerate_spectrum,
-                            ising_to_qubo, model_from_dict, qubo_to_ising,
-                            state_bits)
+                            QuboModel, _bit_table, as_ising, as_qubo,
+                            enumerate_spectrum, ising_to_qubo, model_from_dict,
+                            qubo_to_ising, state_bits)
 
 from conftest import random_qubo, spectrum_cases
 
@@ -179,6 +179,33 @@ def test_json_rejects_fractional_integers():
 def test_json_rejects_overflowing_size():
     with pytest.raises(ModelError, match="malformed model data"):
         model_from_dict(json.loads('{"n": 1e400, "linear": [], "quadratic": []}'))
+
+
+def test_json_rejects_strings_and_non_finite_numbers():
+    """float("nan") reads the string "nan", so a quoted number is refused
+    wherever a number is read."""
+    base = {"n": 3, "linear": [1.0, 1.0, 1.0], "quadratic": [[0, 1, 1.0]]}
+    for key, bad in (("linear", ["nan", 1, 1]), ("linear", [1, 1.5, "1"]),
+                     ("linear", [float("inf"), 1, 1]),
+                     ("quadratic", [[0, 1, "2"]]), ("quadratic", [["0", 1, 2]]),
+                     ("quadratic", [[0, 1, float("nan")]]), ("constant", "0"),
+                     ("constant", -float("inf")), ("n", "3")):
+        with pytest.raises(ModelError, match="malformed model data"):
+            model_from_dict({**base, key: bad})
+
+
+def test_bit_table_matches_one_expression_reference():
+    """The row-blocked table equals the one-expression table it replaced in
+    values, dtype and C order, across several 2^14-row blocks for n >= 15."""
+    for n in range(17):
+        states = np.arange(1 << n, dtype=np.int32)
+        reference = ((states[:, None] >> np.arange(n, dtype=np.int32))
+                     & 1).astype(np.float64)
+        table = _bit_table(n)
+        assert table.dtype == reference.dtype
+        assert table.shape == reference.shape
+        assert table.flags.c_contiguous
+        assert (table == reference).all()
 
 
 def test_as_conversions(rng):

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -7,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydqubo import optimizer
 from rydqubo.annealer import (PropagationConfig, Schedule,
                               initial_basis_index, propagate,
                               target_ground_indices)
@@ -15,12 +13,11 @@ from rydqubo.encoding import IsingModel, encode
 from rydqubo.models import as_ising, model_from_dict
 from rydqubo.optimizer import (AnnealObjective, OptimizationResult, Stage,
                                StagePlan, approximation_ratio,
-                               finite_difference_gradient, initial_parameters,
-                               run_hybrid)
+                               initial_parameters, run_hybrid)
 from rydqubo.pipeline import default_schedule, encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
-from conftest import TIED_START_MODEL
+from conftest import TIED_START_MODEL, central_differences
 
 
 def xor_pair_target():
@@ -82,53 +79,6 @@ def test_initial_parameters_deterministic():
 
 # --- gradients ---------------------------------------------------------------
 
-def stencil_gradient(f, params, rel_step=1e-3):
-    """Five-point (fourth-order) central stencil, used as an oracle."""
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        h = rel_step * (1.0 + abs(params[i]))
-        probes = []
-        for mult in (-2, -1, 1, 2):
-            p = params.copy()
-            p[i] += mult * h
-            probes.append(f(p))
-        fm2, fm1, fp1, fp2 = probes
-        grad[i] = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    return grad
-
-
-def test_gradient_on_analytic_function(rng):
-    def f(p):
-        return float(np.sin(p[0]) + p[1] ** 3 - 2.0 * p[0] * p[1])
-
-    for _ in range(10):
-        p = rng.normal(size=2)
-        g = finite_difference_gradient(f, p)
-        exact = np.array([math.cos(p[0]) - 2.0 * p[1],
-                          3.0 * p[1] ** 2 - 2.0 * p[0]])
-        np.testing.assert_allclose(g, exact, rtol=1e-6, atol=1e-6)
-
-
-def test_gradient_matches_stencil_on_objective(rng):
-    obj = small_objective()
-    for _ in range(3):
-        p = rng.normal(scale=0.5, size=4)
-        p[2] += 1.0  # keep some drive on
-        g = finite_difference_gradient(obj, p)
-        oracle = stencil_gradient(obj, p)
-        scale = max(np.linalg.norm(oracle), 1e-9)
-        assert np.linalg.norm(g - oracle) / scale < 1e-3
-
-
-def test_gradient_rejects_non_finite():
-    def f(p):
-        return float("nan")
-
-    with pytest.raises(FloatingPointError):
-        finite_difference_gradient(f, np.zeros(2))
-
-
 def preset_objective(name):
     enc = encode_for_annealing(as_ising(preset_instance(name).model)).target
     return AnnealObjective(enc, default_schedule(name, enc))
@@ -146,13 +96,17 @@ def test_adjoint_gradient_matches_central_differences(name):
         p = initial_parameters(obj.template, seed)
         value, grad = obj.value_and_gradient(p)
         assert value == obj(p)
-        fd = np.empty_like(p)
-        for i in range(p.size):
-            up, dn = p.copy(), p.copy()
-            up[i] += 1e-6
-            dn[i] -= 1e-6
-            fd[i] = (obj(up) - obj(dn)) / 2e-6
+        fd = central_differences(obj, p)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
+
+
+def test_value_and_gradient_refuses_an_adaptive_objective():
+    """The gradient is of the fixed-step E(T); an adaptive objective's value
+    is another number, so its gradient would not be the value's."""
+    obj = AnnealObjective(xor_pair_target(), small_template(),
+                          PropagationConfig())
+    with pytest.raises(ValueError, match="fixed-step"):
+        obj.value_and_gradient(initial_parameters(obj.template))
 
 
 # --- objective ---------------------------------------------------------------
@@ -219,15 +173,6 @@ def test_run_hybrid_deterministic():
     np.testing.assert_array_equal(a.params, b.params)
     assert a.e_best == b.e_best
     assert a.evaluations == b.evaluations
-
-
-def test_run_hybrid_uses_no_finite_differences(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("finite differences in the optimizer")
-
-    monkeypatch.setattr(optimizer, "finite_difference_gradient", refuse)
-    res = run_hybrid(small_objective(), quick_plan(), seed=0)
-    assert res.evaluations > 0
 
 
 def test_gradient_stage_charges_probes_until_the_budget_is_spent():

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +154,16 @@ def test_default_manifest_hash_pinned():
                            default_schedule("two_sat", enc).to_dict(),
                            StagePlan.default().to_dict(), 0)
     assert manifest.hash() == "b57919759d872d54"
+
+
+def test_version_has_one_owner():
+    """pyproject.toml reads the version from rydqubo.__version__, which the
+    manifest hashes, and keeps no static copy of it."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n")[1].split("\n[")[0]
+    assert re.search(r"^version\s*=", project, re.M) is None
+    assert 'dynamic = ["version"]' in project
+    assert 'version = {attr = "rydqubo.__version__"}' in text
 
 
 def test_run_pipeline_outputs():
