@@ -2,21 +2,22 @@
 
 Exit codes: 0 success; 2 bad arguments (a non-positive --duration or
 --steps, a missing or malformed input file, a non-finite number in any JSON
-input, a string where a number belongs, a fractional number where an input
-file holds an integer, a schedule file whose basis is not "fourier" or whose
-omega_max is not positive, an unwritable --out or --out-dir path (an
---out-dir that cannot be created fails before the run), family parameters
-that are unreadable, fractional where an integer is read, not read, or a
-two_sat negation flag other than a boolean, 0 or 1, no --preset or --family
-for ``problem``, no --preset or --model for ``pipeline``, ``report``
-without inputs or with more than one of --from-spectral, --presets and
-result files, or a layout whose atom count differs from the model's or that
-puts two atoms on one site); 3 a problem, model or hardness analysis that
-cannot be built, or a model that cannot be encoded; 4 solution quality below
---threshold, or a failed validation; 5 propagation failure. A reader that
-closes stdout early ends the command quietly with exit 0. Subcommands raise;
-main() alone maps an exception to its exit code through FAILURES. Any other
-exception is a bug and prints a traceback.
+input, a string or a boolean where a number belongs, a fractional number
+where an input file holds an integer, a schedule file whose basis is not
+"fourier" or whose omega_max is not positive, an unwritable --out or
+--out-dir path (an --out-dir that cannot be created fails before the run),
+family parameters that are unreadable, fractional where an integer is read,
+not read, or a two_sat negation flag other than a boolean, 0 or 1, no
+--preset or --family for ``problem``, no --preset or --model for
+``pipeline``, ``report`` without inputs or with more than one of
+--from-spectral, --presets and result files, or a layout whose atom count
+differs from the model's or that puts two atoms on one site); 3 a problem,
+model or hardness analysis that cannot be built, or a model that cannot be
+encoded; 4 solution quality below --threshold, or a failed validation; 5
+propagation failure. A reader that closes stdout early ends the command
+quietly with exit 0. Subcommands raise; main() alone maps an exception to
+its exit code through FAILURES. Any other exception is a bug and prints a
+traceback.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def _bad_input(what: str):
 def _load_limits(args) -> HardwareLimits:
     if not args.config:
         return HardwareLimits()
-    return _load_json(args.config, "config",
-                      lambda data: HardwareLimits(**data))
+    return _load_json(args.config, "config", lambda data: HardwareLimits(
+        **{key: _float(value) for key, value in data.items()}))
 
 
 def _write(path: Path, text: str) -> None:
@@ -306,7 +307,7 @@ def _supplied_row(item: dict) -> dict:
 def _result_row(stem: str, data: dict) -> dict:
     """A report row from a pipeline result JSON; it has no spectral columns."""
     return {"problem": data.get("instance", stem),
-            "E0": float(data.get("C_opt", float("nan"))),
+            "E0": _float(data["C_opt"]) if "C_opt" in data else float("nan"),
             "gap": float("nan"),
             "D_opt": len(data.get("ground_states", [])),
             "D_E1": 0, "threats": 0, "Sigma": float("nan"),

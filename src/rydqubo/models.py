@@ -21,16 +21,17 @@ class ModelError(ValueError):
 
 
 def _int(value) -> int:
-    """int(value), refusing a string and a float that is not integral."""
-    if isinstance(value, str) or (isinstance(value, float)
-                                  and int(value) != value):
+    """int(value), refusing a string, a boolean and a float that is not
+    integral."""
+    if isinstance(value, (str, bool)) or (isinstance(value, float)
+                                          and int(value) != value):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _float(value) -> float:
-    """float(value), refusing a string and a non-finite number."""
-    if isinstance(value, str) or not math.isfinite(value):
+    """float(value), refusing a string, a boolean and a non-finite number."""
+    if isinstance(value, (str, bool)) or not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
@@ -96,6 +97,9 @@ class _QuadraticModel:
         object.__setattr__(self, "linear", tuple(float(a) for a in self.linear))
         object.__setattr__(self, "quadratic", _normalize_pairs(self.n, self.quadratic))
         object.__setattr__(self, "constant", float(self.constant))
+        coeffs = (self.constant, *self.linear, *self.quadratic.values())
+        if not all(map(math.isfinite, coeffs)):
+            raise ModelError("model coefficients must be finite")
 
     def evaluate(self, v: Sequence[int]) -> float:
         if len(v) != self.n:
@@ -108,9 +112,30 @@ class _QuadraticModel:
         return e
 
     def energies(self) -> np.ndarray:
-        """Energy of every assignment, indexed by the integer bit pattern x."""
-        return _table_energies(self.values(_bit_table(self.n)), self.constant,
-                               self.linear, self.quadratic)
+        """Energy of every assignment, indexed by the integer bit pattern x.
+
+        Built by bit doubling in O(2^n) memory: appending bit k maps the
+        energies e of the first 2^k patterns to [e + v0 g, e + v1 g], where
+        v0 and v1 are the values of a 0 and a 1 bit and g = a_k + f_k with
+        f_k = sum_{j<k} b_jk v_j, itself built by doubling over j.
+        """
+        v0, v1 = self.values(np.array([0.0, 1.0])).tolist()
+        e = np.empty(1 << self.n)
+        f = np.empty(1 << max(self.n - 1, 0))
+        e[0] = self.constant
+        for k, a in enumerate(self.linear):
+            f[0] = 0.0
+            for j in range(k):
+                b = self.quadratic.get((j, k), 0.0)
+                np.add(f[:1 << j], v1 * b, out=f[1 << j:2 << j])
+                if v0:
+                    f[:1 << j] += v0 * b
+            g = f[:1 << k]
+            g += a
+            np.add(e[:1 << k], v1 * g, out=e[1 << k:2 << k])
+            if v0:
+                e[:1 << k] += v0 * g
+        return e
 
     def to_dict(self) -> dict:
         return {
@@ -171,7 +196,8 @@ def ising_to_qubo(m: IsingModel) -> QuboModel:
 class SpectrumTable:
     """Exhaustive spectrum as arrays.
 
-    ``energies`` are the distinct levels in ascending order and ``counts``
+    ``energies`` are the levels in ascending order (each its lowest member's
+    energy; ``enumerate_spectrum`` states the level rule) and ``counts``
     their multiplicities; ``states`` holds all 2^n bit patterns (bit i of a
     state is x_i) in stable energy order, so level k's states are the
     ``counts[k]`` entries after the first ``counts[:k].sum()``.
@@ -193,7 +219,7 @@ class SpectrumTable:
     @property
     def ground_states(self) -> tuple[int, ...]:
         """Ground-level bit patterns, ascending."""
-        return tuple(self.states[:self.counts[0]].tolist())
+        return tuple(np.sort(self.states[:self.counts[0]]).tolist())
 
 
 def state_bits(state: int, n: int) -> tuple[int, ...]:
@@ -201,13 +227,23 @@ def state_bits(state: int, n: int) -> tuple[int, ...]:
 
 
 def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
-    """Exhaustive spectrum of the classical cost, grouped by exact energy equality."""
+    """Exhaustive spectrum of the classical cost.
+
+    Adjacent sorted energies that differ by at most 8 n eps L1, with L1 the
+    sum of the coefficients' magnitudes (constant included), are one level,
+    whose energy is its lowest member.  The bound is four times the largest
+    difference, 2 n eps L1, that the round-off of the doubling sums in
+    ``energies`` can put between two energies equal in exact arithmetic.
+    """
     if m.n > ENUMERATION_CAP:
         raise ModelError(f"n={m.n} exceeds enumeration cap {ENUMERATION_CAP}")
-    e = m.energies()
-    states = np.argsort(e, kind="stable")
-    ordered = e[states]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    l1 = (abs(m.constant) + sum(map(abs, m.linear))
+          + sum(map(abs, m.quadratic.values())))
+    tol = 8 * m.n * np.finfo(float).eps * l1
+    ordered = m.energies()
+    states = np.argsort(ordered, kind="stable")
+    ordered = ordered[states]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(ordered) > tol)))
     counts = np.diff(np.append(starts, ordered.size))
     return SpectrumTable(m.n, ordered[starts], counts, states)
 

@@ -256,8 +256,9 @@ def input_files(tmp_path, xor_model_file):
     11-variable model, a model whose n overflows int, layouts of two atoms
     and of three atoms of which two coincide, a schedule in a basis other
     than Fourier, a one-evaluation plan and a one-row spectral input; files
-    that hold NaN or Infinity, a string where a number is read, a fractional
-    number where an integer is read, or a negative omega_max; an output
+    that hold NaN or Infinity, a string or a boolean where a number is
+    read, a fractional number where an integer is read, or a negative
+    omega_max; an output
     path in a missing directory, and an output directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
@@ -302,7 +303,11 @@ def input_files(tmp_path, xor_model_file):
             "fractional_threat_spectral": [
                 {**spectral, "threat_degeneracies": [[1.5, 0.5]]}],
             "string_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]],
-                              "C6": "nan"}}
+                              "C6": "nan"},
+            "string_result": {"instance": "x", "C_opt": "nan", "R": 0.5,
+                              "ground_states": [0]},
+            "bool_config": {"omega_max": True},
+            "bool_model": {"n": 2, "linear": [True, 1.0], "quadratic": []}}
     files = {"{xor}": xor_model_file,
              "{missing_dir_out}": str(tmp_path / "missing" / "out.json"),
              "{out_dir}": str(tmp_path / "runs")}
@@ -469,6 +474,19 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                  id="schedule-negative-omega-max"),
     pytest.param(["optimize", "--preset", "xor_sat"], 2, "usage: rydqubo",
                  id="optimize-removed"),
+    pytest.param(["report", "{string_result}"], 2,
+                 "error: cannot load result ", id="result-string"),
+    # a JSON boolean is not a number: true would read as 1
+    pytest.param(["anneal", "--model", "{xor}", "--config", "{bool_config}",
+                  "--duration", "2", "--steps", "20"],
+                 2, "error: cannot load config ", id="config-bool"),
+    pytest.param(["spectrum", "--model", "{bool_model}"], 2,
+                 "error: cannot load model ", id="model-bool"),
+    # two equal clauses sum their 1e308 penalties to an infinite coupling
+    pytest.param(two_sat('{"n": 2, "clauses": [[[0, false], [1, false]], '
+                         '[[0, false], [1, false]]], "penalty": 1e308}'),
+                 3, "error: model coefficients must be finite",
+                 id="params-overflowing-model"),
 ])
 def test_failure_exit_codes(capsys, input_files, argv, code, err_start):
     status, err = exit_status(capsys, [input_files.get(a, a) for a in argv])

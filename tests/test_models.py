@@ -1,14 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rydqubo import models
+from rydqubo.hardness import analyze_model
 from rydqubo.models import (ENUMERATION_CAP, ModelError, IsingModel,
-                            QuboModel, _bit_table, as_ising, as_qubo,
-                            enumerate_spectrum, ising_to_qubo, model_from_dict,
-                            qubo_to_ising, state_bits)
+                            QuboModel, _bit_table, _table_energies, as_ising,
+                            as_qubo, enumerate_spectrum, ising_to_qubo,
+                            model_from_dict, qubo_to_ising, state_bits)
+from rydqubo.problems import preset_instance
 
-from conftest import random_qubo, spectrum_cases
+from conftest import random_integer_qubo, random_qubo, spectrum_cases
 
 
 def brute_energies(model):
@@ -87,22 +91,28 @@ def test_spectrum_degeneracy_grouping():
     assert table.e_min == 0.0 and table.e_max == 2.0
 
 
+def level_tolerance(m):
+    """8 n eps L1, with L1 the sum of the coefficients' magnitudes."""
+    l1 = (abs(m.constant) + sum(abs(a) for a in m.linear)
+          + sum(abs(b) for b in m.quadratic.values()))
+    return 8 * m.n * np.finfo(float).eps * l1
+
+
 def _reference_enumerate_spectrum(m):
-    """One Python object per level, built state by state: the loop the
-    array grouping replaced.  Returns [(energy, states), ...]."""
+    """One Python object per level, built state by state: a state joins the
+    current level when its energy is within the level tolerance of the
+    previous state's, and a level's energy is its first (lowest) member's.
+    Returns [(energy, states), ...]."""
     e = m.energies()
-    levels = []
-    cur_e, cur_states = None, []
+    tol = level_tolerance(m)
+    levels, prev = [], None
     for k in np.argsort(e, kind="stable"):
         ek = float(e[k])
-        if cur_e is None or ek != cur_e:
-            if cur_states:
-                levels.append((cur_e, tuple(cur_states)))
-            cur_e, cur_states = ek, [int(k)]
-        else:
-            cur_states.append(int(k))
-    levels.append((cur_e, tuple(cur_states)))
-    return levels
+        if prev is None or ek - prev > tol:
+            levels.append((ek, []))
+        levels[-1][1].append(int(k))
+        prev = ek
+    return [(energy, tuple(states)) for energy, states in levels]
 
 
 def _levels(table):
@@ -119,9 +129,81 @@ def test_enumerate_spectrum_matches_reference(rng):
         got = _levels(table)
         assert [(e.hex(), s) for e, s in got] == [(e.hex(), s) for e, s in want]
         assert table.n == model.n
-        assert table.ground_states == want[0][1]
+        assert table.ground_states == tuple(sorted(want[0][1]))
         assert table.e_min.hex() == want[0][0].hex()
         assert table.e_max.hex() == want[-1][0].hex()
+
+
+def test_round_off_ties_share_one_level():
+    """x = (1,1,0) and (0,0,1) tie in exact arithmetic, whatever the scale;
+    compared exactly, round-off used to split them."""
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        a, b = -rng.uniform(0.01, 1.0, size=2)
+        lam = 10.0 ** rng.uniform(3.0, 8.0)
+        model = QuboModel(3, (lam * a, lam * b, lam * (a + b)),
+                          {(0, 2): lam, (1, 2): lam})
+        assert enumerate_spectrum(model).ground_states == (3, 4)
+        assert analyze_model(model).d_opt == 2
+    model = QuboModel(3, (-0.1, -0.2, -0.3), {(0, 2): 1.0, (1, 2): 1.0})
+    assert model.energies()[3] != model.energies()[4]
+    assert enumerate_spectrum(model).ground_states == (3, 4)
+    assert analyze_model(model).d_opt == 2
+
+
+@pytest.mark.parametrize("cls", [QuboModel, IsingModel])
+def test_doubled_energies_match_the_bit_table(rng, cls):
+    """Bit for bit on integer coefficients, where every sum is exact; within
+    the level tolerance on float coefficients."""
+    for n in range(13):
+        for source, exact in ((random_integer_qubo(rng, n), True),
+                              (random_qubo(rng, n), False)):
+            model = cls(n, source.linear, source.quadratic, source.constant)
+            want = _table_energies(model.values(_bit_table(n)), model.constant,
+                                   model.linear, model.quadratic)
+            got = model.energies()
+            assert got.shape == want.shape
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.abs(got - want).max() <= level_tolerance(model)
+
+
+def test_spectrum_builds_no_bit_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the spectrum built a bit table")
+
+    monkeypatch.setattr(models, "_bit_table", refuse)
+    for name in ("clustering", "protein"):
+        model = preset_instance(name).model
+        assert enumerate_spectrum(model).counts.sum() == 1 << model.n
+
+
+@pytest.mark.parametrize("convention", ["qubo", "ising"])
+def test_spectrum_memory_at_twenty_variables(rng, convention):
+    """No (2^n, n) table: the n = 20 spectrum peaks below 64 MB (the float
+    bit table alone is 160 MB)."""
+    q = random_qubo(rng, 20)
+    model = q if convention == "qubo" else qubo_to_ising(q)
+    tracemalloc.start()
+    try:
+        table = enumerate_spectrum(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.counts.sum() == 1 << 20
+    assert peak < 64 * 2**20, peak
+
+
+def test_models_refuse_non_finite_coefficients():
+    """A NaN or infinite coefficient has no spectrum: under the level
+    tolerance it would read as one level holding every state."""
+    nan, inf = float("nan"), float("inf")
+    for fields in ((2, (nan, 1.0), {}), (2, (0.0, 1.0), {(0, 1): inf}),
+                   (1, (0.0,), {}, -inf)):
+        for cls in (QuboModel, IsingModel):
+            with pytest.raises(ModelError, match="finite"):
+                cls(*fields)
 
 
 def test_enumeration_cap():
