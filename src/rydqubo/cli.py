@@ -1,8 +1,10 @@
 """Command-line surface: build -> encode -> layout -> optimize -> report.
 
-Exit codes: 0 success; 2 bad arguments (a non-positive --duration or
---steps, a missing or malformed input file, a non-finite number in any JSON
-input, a string or a boolean where a number belongs, a fractional number
+Exit codes: 0 success; 2 bad arguments (a non-positive or infinite
+--duration, a non-positive --steps, a negative --seed, a non-finite
+--energy-shift or --threshold, a negative or non-finite --tol, a missing or
+malformed input file, a non-finite number in any JSON input, a string or a
+boolean where a number belongs (a result file's R too), a fractional number
 where an input file holds an integer, a schedule file whose basis is not
 "fourier" or whose omega_max is not positive, an unwritable --out or
 --out-dir path (an --out-dir that cannot be created fails before the run),
@@ -13,8 +15,9 @@ not read, or a two_sat negation flag other than a boolean, 0 or 1, no
 --from-spectral, --presets and result files, or a layout whose atom count
 differs from the model's or that puts two atoms on one site); 3 a problem,
 model or hardness analysis that cannot be built, or a model that cannot be
-encoded; 4 solution quality below --threshold, or a failed validation; 5
-propagation failure. A reader that closes stdout early ends the command
+encoded, also because its encoded coefficients overflow a float; 4
+solution quality below --threshold, or a failed validation; 5 propagation
+failure. A reader that closes stdout early ends the command
 quietly with exit 0. Subcommands raise; main() alone maps an exception to
 its exit code through FAILURES. Any other exception is a bug and prints a
 traceback.
@@ -312,7 +315,7 @@ def _result_row(stem: str, data: dict) -> dict:
             "D_opt": len(data.get("ground_states", [])),
             "D_E1": 0, "threats": 0, "Sigma": float("nan"),
             "HP": float("nan"),
-            "note": f"R={data.get('R'):.6f}"}
+            "note": f"R={_float(data['R']):.6f}"}
 
 
 def cmd_report(args) -> int:
@@ -339,18 +342,28 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _checked(name: str, convert, ok, what: str):
+    """An argparse type named ``name``: ``convert(text)``, refused unless
+    ``ok`` holds for it."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = name  # argparse names the type when convert fails
+    return parse
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+positive_float = _checked("positive_float", float,
+                          lambda x: 0 < x < math.inf, "positive and finite")
+finite_float = _checked("finite_float", float, math.isfinite, "finite")
+nonnegative_float = _checked("nonnegative_float", float,
+                             lambda x: 0 <= x < math.inf,
+                             "non-negative and finite")
+positive_int = _checked("positive_int", int, lambda k: k > 0, "positive")
+nonnegative_int = _checked("nonnegative_int", int, lambda k: k >= 0,
+                           "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = {"--config": {"help": "hardware limits JSON file"},
               "--out-dir": {"default": ".", "help": "output directory"},
-              "--seed": {"type": int, "default": 0},
+              "--seed": {"type": nonnegative_int, "default": 0},
               "--mode": {"choices": ("ideal", "physical"), "default": "ideal"}}
 
     def add_common(p, *names):
@@ -399,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("validate", help="check a layout against a model")
     p.add_argument("--model", required=True)
     p.add_argument("--layout", required=True)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=nonnegative_float, default=1e-3)
     add_common(p, "--config")
     p.set_defaults(func=cmd_validate)
 
@@ -407,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--name", default="model")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--energy-shift", type=float, default=0.0)
+    p.add_argument("--energy-shift", type=finite_float, default=0.0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_hardness)
 
@@ -425,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--plan", help="stage plan JSON file")
     p.add_argument("--schedule", help="schedule JSON file")
-    p.add_argument("--threshold", type=float, default=0.98)
+    p.add_argument("--threshold", type=finite_float, default=0.98)
     add_common(p, *common)
     p.set_defaults(func=cmd_pipeline)
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .models import IsingModel, _bit_table, _float, _table_energies
+from .models import IsingModel, QuboModel, _float
 
 # hbar = 1; energies/frequencies in rad/us, lengths in um, times in us.
 GHZ_TO_RAD_PER_US = 2.0 * math.pi * 1.0e3
@@ -82,16 +82,14 @@ class EncodedTarget:
     def diagonal_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """(sum_{j<k} V_jk x_j x_k, sum_j Delta_j x_j) for every bit pattern.
 
-        Built on first use and cached read-only: the annealer reads it on
-        every propagation, while callers that never propagate (large-n
-        spectrum and hardness work) never allocate the 2^n-row bit table.
+        Built on first use by the models' bit-doubling kernel and cached
+        read-only: the annealer reads it on every propagation, while callers
+        that never propagate never allocate the 2^n-entry arrays.
         """
-        xt = _bit_table(self.n)
         pairs = {(i, j): self.v[i, j]
-                 for i, j in zip(*np.triu_indices(self.n, k=1))
-                 if self.v[i, j] != 0.0}
-        v_part = _table_energies(xt, 0.0, np.zeros(self.n), pairs)
-        delta_part = xt @ self.delta_final
+                 for i, j in np.argwhere(np.triu(self.v, 1)).tolist()}
+        v_part = QuboModel(self.n, (0.0,) * self.n, pairs).energies()
+        delta_part = QuboModel(self.n, tuple(self.delta_final), {}).energies()
         v_part.flags.writeable = delta_part.flags.writeable = False
         return v_part, delta_part
 
@@ -117,6 +115,7 @@ def encode(m: IsingModel, allow_negative: bool = False) -> EncodedTarget:
     Requires antiferromagnetic couplings (J >= 0) unless ``allow_negative``
     is set, in which case the signed interactions are kept; such a target can
     be simulated in ideal mode but not realized by a van der Waals layout.
+    A V, Delta or constant that overflows a float is not encodable either.
     """
     n = m.n
     v = np.zeros((n, n))
@@ -127,8 +126,12 @@ def encode(m: IsingModel, allow_negative: bool = False) -> EncodedTarget:
                 "J >= 0 (try a gauge fix or allow_negative for ideal mode)",
                 pair=(i, j))
         v[i, j] = v[j, i] = 4.0 * coupling
-    delta = 2.0 * np.asarray(m.linear) + 0.5 * v.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        delta = 2.0 * np.asarray(m.linear) + 0.5 * v.sum(axis=1)
     constant = m.constant + sum(m.linear) + sum(m.quadratic.values())
+    if not np.isfinite(np.r_[v.ravel(), delta, constant]).all():
+        raise NotEncodableError("the encoded V, Delta or constant overflows "
+                                "a float")
     return EncodedTarget(n, v, delta, constant, 1.0)
 
 

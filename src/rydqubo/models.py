@@ -49,32 +49,6 @@ def _normalize_pairs(n: int, quadratic: Mapping) -> dict[tuple[int, int], float]
     return dict(sorted(out.items()))
 
 
-def _bit_table(n: int) -> np.ndarray:
-    """All 2^n assignments as a (2^n, n) 0/1 array; bit i of index k is x_i.
-
-    The shifts run in int32, which holds every index up to ENUMERATION_CAP,
-    on row blocks of 2^14 states, so that the integer temporaries stay small
-    beside the float table.
-    """
-    table = np.empty((1 << n, n))
-    shifts = np.arange(n, dtype=np.int32)
-    block = 1 << 14
-    for lo in range(0, 1 << n, block):
-        states = np.arange(lo, min(lo + block, 1 << n), dtype=np.int32)
-        table[lo:lo + len(states)] = (states[:, None] >> shifts) & 1
-    return table
-
-
-def _table_energies(table: np.ndarray, constant: float, linear: Sequence[float],
-                    pairs: Mapping[tuple[int, int], float]) -> np.ndarray:
-    """const + table @ linear + sum_ij b_ij table_i table_j, one row per state."""
-    e = np.full(table.shape[0], constant)
-    e += table @ np.asarray(linear)
-    for (i, j), b in pairs.items():
-        e += b * table[:, i] * table[:, j]
-    return e
-
-
 @dataclass(frozen=True)
 class _QuadraticModel:
     """const + sum_i linear_i v_i + sum_{i<j} quadratic_ij v_i v_j.

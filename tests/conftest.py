@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,32 @@ def random_integer_qubo(rng: np.random.Generator, n: int) -> QuboModel:
                      {(i, j): float(rng.integers(-3, 4))
                       for i in range(n) for j in range(i + 1, n)},
                      float(rng.integers(-3, 4)))
+
+
+def exact_energies(model) -> np.ndarray:
+    """Energy of every bit pattern: ``evaluate``'s terms summed exactly, then
+    rounded once to a float.  Every float is an integer over a power of two,
+    so the sums run in integers over the largest of those denominators."""
+    coeffs = [Fraction(c) for c in (model.constant, *model.linear,
+                                    *model.quadratic.values())]
+    den = max(c.denominator for c in coeffs)
+    const, *rest = [c.numerator * (den // c.denominator) for c in coeffs]
+    linear, quad = rest[:model.n], list(zip(model.quadratic, rest[model.n:]))
+    v0, v1 = (int(x) for x in model.values(np.array([0.0, 1.0])))
+    out = []
+    for k in range(1 << model.n):
+        v = [v1 if k >> i & 1 else v0 for i in range(model.n)]
+        out.append(float(Fraction(
+            const + sum(a * vi for a, vi in zip(linear, v))
+            + sum(b * v[i] * v[j] for (i, j), b in quad), den)))
+    return np.array(out)
+
+
+def level_tolerance(m):
+    """8 n eps L1, with L1 the sum of the coefficients' magnitudes."""
+    l1 = (abs(m.constant) + sum(abs(a) for a in m.linear)
+          + sum(abs(b) for b in m.quadratic.values()))
+    return 8 * m.n * np.finfo(float).eps * l1
 
 
 def spectrum_cases(rng: np.random.Generator):

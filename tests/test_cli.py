@@ -258,7 +258,7 @@ def input_files(tmp_path, xor_model_file):
     than Fourier, a one-evaluation plan and a one-row spectral input; files
     that hold NaN or Infinity, a string or a boolean where a number is
     read, a fractional number where an integer is read, or a negative
-    omega_max; an output
+    omega_max; a finite model whose encoding overflows; an output
     path in a missing directory, and an output directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
@@ -307,7 +307,13 @@ def input_files(tmp_path, xor_model_file):
             "string_result": {"instance": "x", "C_opt": "nan", "R": 0.5,
                               "ground_states": [0]},
             "bool_config": {"omega_max": True},
-            "bool_model": {"n": 2, "linear": [True, 1.0], "quadratic": []}}
+            "bool_model": {"n": 2, "linear": [True, 1.0], "quadratic": []},
+            "bool_r_result": {"instance": "x", "R": True,
+                              "ground_states": [0]},
+            "overflowing_encoding_model": {
+                "n": 3, "linear": [1e308, 1, 1],
+                "quadratic": [[0, 1, 1e308], [1, 2, 1]],
+                "convention": "ising"}}
     files = {"{xor}": xor_model_file,
              "{missing_dir_out}": str(tmp_path / "missing" / "out.json"),
              "{out_dir}": str(tmp_path / "runs")}
@@ -487,6 +493,31 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                          '[[0, false], [1, false]]], "penalty": 1e308}'),
                  3, "error: model coefficients must be finite",
                  id="params-overflowing-model"),
+    # V = 4 J overflows, and rescaling it by 0 used to give NaN
+    pytest.param(["encode", "--model", "{overflowing_encoding_model}"], 3,
+                 "error: not encodable: ", id="encode-overflow"),
+    pytest.param(["anneal", "--model", "{overflowing_encoding_model}"], 3,
+                 "error: not encodable: ", id="anneal-encode-overflow"),
+    pytest.param(["layout", "--model", "{xor}", "--seed", "-1"], 2,
+                 "usage: rydqubo layout", id="layout-seed-negative"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--seed", "-1"], 2,
+                 "usage: rydqubo pipeline", id="pipeline-seed-negative"),
+    pytest.param(["hardness", "--model", "{xor}", "--energy-shift", "nan"], 2,
+                 "usage: rydqubo hardness", id="hardness-energy-shift-nan"),
+    pytest.param(["hardness", "--model", "{xor}", "--energy-shift", "inf"], 2,
+                 "usage: rydqubo hardness", id="hardness-energy-shift-inf"),
+    pytest.param(["validate", "--model", "{xor}", "--layout", "{pair_layout}",
+                  "--tol", "nan"], 2, "usage: rydqubo validate",
+                 id="validate-tol-nan"),
+    pytest.param(["validate", "--model", "{xor}", "--layout", "{pair_layout}",
+                  "--tol", "-1"], 2, "usage: rydqubo validate",
+                 id="validate-tol-negative"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--threshold", "nan"], 2,
+                 "usage: rydqubo pipeline", id="pipeline-threshold-nan"),
+    pytest.param(["anneal", "--model", "{xor}", "--duration", "inf"], 2,
+                 "usage: rydqubo anneal", id="anneal-duration-infinite"),
+    pytest.param(["report", "{bool_r_result}"], 2,
+                 "error: cannot load result ", id="result-bool-R"),
 ])
 def test_failure_exit_codes(capsys, input_files, argv, code, err_start):
     status, err = exit_status(capsys, [input_files.get(a, a) for a in argv])

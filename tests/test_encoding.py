@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from rydqubo.encoding import (AtomLayout, C6_DEFAULT, EncodedTarget,
                               NotEncodableError, embed_layout, encode,
                               gauge_fix, layout_interactions, rescale,
                               validate)
-from rydqubo.models import IsingModel, _bit_table, as_ising
+from rydqubo.models import IsingModel, QuboModel, as_ising
 from rydqubo.pipeline import encode_for_annealing
-from rydqubo.problems import preset_instance
+from rydqubo.problems import PRESET_NAMES, preset_instance
 
-from conftest import random_antiferro_ising, spectrum_cases
+from conftest import exact_energies, level_tolerance, random_antiferro_ising
 
 
 def test_encode_reproduces_energies(rng):
@@ -205,26 +207,44 @@ def test_hardware_limits_validation():
                 HardwareLimits(**{field: value})
 
 
-def _loop_v_part(enc):
-    """sum_{j<k} V_jk x_j x_k by the per-pair loop ``diagonal_parts`` had
-    before it shared the models pair-sum kernel."""
-    xt = _bit_table(enc.n)
-    v_part = np.zeros(1 << enc.n)
-    for i, j in zip(*np.triu_indices(enc.n, k=1)):
-        if enc.v[i, j] != 0.0:
-            v_part += enc.v[i, j] * xt[:, i] * xt[:, j]
-    return v_part
+# SHA-256 over diagonal_parts (pair part, then detuning part) of every
+# preset in both conventions and both modes at default limits: the bytes the
+# per-pair loop over a (2^n, n) bit table gave before the doubling kernel
+DIAGONAL_PARTS_SHA256 = (
+    "c5d5c1ba5a8b37313e7717c02a7c9cd92abdc7abbbd16061ab128985fb7cf68c")
 
 
 def test_diagonal_parts_bit_identical_to_pair_loop(rng):
-    # presets in both conventions (mixed keeps signed couplings), then random
-    # targets with n = 0-8 whose couplings are signed, zero or absent
-    targets = [encode_for_annealing(m).target for m in spectrum_cases(rng)]
+    """Preset bytes pinned; on random targets, equal to the exact sums bit
+    for bit with integer coefficients and within 8 n eps L1 with float
+    ones."""
+    digest = hashlib.sha256()
+    for name in PRESET_NAMES:
+        model = preset_instance(name).model
+        for source in (model, as_ising(model)):
+            for mode in ("ideal", "physical"):
+                try:
+                    target = encode_for_annealing(source, mode).target
+                except FrustratedModelError:
+                    assert (name, mode) == ("mixed", "physical")
+                    continue
+                for part in target.diagonal_parts:
+                    digest.update(part.tobytes())
+    assert digest.hexdigest() == DIAGONAL_PARTS_SHA256
+    # couplings signed, zero or absent; n = 0-8
     for n in range(9):
-        v = np.triu(rng.choice([-1.5, 0.0, 0.0, 0.7, 2.0], size=(n, n)), 1)
-        targets.append(EncodedTarget(n, v + v.T, rng.normal(size=n), 0.2))
-    assert any(np.any(t.v < 0) for t in targets)
-    for enc in targets:
-        v_part, delta_part = enc.diagonal_parts
-        assert v_part.tobytes() == _loop_v_part(enc).tobytes()
-        assert delta_part.tobytes() == (_bit_table(enc.n) @ enc.delta_final).tobytes()
+        for exact in (True, False):
+            v = np.triu(rng.choice([-1.0, 0.0, 0.0, 1.0, 3.0], size=(n, n)), 1)
+            delta = rng.integers(-3, 4, size=n).astype(float)
+            if not exact:
+                v, delta = v * rng.normal(size=(n, n)), rng.normal(size=n)
+            target = EncodedTarget(n, v + v.T, delta, 0.2)
+            pairs = {(i, j): v[i, j] for i, j in np.argwhere(v).tolist()}
+            for got, model in zip(target.diagonal_parts, (
+                    QuboModel(n, (0.0,) * n, pairs),
+                    QuboModel(n, tuple(delta), {}))):
+                want = exact_energies(model)
+                if exact:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.abs(got - want).max() <= level_tolerance(model)

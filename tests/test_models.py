@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rydqubo import models
+from rydqubo.encoding import encode
 from rydqubo.hardness import analyze_model
 from rydqubo.models import (ENUMERATION_CAP, ModelError, IsingModel,
-                            QuboModel, _bit_table, _table_energies, as_ising,
-                            as_qubo, enumerate_spectrum, ising_to_qubo,
-                            model_from_dict, qubo_to_ising, state_bits)
-from rydqubo.problems import preset_instance
+                            QuboModel, as_ising, as_qubo, enumerate_spectrum,
+                            ising_to_qubo, model_from_dict, qubo_to_ising,
+                            state_bits)
 
-from conftest import random_integer_qubo, random_qubo, spectrum_cases
+from conftest import (exact_energies, level_tolerance, random_integer_qubo,
+                      random_qubo, spectrum_cases)
 
 
 def brute_energies(model):
@@ -91,13 +91,6 @@ def test_spectrum_degeneracy_grouping():
     assert table.e_min == 0.0 and table.e_max == 2.0
 
 
-def level_tolerance(m):
-    """8 n eps L1, with L1 the sum of the coefficients' magnitudes."""
-    l1 = (abs(m.constant) + sum(abs(a) for a in m.linear)
-          + sum(abs(b) for b in m.quadratic.values()))
-    return 8 * m.n * np.finfo(float).eps * l1
-
-
 def _reference_enumerate_spectrum(m):
     """One Python object per level, built state by state: a state joins the
     current level when its energy is within the level tolerance of the
@@ -152,15 +145,14 @@ def test_round_off_ties_share_one_level():
 
 
 @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
-def test_doubled_energies_match_the_bit_table(rng, cls):
+def test_doubled_energies_match_exact_sums(rng, cls):
     """Bit for bit on integer coefficients, where every sum is exact; within
     the level tolerance on float coefficients."""
     for n in range(13):
         for source, exact in ((random_integer_qubo(rng, n), True),
                               (random_qubo(rng, n), False)):
             model = cls(n, source.linear, source.quadratic, source.constant)
-            want = _table_energies(model.values(_bit_table(n)), model.constant,
-                                   model.linear, model.quadratic)
+            want = exact_energies(model)
             got = model.energies()
             assert got.shape == want.shape
             if exact:
@@ -169,29 +161,24 @@ def test_doubled_energies_match_the_bit_table(rng, cls):
                 assert np.abs(got - want).max() <= level_tolerance(model)
 
 
-def test_spectrum_builds_no_bit_table(monkeypatch):
-    def refuse(n):
-        raise AssertionError("the spectrum built a bit table")
-
-    monkeypatch.setattr(models, "_bit_table", refuse)
-    for name in ("clustering", "protein"):
-        model = preset_instance(name).model
-        assert enumerate_spectrum(model).counts.sum() == 1 << model.n
-
-
-@pytest.mark.parametrize("convention", ["qubo", "ising"])
-def test_spectrum_memory_at_twenty_variables(rng, convention):
-    """No (2^n, n) table: the n = 20 spectrum peaks below 64 MB (the float
-    bit table alone is 160 MB)."""
+@pytest.mark.parametrize("source", ["qubo", "ising", "diagonal_parts"])
+def test_spectrum_memory_at_twenty_variables(rng, source):
+    """No (2^n, n) table: at n = 20 the spectrum in either convention and the
+    encoded target's diagonal parts each peak below 64 MB (the float bit
+    table alone is 160 MB)."""
     q = random_qubo(rng, 20)
-    model = q if convention == "qubo" else qubo_to_ising(q)
+    model = q if source == "qubo" else qubo_to_ising(q)
+    target = encode(qubo_to_ising(q), allow_negative=True)
     tracemalloc.start()
     try:
-        table = enumerate_spectrum(model)
+        if source == "diagonal_parts":
+            sizes = [part.size for part in target.diagonal_parts]
+        else:
+            sizes = [enumerate_spectrum(model).counts.sum()]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.counts.sum() == 1 << 20
+    assert sizes == [1 << 20] * len(sizes)
     assert peak < 64 * 2**20, peak
 
 
@@ -274,20 +261,6 @@ def test_json_rejects_strings_and_non_finite_numbers():
                      ("constant", -float("inf")), ("n", "3")):
         with pytest.raises(ModelError, match="malformed model data"):
             model_from_dict({**base, key: bad})
-
-
-def test_bit_table_matches_one_expression_reference():
-    """The row-blocked table equals the one-expression table it replaced in
-    values, dtype and C order, across several 2^14-row blocks for n >= 15."""
-    for n in range(17):
-        states = np.arange(1 << n, dtype=np.int32)
-        reference = ((states[:, None] >> np.arange(n, dtype=np.int32))
-                     & 1).astype(np.float64)
-        table = _bit_table(n)
-        assert table.dtype == reference.dtype
-        assert table.shape == reference.shape
-        assert table.flags.c_contiguous
-        assert (table == reference).all()
 
 
 def test_as_conversions(rng):

@@ -149,13 +149,13 @@ def test_manifest_hash_stable_and_timestamp_free():
 def test_default_manifest_hash_pinned():
     """Schedules write ``"basis": "fourier"``, so manifest hashes of recorded
     runs stay valid; this pins the default two_sat manifest, which also
-    hashes ``rydqubo.__version__`` (0.2.0: levels equal up to round-off
-    merge)."""
+    hashes ``rydqubo.__version__`` (0.3.0: the encoded diagonal is built by
+    bit doubling)."""
     enc = encode_for_annealing(as_ising(preset_instance("two_sat").model)).target
     manifest = RunManifest("two_sat", "ideal",
                            default_schedule("two_sat", enc).to_dict(),
                            StagePlan.default().to_dict(), 0)
-    assert manifest.hash() == "b02afe8cd3489b58"
+    assert manifest.hash() == "fb3a669be8afc322"
 
 
 def test_version_has_one_owner():
