@@ -1,16 +1,14 @@
 """Full pipeline: build, encode, optimize the pulse shapes, and report R.
 
-The staged optimizer (gradient descent, then a simplex polish, then gradient
-again) tunes the detuning and drive coefficients to maximize the final-time
-solution quality R = (C_max - C_obt) / (C_max - C_opt).
+The optimizer runs BFGS on the exact adjoint gradient of the final-time
+energy (the default plan is one stage of 800 evaluations) and tunes the
+detuning and drive coefficients to maximize the final-time solution quality
+R = (C_max - C_obt) / (C_max - C_opt).
 """
 
-from rydqubo import Stage, StagePlan, preset_instance, result_json, run_pipeline
+from rydqubo import StagePlan, preset_instance, result_json, run_pipeline
 
-# a reduced budget keeps this demo around a minute; the default plan
-# (200/400/200 evaluations) reaches R > 0.99 on this instance
-plan = StagePlan((Stage("gradient", 60), Stage("simplex", 80),
-                  Stage("gradient", 40)))
+plan = StagePlan.default()
 
 preset = preset_instance("set_packing")
 result = run_pipeline(preset.model, "set_packing", preset_name="set_packing",
@@ -18,6 +16,7 @@ result = run_pipeline(preset.model, "set_packing", preset_name="set_packing",
 
 payload = result_json(result)
 print(f"instance:       {payload['instance']}")
+print(f"plan:           {plan.to_dict()['stages']}")
 print(f"R:              {payload['R']:.5f}")
 print(f"fidelity:       {payload['F_final']:.5f}")
 print(f"cost obtained:  {payload['C_obt']:.5f} (optimum {payload['C_opt']:g}, "

@@ -73,6 +73,8 @@ class EncodedTarget:
         d = np.asarray(self.delta_final, dtype=float)
         if v.shape != (self.n, self.n) or d.shape != (self.n,):
             raise ValueError("shape mismatch in encoded target")
+        if not (np.isfinite(v).all() and np.isfinite(d).all()):
+            raise ValueError("V and the detunings must be finite")
         if not np.allclose(v, v.T) or np.any(np.diag(v) != 0):
             raise ValueError("V must be symmetric with zero diagonal")
         object.__setattr__(self, "v", v)

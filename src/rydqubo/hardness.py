@@ -41,8 +41,8 @@ class HardnessReport:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not epsilon > 0:  # also rejects nan
-        raise HardnessError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # also rejects nan
+        raise HardnessError("epsilon must be positive and finite")
 
 
 def cluster_subspaces(spectrum: SpectrumTable, epsilon: float = DEFAULT_EPSILON

@@ -1,9 +1,9 @@
-"""Hybrid pulse-shape optimization: gradient -> simplex -> gradient.
+"""Pulse-shape optimization: BFGS stages on the exact gradient.
 
 The objective is the final-time expectation of the encoded target
-Hamiltonian; the gradient stages run BFGS on the objective's value and its
-exact adjoint gradient (``annealer.energy_gradient``), the middle stage is a
-Nelder-Mead simplex restarted at the incumbent.  A stage budget counts
+Hamiltonian.  Each stage runs BFGS on the objective's value and its exact
+adjoint gradient (``annealer.energy_gradient``), restarted at the incumbent;
+the default plan is one stage of 800 evaluations.  A stage budget counts
 objective evaluations: a value is 1, a gradient 2P for P coefficients, the
 central-difference probes it replaces.  Identical (target, plan, seed) inputs
 reproduce bit-identical results.
@@ -26,12 +26,12 @@ from .models import _float, _int
 
 @dataclass(frozen=True)
 class Stage:
-    kind: str                  # "gradient" or "simplex"
+    kind: str                  # "gradient", the only kind; plan files name it
     max_evals: int
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.kind not in ("gradient", "simplex"):
+        if self.kind != "gradient":
             raise ValueError(f"unknown stage kind {self.kind!r}")
         if self.max_evals < 1:
             raise ValueError("stage budget must be positive")
@@ -47,9 +47,7 @@ class StagePlan:
 
     @staticmethod
     def default() -> "StagePlan":
-        return StagePlan((Stage("gradient", 200),
-                          Stage("simplex", 400),
-                          Stage("gradient", 200)))
+        return StagePlan((Stage("gradient", 800),))
 
     def to_dict(self) -> dict:
         return {"stages": [{"kind": s.kind, "max_evals": s.max_evals,
@@ -131,8 +129,7 @@ class _BudgetExceeded(Exception):
 class _Tracker:
     """Wraps an objective: counts evaluations, tracks the incumbent, enforces budgets.
 
-    The trace gets one best-so-far entry per charged evaluation.  Only
-    evaluated values become the incumbent.
+    The trace gets one best-so-far entry per charged evaluation.
     """
 
     def __init__(self, fn: AnnealObjective):
@@ -146,34 +143,19 @@ class _Tracker:
     def set_budget(self, limit: int):
         self.limit = self.count + limit
 
-    def _charge_value(self) -> None:
+    def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
+        """1 evaluation for the value, then 2P for the gradient; when fewer
+        than 2P remain, the rest is charged and the budget is exceeded."""
         if self.count >= self.limit:
             raise _BudgetExceeded
-        self.count += 1
-
-    def _record(self, params: np.ndarray, e: float) -> None:
+        e, grad = self.fn.value_and_gradient(params)
         if e < self.best_e:
             self.best_e = e
             self.best_params = np.asarray(params, dtype=float).copy()
-        self.trace.append(self.best_e)
-
-    def __call__(self, params: np.ndarray) -> float:
-        self._charge_value()
-        e = self.fn(params)
-        self._record(params, e)
-        return e
-
-    def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
-        """1 evaluation for the value, as ``__call__``, then 2P for the
-        gradient; when fewer than 2P remain, the rest is charged and the
-        budget is exceeded."""
-        self._charge_value()
-        e, grad = self.fn.value_and_gradient(params)
-        self._record(params, e)
-        probes = min(2 * grad.size, self.limit - self.count)
-        self.count += probes
-        self.trace.extend([self.best_e] * probes)
-        if probes < 2 * grad.size:
+        charged = min(1 + 2 * grad.size, self.limit - self.count)
+        self.count += charged
+        self.trace.extend([self.best_e] * charged)
+        if charged < 1 + 2 * grad.size:
             raise _BudgetExceeded
         return e, grad
 
@@ -182,14 +164,18 @@ def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
     """Zeroed delta coefficients plus a small fundamental-mode Rabi seed.
 
     Seeds other than 0 add a small deterministic perturbation so repeated
-    runs can restart from distinct points.
+    runs can restart from distinct points: 5 % of the ramp span
+    |1 - delta0| on the Delta_G coefficients and 5 % of omega_max on the
+    Omega coefficients.
     """
-    p = np.zeros(len(template.delta_coeffs) + len(template.omega_coeffs))
+    n_delta = len(template.delta_coeffs)
+    p = np.zeros(n_delta + len(template.omega_coeffs))
     if template.omega_coeffs:
-        p[len(template.delta_coeffs)] = 0.1 * template.omega_max
+        p[n_delta] = 0.1 * template.omega_max
     if seed != 0:
-        rng = np.random.default_rng(seed)
-        p += rng.normal(scale=0.05 * template.omega_max, size=p.size)
+        scale = np.full(p.size, 0.05 * template.omega_max)
+        scale[:n_delta] = 0.05 * abs(1.0 - template.delta0)
+        p += np.random.default_rng(seed).normal(scale=scale)
     return p
 
 
@@ -208,29 +194,19 @@ def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
         tracker.set_budget(stage.max_evals)
         mark = len(tracker.trace)
         try:
-            if stage.kind == "gradient":
-                res = minimize(tracker.value_and_gradient, params, jac=True,
-                               method="BFGS",
-                               options={"maxiter": stage.max_evals,
-                                        "gtol": stage.tolerance})
-            else:
-                res = minimize(tracker, params, method="Nelder-Mead",
-                               options={"maxfev": stage.max_evals,
-                                        "fatol": stage.tolerance,
-                                        "xatol": 1e-8,
-                                        "adaptive": True})
-            params = res.x
+            minimize(tracker.value_and_gradient, params, jac=True, method="BFGS",
+                     options={"maxiter": stage.max_evals,
+                              "gtol": stage.tolerance})
         except _BudgetExceeded:
             exhausted = True
-        if tracker.best_params is not None:
-            params = tracker.best_params.copy()
+        # energy_gradient refuses a non-finite E: the first point is incumbent
+        params = tracker.best_params
         stage_history.append(tuple(tracker.trace[mark:]))
 
-    best_params = tracker.best_params if tracker.best_params is not None else params
     # final high-accuracy propagation of the incumbent
     final_cfg = PropagationConfig(initial_steps=max(objective.cfg.initial_steps, 200),
                                   adaptive=True)
-    _, traj = objective.propagate(best_params, final_cfg)
+    _, traj = objective.propagate(params, final_cfg)
     e_best = float(traj.energy[-1])
     f_best = float(traj.fidelity[-1])
     diag = enc.diagonal_energies() + enc.constant
@@ -238,7 +214,7 @@ def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
     c_max = float(diag.max()) / enc.scale
     c_obt = e_best / enc.scale
     ratio = approximation_ratio(c_max, c_opt, c_obt)
-    return OptimizationResult(np.asarray(best_params), e_best, f_best, ratio,
+    return OptimizationResult(params, e_best, f_best, ratio,
                               tracker.count, tuple(stage_history), seed,
-                              exhausted, objective.schedule_for(best_params),
+                              exhausted, objective.schedule_for(params),
                               c_obt, traj)

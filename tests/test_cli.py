@@ -255,11 +255,12 @@ def input_files(tmp_path, xor_model_file):
     """Named input files: the xor_sat preset, the frustrated mixed preset, an
     11-variable model, a model whose n overflows int, layouts of two atoms
     and of three atoms of which two coincide, a schedule in a basis other
-    than Fourier, a one-evaluation plan and a one-row spectral input; files
-    that hold NaN or Infinity, a string or a boolean where a number is
-    read, a fractional number where an integer is read, or a negative
-    omega_max; a finite model whose encoding overflows; an output
-    path in a missing directory, and an output directory."""
+    than Fourier, a one-evaluation plan, a plan naming the simplex kind and
+    a one-row spectral input; files that hold NaN or Infinity, a string or
+    a boolean where a number is read, a fractional number where an integer
+    is read, or a negative omega_max; a finite model whose encoding
+    overflows; an output path in a missing directory, and an output
+    directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
     gradient = {"kind": "gradient", "max_evals": 1}
@@ -299,6 +300,7 @@ def input_files(tmp_path, xor_model_file):
             "negative_omega_schedule": {**schedule, "omega": {
                 "coeffs": [1.0], "omega_max": -1.0}},
             "string_plan": {"stages": [{**gradient, "tolerance": "nan"}]},
+            "simplex_plan": {"stages": [{**gradient, "kind": "simplex"}]},
             "string_spectral": [{**spectral, "E0": "nan"}],
             "fractional_threat_spectral": [
                 {**spectral, "threat_degeneracies": [[1.5, 0.5]]}],
@@ -448,6 +450,11 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                  3, "error: epsilon must be positive", id="hardness-epsilon"),
     pytest.param(["report", "--presets", "--epsilon", "-1"],
                  3, "error: epsilon must be positive", id="report-epsilon"),
+    # an infinite epsilon merges every level into one subspace
+    pytest.param(["hardness", "--model", "{xor}", "--epsilon", "inf"],
+                 3, "error: epsilon must be positive", id="hardness-epsilon-inf"),
+    pytest.param(["report", "--presets", "--epsilon", "inf"],
+                 3, "error: epsilon must be positive", id="report-epsilon-inf"),
     # one input source per report: --presets does not ignore the others
     pytest.param(["report", "--presets", "missing.json"],
                  2, "error: give one of ", id="report-presets-and-file"),
@@ -468,6 +475,10 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
     pytest.param(["pipeline", "--preset", "xor_sat", "--plan",
                   "{string_plan}", "--out-dir", "{out_dir}"],
                  2, "error: cannot load plan ", id="plan-string"),
+    # "gradient" is the only stage kind
+    pytest.param(["pipeline", "--preset", "xor_sat", "--plan",
+                  "{simplex_plan}", "--out-dir", "{out_dir}"],
+                 2, "error: cannot load plan ", id="plan-simplex"),
     pytest.param(["validate", "--model", "{xor}", "--layout",
                   "{string_layout}"],
                  2, "error: cannot load layout ", id="layout-string"),

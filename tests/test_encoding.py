@@ -26,6 +26,16 @@ def test_encode_reproduces_energies(rng):
                                    atol=1e-10 * max(1.0, np.abs(m.energies()).max()))
 
 
+def test_encoded_target_refuses_non_finite_entries():
+    """np.allclose(inf, inf) holds, so the symmetry check alone passed an
+    infinite V; the fault then showed only when diagonal_parts was read."""
+    inf, nan = float("inf"), float("nan")
+    with pytest.raises(ValueError, match="must be finite"):
+        EncodedTarget(2, [[0, inf], [inf, 0]], [1, nan], 0)
+    with pytest.raises(ValueError, match="must be finite"):
+        EncodedTarget(2, np.zeros((2, 2)), [1, nan], 0)
+
+
 def test_encode_rejects_negative_couplings():
     m = IsingModel(2, (0.0, 0.0), {(0, 1): -1.0})
     with pytest.raises(NotEncodableError) as err:

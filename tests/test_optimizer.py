@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,12 @@ def small_objective():
 # --- plumbing ----------------------------------------------------------------
 
 def test_stage_plan_round_trip():
-    plan = StagePlan((Stage("gradient", 50, 1e-6), Stage("simplex", 80)))
+    plan = StagePlan((Stage("gradient", 50, 1e-6), Stage("gradient", 80)))
     again = StagePlan.from_dict(plan.to_dict())
     assert again == plan
-    with pytest.raises(ValueError):
-        Stage("annealing", 10)
+    for kind in ("annealing", "simplex"):
+        with pytest.raises(ValueError, match="unknown stage kind"):
+            Stage(kind, 10)
     with pytest.raises(ValueError):
         Stage("gradient", 0)
     with pytest.raises(ValueError):
@@ -54,8 +56,8 @@ def test_stage_plan_round_trip():
 
 def test_default_plan_budgets():
     plan = StagePlan.default()
-    assert [s.kind for s in plan.stages] == ["gradient", "simplex", "gradient"]
-    assert [s.max_evals for s in plan.stages] == [200, 400, 200]
+    assert [s.kind for s in plan.stages] == ["gradient"]
+    assert [s.max_evals for s in plan.stages] == [800]
 
 
 def test_approximation_ratio():
@@ -75,6 +77,11 @@ def test_initial_parameters_deterministic():
     p5b = initial_parameters(template, seed=5)
     np.testing.assert_allclose(p5a, p5b)
     assert not np.allclose(p5a, p0)
+    # the Delta_G noise scales with the ramp span |1 - delta0|, Omega's with
+    # omega_max: a flat ramp gets none
+    flat = initial_parameters(replace(template, delta0=1.0), seed=5)
+    assert (flat[:2] == 0).all()
+    assert (flat[2:] == p5a[2:]).all()
 
 
 # --- gradients ---------------------------------------------------------------
@@ -150,8 +157,7 @@ def test_objective_starts_where_propagate_does(source):
 # --- hybrid loop -------------------------------------------------------------
 
 def quick_plan():
-    return StagePlan((Stage("gradient", 30), Stage("simplex", 40),
-                      Stage("gradient", 20)))
+    return StagePlan((Stage("gradient", 50), Stage("gradient", 40)))
 
 
 def test_run_hybrid_improves_and_respects_budget():
@@ -168,7 +174,7 @@ def test_run_hybrid_improves_and_respects_budget():
 
 
 def test_run_hybrid_deterministic():
-    plan = StagePlan((Stage("gradient", 20), Stage("simplex", 20)))
+    plan = StagePlan((Stage("gradient", 20), Stage("gradient", 20)))
     a, b = (run_hybrid(small_objective(), plan, seed=3) for _ in range(2))
     np.testing.assert_array_equal(a.params, b.params)
     assert a.e_best == b.e_best
@@ -184,10 +190,12 @@ def test_gradient_stage_charges_probes_until_the_budget_is_spent():
     assert len(res.stage_history[0]) == 30
 
 
-def test_default_plan_spends_every_evaluation():
-    res = run_hybrid(preset_objective("two_sat"))
+@pytest.mark.parametrize("name", ["two_sat", "qap", "clustering"])
+def test_default_plan_spends_every_evaluation(name):
+    """The solve benchmark fails a run whose BFGS stage stops early."""
+    res = run_hybrid(preset_objective(name))
     assert res.evaluations == 800
-    assert [len(stage) for stage in res.stage_history] == [200, 400, 200]
+    assert [len(stage) for stage in res.stage_history] == [800]
 
 
 def test_run_hybrid_reports_source_cost():

@@ -21,7 +21,7 @@ from conftest import random_integer_qubo, random_qubo
 
 
 def tiny_plan():
-    return StagePlan((Stage("gradient", 15), Stage("simplex", 25)))
+    return StagePlan((Stage("gradient", 40),))
 
 
 def test_encode_for_annealing_direct():
@@ -149,13 +149,13 @@ def test_manifest_hash_stable_and_timestamp_free():
 def test_default_manifest_hash_pinned():
     """Schedules write ``"basis": "fourier"``, so manifest hashes of recorded
     runs stay valid; this pins the default two_sat manifest, which also
-    hashes ``rydqubo.__version__`` (0.3.0: the encoded diagonal is built by
-    bit doubling)."""
+    hashes the default plan (one 800-evaluation BFGS stage) and
+    ``rydqubo.__version__`` (0.4.0)."""
     enc = encode_for_annealing(as_ising(preset_instance("two_sat").model)).target
     manifest = RunManifest("two_sat", "ideal",
                            default_schedule("two_sat", enc).to_dict(),
                            StagePlan.default().to_dict(), 0)
-    assert manifest.hash() == "fb3a669be8afc322"
+    assert manifest.hash() == "6b8a23b4a18d0858"
 
 
 def test_version_has_one_owner():
