@@ -7,9 +7,9 @@ import pytest
 from rydqubo import annealer
 from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
                               PropagationConfig, Schedule, Trajectory,
-                              _pauli_x_total, _run_steps, energy_gradient,
-                              initial_basis_index, propagate,
-                              target_ground_indices)
+                              _pauli_x_total, _run_steps, _start_state,
+                              energy_gradient, initial_basis_index,
+                              propagate, target_ground_indices)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.problems import preset_instance
@@ -241,11 +241,14 @@ def test_propagation_on_preset_encodings():
 # --- blocked propagation against the per-step reference ----------------------
 
 def _reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
-                         x_total):
-    """One eigh per step: the loop the stacked blocks replaced.
+                         x_total, cfm4=False):
+    """One eigh per exponential: the loop the stacked blocks replaced.
 
-    Returns the final state and the trajectory at every stride-th grid
-    time, as ``_run_steps`` does.
+    The midpoint rule takes exp(-i dt H) of H at each step midpoint.  CFM4
+    builds H1 and H2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt and takes
+    exp(-i dt (a2 H1 + a1 H2)), then exp(-i dt (a1 H1 + a2 H2)), with
+    a1,2 = (3 -+ 2 sqrt(3))/12.  Returns the final state and the trajectory
+    at every stride-th grid time, as ``_run_steps`` does.
     """
     t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
     mid = 0.5 * (t_grid[:-1] + t_grid[1:])
@@ -256,6 +259,13 @@ def _reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
     stride = n_steps // (schedule.sample_count - 1)
     records = []
     psi = psi0.astype(complex).copy()
+    nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+    a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+
+    def hamiltonian(delta_g, omega):
+        h = (omega / 2.0) * x_total
+        h[np.diag_indices_from(h)] += v_part - delta_g * delta_part
+        return h
 
     def record():
         probs = np.abs(psi) ** 2
@@ -266,10 +276,15 @@ def _reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
 
     record()
     for step in range(n_steps):
-        h = (om[step] / 2.0) * x_total
-        h[np.diag_indices_from(h)] += v_part - dg[step] * delta_part
-        evals, evecs = np.linalg.eigh(h)
-        psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
+        if cfm4:
+            h1, h2 = (hamiltonian(*schedule.profiles(t_grid[step] + c * dt))
+                      for c in nodes)
+            exponents = (a2 * h1 + a1 * h2, a1 * h1 + a2 * h2)
+        else:
+            exponents = (hamiltonian(dg[step], om[step]),)
+        for h in exponents:
+            evals, evecs = np.linalg.eigh(h)
+            psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
         if (step + 1) % stride == 0:
             record()
     e, f, nrm = (np.array(column) for column in zip(*records))
@@ -335,9 +350,16 @@ def test_blocked_steps_bit_identical_superposition_start(rng):
     _assert_runs_identical(enc, sched, psi0, 150, [0, 3, 9])
 
 
-def test_adaptive_propagation_bit_identical_two_sat(monkeypatch):
+def test_adaptive_propagation_matches_per_step_cfm4_two_sat(monkeypatch):
+    """An adaptive run steps with CFM4: each exponential of the blocked loop
+    is H at blended controls, the reference builds a2 H1 + a1 H2 and
+    a1 H1 + a2 H2 from the two node Hamiltonians.  The two differ only in
+    the order of operations, by round-off that grows with the number of
+    exponentials (about 4e-14 at 2,560 of them on this target), so they must
+    agree within 1e-12."""
     from rydqubo.pipeline import default_schedule
 
+    round_off = 1e-12
     enc = _preset_target("two_sat")
     sched = replace(default_schedule("two_sat", enc, t_total=8.0),
                     delta_coeffs=(0.1, 0.0), omega_coeffs=(3.0, 0.5),
@@ -347,14 +369,108 @@ def test_adaptive_propagation_bit_identical_two_sat(monkeypatch):
     calls = []
 
     def reference(*args):
-        calls.append(args[3])
+        calls.append(args[6])  # cfm4
         return _reference_run_steps(*args)
 
     monkeypatch.setattr(annealer, "_run_steps", reference)
     psi_ref, traj_ref = propagate(enc, sched, cfg)
     assert len(calls) > 2  # the adaptive loop doubled at least twice
-    assert (psi == psi_ref).all()
-    _assert_trajectories_identical(traj, traj_ref)
+    assert calls == [True] * len(calls)
+    assert np.abs(psi - psi_ref).max() <= round_off
+    for field in ("times", "omega", "delta_g"):
+        assert (getattr(traj, field) == getattr(traj_ref, field)).all()
+    assert np.abs(traj.energy - traj_ref.energy).max() <= \
+        round_off * enc.energy_scale
+    assert np.abs(traj.fidelity - traj_ref.fidelity).max() <= round_off
+    assert abs(traj.norm_error - traj_ref.norm_error) <= round_off
+
+
+def _start_pulse(name, noise_seed=None):
+    """(target, schedule) of the optimizer's seed-0 start pulse on a preset;
+    with ``noise_seed``, plus the seed noise of 0.05 omega_max on all twelve
+    coefficients that optimizer seeds drew before the noise was scaled per
+    block."""
+    from rydqubo.optimizer import AnnealObjective, initial_parameters
+    from rydqubo.pipeline import default_schedule
+
+    enc = _preset_target(name)
+    obj = AnnealObjective(enc, default_schedule(name, enc))
+    params = initial_parameters(obj.template, 0)
+    if noise_seed is not None:
+        params = params + np.random.default_rng(noise_seed).normal(
+            scale=0.05 * obj.template.omega_max, size=params.size)
+    return enc, obj.schedule_for(params)
+
+
+def test_cfm4_and_midpoint_share_one_limit():
+    """On every preset's start pulse the adaptive CFM4 E(T) agrees with the
+    midpoint rule's Richardson limit (4 E(2N) - E(N)) / 3 at N = 1,600 within
+    2e-9 of the energy scale (measured: at most 8e-10, on protein), a fifth
+    of the adaptive tolerance."""
+    from rydqubo.problems import PRESET_NAMES
+
+    for name in PRESET_NAMES:
+        enc, sched = _start_pulse(name)
+        psi0, ground, x_total = (_start_state(enc, sched),
+                                 target_ground_indices(enc),
+                                 _pauli_x_total(enc.n))
+        e_n, e_2n = (_reference_run_steps(enc, sched, psi0, n, ground,
+                                          x_total)[1].energy[-1]
+                     for n in (1600, 3200))
+        limit = (4.0 * e_2n - e_n) / 3.0
+        e_cfm4 = propagate(enc, sched)[1].energy[-1]
+        assert abs(e_cfm4 - limit) <= 2e-9 * enc.energy_scale, name
+
+
+def test_cfm4_is_fourth_order():
+    """Doubling the steps shrinks CFM4's |dE(T)| by 2^4 = 16 and the midpoint
+    rule's by 2^2 = 4, on two_sat's start pulse at 200-1,600 steps, where
+    the smallest CFM4 change (1e-10) is far above round-off."""
+    enc, sched = _start_pulse("two_sat")
+    psi0, ground, x_total = (_start_state(enc, sched),
+                             target_ground_indices(enc), _pauli_x_total(enc.n))
+    for cfm4, low, high in ((True, 10.0, 20.0), (False, 3.5, 4.5)):
+        energies = [_run_steps(enc, sched, psi0, n, ground, x_total,
+                               cfm4)[1].energy[-1]
+                    for n in (200, 400, 800, 1600)]
+        changes = np.abs(np.diff(energies))
+        ratios = changes[:-1] / changes[1:]
+        assert ((low <= ratios) & (ratios <= high)).all(), (cfm4, ratios)
+
+
+@pytest.mark.parametrize("name, steps", [("qap", 12_800), ("clustering", 3_200)])
+def test_adaptive_propagation_converges_where_midpoint_rule_could_not(
+        monkeypatch, name, steps):
+    """The midpoint rule's error fell only 4x per doubling on these seed-noise
+    start pulses, so it raised AnnealerError after 204,800 steps; CFM4
+    converges under the same 1e-8 tolerance, qap to the midpoint rule's
+    Richardson limit 32.2595215."""
+    enc, sched = _start_pulse(name, noise_seed=1)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return _run_steps(*args)
+
+    monkeypatch.setattr(annealer, "_run_steps", counting)
+    _, traj = propagate(enc, sched)
+    assert calls[-1] == steps
+    assert traj.norm_error < 1e-9
+    if name == "qap":
+        assert traj.energy[-1] == pytest.approx(32.2595215, abs=1e-7)
+
+
+def test_propagation_config_refuses_bad_input():
+    """A NaN or negative tolerance used to run all ten doublings before
+    AnnealerError named the tolerance, and initial_steps = -5 ran."""
+    for bad in (float("nan"), float("inf"), -1.0, 0.0, "1e-8", True):
+        with pytest.raises(ValueError):
+            PropagationConfig(tolerance_rel=bad)
+    for bad in (0, -5, 2.5, "200", True):
+        with pytest.raises(ValueError):
+            PropagationConfig(initial_steps=bad)
+    cfg = PropagationConfig(initial_steps=40.0, tolerance_rel=1)
+    assert type(cfg.initial_steps) is int and type(cfg.tolerance_rel) is float
 
 
 # --- exact gradient ------------------------------------------------------------
