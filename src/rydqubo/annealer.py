@@ -64,6 +64,7 @@ class Schedule:
         if not _float(self.omega_max) > 0:
             raise ValueError("omega_max must be positive")
         _float(self.delta0)  # refuses a string or a non-finite value
+        object.__setattr__(self, "sample_count", _int(self.sample_count))
         if self.sample_count < 2:
             raise ValueError("sample_count must be at least 2")
         object.__setattr__(self, "delta_coeffs", tuple(map(_float, self.delta_coeffs)))
@@ -136,11 +137,10 @@ class PropagationConfig:
 
 
 def _pauli_x_total(n: int) -> np.ndarray:
-    dim = 1 << n
-    x = np.zeros((dim, dim))
-    for k in range(dim):
-        for j in range(n):
-            x[k ^ (1 << j), k] += 1.0
+    """sum_j X_j: entry (k ^ 2^j, k) is 1 for every state k and atom j."""
+    states = np.arange(1 << n)[:, None]
+    x = np.zeros((1 << n, 1 << n))
+    x[states ^ (1 << np.arange(n)), states] = 1.0
     return x
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .models import (IsingModel, ModelError, QuboModel, SpectrumTable,
                      enumerate_spectrum)
@@ -21,8 +21,7 @@ class HardnessError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     mean_energy: float
     degeneracy: int
 

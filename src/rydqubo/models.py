@@ -170,10 +170,11 @@ def ising_to_qubo(m: IsingModel) -> QuboModel:
 class SpectrumTable:
     """Exhaustive spectrum as arrays.
 
-    ``energies`` are the levels in ascending order (each its lowest member's
+    ``energies`` are the levels in ascending order (each its first member's
     energy; ``enumerate_spectrum`` states the level rule) and ``counts``
     their multiplicities; ``states`` holds all 2^n bit patterns (bit i of a
-    state is x_i) in stable energy order, so level k's states are the
+    state is x_i) in stable energy order, by energy and then by pattern, as
+    one sort of (tie run, pattern) keys gives it; level k's states are the
     ``counts[k]`` entries after the first ``counts[:k].sum()``.
     """
 
@@ -203,23 +204,62 @@ def state_bits(state: int, n: int) -> tuple[int, ...]:
 def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
     """Exhaustive spectrum of the classical cost.
 
+    The stable energy order comes from one sort of int64 keys.  numpy's
+    default argsort orders the energies but leaves exact ties in no fixed
+    order, so each state's key is (rank of its tie run << n) | state, and
+    the sorted keys' low n bits are the states by energy, then by index,
+    as a stable sort orders them.
+
     Adjacent sorted energies that differ by at most 8 n eps L1, with L1 the
     sum of the coefficients' magnitudes (constant included), are one level,
-    whose energy is its lowest member.  The bound is four times the largest
+    whose energy is its first member's.  The bound is four times the largest
     difference, 2 n eps L1, that the round-off of the doubling sums in
     ``energies`` can put between two energies equal in exact arithmetic.
+    A level starts only where a tie run does, so levels are split on the
+    runs' distinct values.
     """
     if m.n > ENUMERATION_CAP:
         raise ModelError(f"n={m.n} exceeds enumeration cap {ENUMERATION_CAP}")
     l1 = (abs(m.constant) + sum(map(abs, m.linear))
           + sum(map(abs, m.quadratic.values())))
     tol = 8 * m.n * np.finfo(float).eps * l1
-    ordered = m.energies()
-    states = np.argsort(ordered, kind="stable")
-    ordered = ordered[states]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(ordered) > tol)))
-    counts = np.diff(np.append(starts, ordered.size))
-    return SpectrumTable(m.n, ordered[starts], counts, states)
+    # Each 2^n array is deleted once used up: three are live at most, four
+    # when the energies are all distinct.
+    e = m.energies()
+    index = np.argsort(e)
+    ordered = e[index]
+    del e
+    # Tied energies share their bits, except +-0.0 and the NaNs (sorted
+    # last): give the first of each such run its lowest index's bits.
+    zeros = np.searchsorted(ordered, 0.0), np.searchsorted(ordered, 0.0, "right")
+    nans = np.searchsorted(ordered, np.nan), ordered.size
+    for lo, hi in (zeros, nans):
+        if lo < hi:
+            ordered[lo] = ordered[lo + np.argmin(index[lo:hi])]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # run starts
+    new[nans[0] + 1:] = False
+    values = ordered[new]
+    ranks = ordered.view(np.int64)  # run ranks 1, 2, ..., in place of ordered
+    ranks[:] = new
+    np.cumsum(ranks, out=ranks)
+    ranks <<= m.n
+    # The keys go in the argsort's buffer, not the later one of ordered:
+    # returning that one kept 8 MB more resident at n = 20 in a process
+    # that goes on allocating.
+    states = index
+    states |= ranks
+    del index, ordered, ranks
+    states.sort()
+    states &= (1 << m.n) - 1
+    runs = np.flatnonzero(new)
+    level = np.concatenate(([True], np.diff(values) > tol))
+    energies = values[level]
+    del values
+    starts = runs[level]
+    del runs
+    counts = np.append(starts[1:], states.size)
+    counts -= starts
+    return SpectrumTable(m.n, energies, counts, states)
 
 
 def model_from_dict(data: Mapping) -> QuboModel | IsingModel:

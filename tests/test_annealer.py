@@ -56,6 +56,17 @@ def test_schedule_rejects_bad_inputs():
     assert Schedule.from_dict({**data, "sample_count": 3.0}).sample_count == 3
 
 
+def test_schedule_reads_sample_count_as_an_integer():
+    """sample_count = 2.5 used to be built and fail later in propagate with a
+    TypeError, and "11" raised a TypeError from the < 2 check."""
+    for bad in (2.5, "11"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Schedule(2.0, (), (1.0,), sample_count=bad)
+    for good in (11.0, np.int64(11)):
+        count = Schedule(2.0, (), (1.0,), sample_count=good).sample_count
+        assert type(count) is int and count == 11
+
+
 def test_schedule_refuses_non_positive_omega_max():
     """omega_max = -1 used to clip Omega to -1 at every time, t = 0 and T
     included, and the anneal ran."""
@@ -146,6 +157,16 @@ def test_dim_cap_enforced():
     enc = EncodedTarget(n, np.zeros((n, n)), np.zeros(n), 0.0)
     with pytest.raises(AnnealerError):
         propagate(enc, Schedule(1.0, (), (1.0,)))
+
+
+def test_pauli_x_total_matches_per_entry_loop():
+    """The scatter gives the bytes of the state-by-atom loop it replaced."""
+    for n in range(DIM_CAP + 1):
+        want = np.zeros((1 << n, 1 << n))
+        for k in range(1 << n):
+            for j in range(n):
+                want[k ^ (1 << j), k] += 1.0
+        assert _pauli_x_total(n).tobytes() == want.tobytes()
 
 
 # --- initial state -----------------------------------------------------------

@@ -22,6 +22,14 @@ def test_cluster_subspaces_merges_within_epsilon():
     assert [s.degeneracy for s in loose] == [1, 2, 1]
 
 
+def test_subspaces_are_named_tuples():
+    subspaces = cluster_subspaces(enumerate_spectrum(QuboModel(2, (1.0, 1.0), {})))
+    assert subspaces == ((0.0, 1), (1.0, 2), (2.0, 1))
+    mean, degeneracy = subspaces[1]
+    assert (mean, degeneracy) == (subspaces[1].mean_energy, subspaces[1].degeneracy)
+    assert type(degeneracy) is int
+
+
 def test_cluster_subspaces_idempotent(rng):
     q = random_qubo(rng, 6)
     subspaces = cluster_subspaces(enumerate_spectrum(q))

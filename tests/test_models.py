@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from rydqubo.models import (ENUMERATION_CAP, ModelError, IsingModel,
                             QuboModel, as_ising, as_qubo, enumerate_spectrum,
                             ising_to_qubo, model_from_dict, qubo_to_ising,
                             state_bits)
+from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import (exact_energies, level_tolerance, random_integer_qubo,
                       random_qubo, spectrum_cases)
@@ -142,6 +145,135 @@ def test_round_off_ties_share_one_level():
     assert model.energies()[3] != model.energies()[4]
     assert enumerate_spectrum(model).ground_states == (3, 4)
     assert analyze_model(model).d_opt == 2
+
+
+def _stable_reference(m):
+    """The stable argsort and the level rule, on the whole sorted array:
+    (level energies as .hex(), counts, states)."""
+    e = m.energies()
+    states = np.argsort(e, kind="stable")
+    ordered = e[states]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        split = np.diff(ordered) > level_tolerance(m)
+    starts = np.flatnonzero(np.concatenate(([True], split)))
+    return ([x.hex() for x in ordered[starts].tolist()],
+            np.diff(np.append(starts, e.size)), states)
+
+
+def _assert_matches_stable_reference(m):
+    table = enumerate_spectrum(m)
+    energies, counts, states = _stable_reference(m)
+    assert [x.hex() for x in table.energies.tolist()] == energies
+    assert table.counts.dtype == counts.dtype and (table.counts == counts).all()
+    assert table.states.dtype == states.dtype and (table.states == states).all()
+
+
+def test_spectrum_order_matches_stable_sort_beyond_eight_variables(rng):
+    """Many exact ties (integer coefficients) and none (float ones)."""
+    for n in range(12, 17):
+        ties, distinct = random_integer_qubo(rng, n), random_qubo(rng, n)
+        assert np.unique(ties.energies()).size < 1 << (n - 4)
+        assert np.unique(distinct.energies()).size == 1 << n
+        for model in (ties, distinct, qubo_to_ising(ties)):
+            _assert_matches_stable_reference(model)
+
+
+def test_spectrum_order_zero_and_one_variable():
+    for model in (QuboModel(0, (), {}, -1.5), IsingModel(0, (), {}),
+                  QuboModel(1, (2.0,), {}), QuboModel(1, (0.0,), {}, 3.0),
+                  IsingModel(1, (-0.5,), {}, 0.25)):
+        _assert_matches_stable_reference(model)
+    assert enumerate_spectrum(QuboModel(0, (), {}, -1.5)).states.tolist() == [0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_spectrum_order_with_overflowing_energies():
+    """Finite coefficients whose sums overflow to +-inf, and to NaN where
+    an infinite energy meets an infinite coupling sum of the other sign."""
+    big = 1e308
+    overflowed = set()
+    for model in (QuboModel(3, (big, big, 1.0), {}),
+                  QuboModel(3, (-big, -big, 1.0), {(1, 2): 2.0}),
+                  QuboModel(3, (big, big, 0.0), {(0, 2): -big, (1, 2): -big}),
+                  IsingModel(3, (big, big, -big), {(0, 1): big})):
+        overflowed |= {str(x) for x in model.energies().tolist()
+                       if not math.isfinite(x)}
+        _assert_matches_stable_reference(model)
+    assert overflowed == {"inf", "-inf", "nan"}
+
+
+def test_spectrum_zero_level_keeps_its_first_members_sign():
+    """+0.0 and -0.0 tie; the zero level's energy has the sign of its lowest
+    state, which an unstable sort need not put first."""
+    for model, want in ((QuboModel(12, (1.0, -1.0) * 6, {}, -0.0), "-0x0.0p+0"),
+                        (IsingModel(12, (0.0,) * 12, {}, -0.0), "0x0.0p+0")):
+        e = model.energies()
+        signs = np.signbit(e[e == 0])
+        assert signs.any() and not signs.all()
+        _assert_matches_stable_reference(model)
+        energies = enumerate_spectrum(model).energies.tolist()
+        assert [x.hex() for x in energies if x == 0] == [want]
+
+
+def test_spectrum_order_on_arbitrary_energy_arrays(monkeypatch):
+    """Ties of +-0.0, +-inf and NaNs of either sign in every arrangement,
+    under a finite level tolerance."""
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 1.0, 1.0 + 2e-15, -1.0, np.inf, -np.inf,
+                     np.nan, -np.nan, 2.5])
+    for _ in range(300):
+        n = int(rng.integers(0, 11))
+        values = pool[rng.permutation(pool.size)[:rng.integers(1, pool.size)]]
+        e = rng.choice(values, size=1 << n)
+        monkeypatch.setattr(QuboModel, "energies", lambda self, e=e: e.copy())
+        model = QuboModel(n, (1.0,) * n, {})
+        table = enumerate_spectrum(model)
+        _assert_matches_stable_reference(model)
+        first = _stable_reference(model)[2][np.cumsum(table.counts) - table.counts]
+        assert table.energies.tobytes() == e[first].tobytes()
+
+
+# SHA-256 over every spectrum's energies (.hex()), counts and states: the
+# seven presets in both conventions, then seeded float and integer QUBOs
+# with n = 0-16, as the stable argsort gave them before the key sort
+SPECTRUM_SHA256 = (
+    "d3fb0ee6482c78158341db286f9b0b96f7dcd22984c6ff99b001d3f35b3ec9f8")
+
+
+def test_spectrum_bytes_pinned():
+    rng = np.random.default_rng(16)
+    models = [m for name in PRESET_NAMES
+              for m in (preset_instance(name).model,
+                        as_ising(preset_instance(name).model))]
+    models += [make(rng, n) for n in range(17)
+               for make in (random_qubo, random_integer_qubo)]
+    digest = hashlib.sha256()
+    for model in models:
+        table = enumerate_spectrum(model)
+        digest.update(" ".join(x.hex() for x in table.energies.tolist()).encode())
+        digest.update(table.counts.tobytes())
+        digest.update(table.states.tobytes())
+    assert digest.hexdigest() == SPECTRUM_SHA256
+
+
+# tracemalloc peak bytes of enumerate_spectrum for the two n = 18 models of
+# test_spectrum_memory_at_eighteen_variables, measured before the key sort
+STABLE_SORT_PEAK_BYTES = {"ties": 6_554_287, "distinct": 10_486_928}
+
+
+def test_spectrum_memory_at_eighteen_variables():
+    """No more traced memory than the stable argsort took."""
+    rng = np.random.default_rng(18)
+    for kind, model in (("ties", random_integer_qubo(rng, 18)),
+                        ("distinct", random_qubo(rng, 18))):
+        tracemalloc.start()
+        try:
+            enumerate_spectrum(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= STABLE_SORT_PEAK_BYTES[kind], (kind, peak)
 
 
 @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
