@@ -5,21 +5,21 @@ where Delta_G(T) = 1 and Omega(0) = Omega(T) = 0 hold exactly by construction
 of the pulse basis.
 
 Every step is a product of exact exponentials of the real-symmetric H, one
-eigh each.  Fixed-step runs are the optimizer's objective, and
-``energy_gradient`` differentiates them; they take one exponential per step,
-of H at the step midpoint.  That rule is second order, but a CFM4 objective
-and gradient would take two eighs per step, and eigh is most of an
-optimizer pass.  Adaptive runs score the final anneal; they take the two
+eigh each.  ``energy_gradient`` is the optimizer's objective and its exact
+gradient; it takes midpoint steps, one exponential per step, of H at the
+step midpoint.  That rule is second order, but a CFM4 objective and gradient
+would take two eighs per step, and eigh is most of an optimizer pass.
+``propagate`` scores an anneal, the final one included; it takes the two
 exponentials per step of the fourth-order commutator-free Magnus integrator
 CFM4, whose E(T) change falls 16x per step doubling against the midpoint
-rule's 4x, so they reach the convergence tolerance in far fewer steps.
+rule's 4x, and doubles the steps until E(T) converges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -121,17 +121,25 @@ class Trajectory:
     norm_error: float      # worst | ||psi|| - 1 | seen at samples
 
 
+def _initial_steps(value) -> int:
+    """A step count read as an int, refusing one below 1."""
+    steps = _int(value)
+    if steps < 1:
+        raise ValueError("initial_steps must be at least 1")
+    return steps
+
+
 @dataclass(frozen=True)
 class PropagationConfig:
     initial_steps: int = 200
     tolerance_rel: float = 1e-8     # on E(T), relative to the target energy scale
-    adaptive: bool = True
+    # not a field; bench/tracing.py reads it, and ROADMAP item 1 drops both
+    adaptive: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_steps", _int(self.initial_steps))
+        object.__setattr__(self, "initial_steps",
+                           _initial_steps(self.initial_steps))
         object.__setattr__(self, "tolerance_rel", _float(self.tolerance_rel))
-        if self.initial_steps < 1:
-            raise ValueError("initial_steps must be at least 1")
         if not self.tolerance_rel > 0:
             raise ValueError("tolerance_rel must be positive and finite")
 
@@ -237,15 +245,13 @@ def _sweep(enc: EncodedTarget, psi: np.ndarray, delta_g: np.ndarray,
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
                n_steps: int, ground_indices: Sequence[int],
-               x_total: np.ndarray, cfm4: bool = False
-               ) -> tuple[np.ndarray, Trajectory]:
-    """``_sweep`` over n_steps midpoint (or CFM4) steps, read at every
-    stride-th state, stride = exponentials / (sample_count - 1): returns the
-    final state and the trajectory at those grid times.  n_steps must be a
-    multiple of sample_count - 1, as ``_step_count`` makes it and doubling
-    keeps it."""
+               x_total: np.ndarray) -> tuple[np.ndarray, Trajectory]:
+    """``_sweep`` over n_steps CFM4 steps, read at every stride-th state,
+    stride = exponentials / (sample_count - 1): returns the final state and
+    the trajectory at those grid times.  n_steps must be a multiple of
+    sample_count - 1, as ``_step_count`` makes it and doubling keeps it."""
     intervals = schedule.sample_count - 1
-    delta_g, omega, dt = _exponentials(schedule, n_steps, cfm4)
+    delta_g, omega, dt = _exponentials(schedule, n_steps, cfm4=True)
     stride = len(delta_g) // intervals
     snaps = []
     for lo, _, _, states in _sweep(enc, psi0, delta_g, omega, dt, x_total):
@@ -265,14 +271,13 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
 
 def energy_gradient(enc: EncodedTarget, schedule: Schedule,
                     initial_steps: int = 200) -> tuple[float, np.ndarray]:
-    """(E(T), dE/d(delta_coeffs, omega_coeffs)) of the fixed-step anneal.
+    """(E(T), dE/d(delta_coeffs, omega_coeffs)) of the midpoint-rule anneal.
 
-    E(T) equals ``propagate(enc, schedule, PropagationConfig(initial_steps,
-    adaptive=False))[1].energy[-1]`` bit for bit, and the gradient is the
-    exact gradient of that discretized E(T) (GRAPE, Khaneja et al., JMR 172,
-    296, 2005).  One forward sweep keeps each step's eigen-pairs
-    H_k = V diag(lambda) V^T, which costs
-    n_steps * 4^n * 8 bytes; an adjoint sweep runs back from
+    The anneal takes ``_step_count`` steps from the state
+    ``initial_basis_index`` picks, and the gradient is the exact gradient of
+    that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  One
+    forward sweep keeps each step's eigen-pairs H_k = V diag(lambda) V^T,
+    which costs n_steps * 4^n * 8 bytes; an adjoint sweep runs back from
     lam_N = D psi_N by lam_k = U_k^dag lam_{k+1}.  The sensitivity of step k
     to a parameter theta of H_k is 2 Re[a^H (Gamma o V^T dH/dtheta V) b]
     with a = V^T lam_{k+1}, b = V^T psi_k and the eigenbasis Frechet
@@ -286,7 +291,7 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     """
     _check_cap(enc.n)
     x_total = _pauli_x_total(enc.n)
-    n_steps = _step_count(schedule, initial_steps)
+    n_steps = _step_count(schedule, _initial_steps(initial_steps))
     _, omega, dt = controls = _exponentials(schedule, n_steps)
     _, delta_part = enc.diagonal_parts
     target = enc.diagonal_energies()
@@ -331,16 +336,14 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
               cfg: PropagationConfig = PropagationConfig(),
               ground_indices: Sequence[int] | None = None,
               psi0: np.ndarray | None = None) -> tuple[np.ndarray, Trajectory]:
-    """Solve i dpsi/dt = H(t) psi.
+    """Solve i dpsi/dt = H(t) psi with CFM4 steps.
 
-    A fixed-step run (``cfg.adaptive`` false) takes ``cfg.initial_steps``
-    midpoint steps, rounded up to a multiple of the sample intervals, so its
-    E(T) is the one ``energy_gradient`` differentiates.  An adaptive run
-    takes CFM4 steps and doubles their count until E(T) moves by less than
-    ``tolerance_rel`` times the energy scale, at most MAX_DOUBLINGS times.
-    Without ``psi0`` the anneal starts from the basis state that
-    ``initial_basis_index`` picks; without ``ground_indices`` the fidelity is
-    taken on the ground set of the target.
+    The run starts at ``_step_count`` steps and doubles their count until
+    E(T) moves by less than ``tolerance_rel`` times the energy scale, at
+    most MAX_DOUBLINGS times.  Without ``psi0`` the anneal starts from the
+    basis state that ``initial_basis_index`` picks; without
+    ``ground_indices`` the fidelity is taken on the ground set of the
+    target.
     """
     _check_cap(enc.n)
     x_total = _pauli_x_total(enc.n)
@@ -351,18 +354,12 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
 
     tol = cfg.tolerance_rel * enc.energy_scale
     n_steps = _step_count(schedule, cfg.initial_steps)
-    psi, traj = _run_steps(enc, schedule, psi0, n_steps, ground_indices,
-                           x_total, cfg.adaptive)
-    if cfg.adaptive:
-        for _ in range(MAX_DOUBLINGS):
-            n_steps *= 2
-            e_prev = traj.energy[-1]
-            psi, traj = _run_steps(enc, schedule, psi0, n_steps,
-                                   ground_indices, x_total, cfg.adaptive)
-            if abs(traj.energy[-1] - e_prev) < tol:
-                break
-        else:
-            raise AnnealerError(
-                f"E(T) not converged to {cfg.tolerance_rel} after "
-                f"{MAX_DOUBLINGS} step doublings")
-    return psi, traj
+    e_prev = math.inf
+    for _ in range(1 + MAX_DOUBLINGS):
+        psi, traj = _run_steps(enc, schedule, psi0, n_steps, ground_indices,
+                               x_total)
+        if abs(traj.energy[-1] - e_prev) < tol:
+            return psi, traj
+        e_prev, n_steps = traj.energy[-1], 2 * n_steps
+    raise AnnealerError(f"E(T) not converged to {cfg.tolerance_rel} after "
+                        f"{MAX_DOUBLINGS} step doublings")

@@ -6,7 +6,8 @@ Exit codes: 0 success; 2 bad arguments (a non-positive or infinite
 malformed input file, a non-finite number in any JSON input, a string or a
 boolean where a number belongs (a result file's R too), a fractional number
 where an input file holds an integer, a schedule file whose basis is not
-"fourier" or whose omega_max is not positive, an unwritable --out or
+"fourier" or whose omega_max is not positive, a plan file with a negative
+stage tolerance, an unwritable --out or
 --out-dir path (an --out-dir that cannot be created fails before the run),
 family parameters that are unreadable, fractional where an integer is read,
 not read, or a two_sat negation flag other than a boolean, 0 or 1, no

@@ -212,7 +212,8 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
 
     Adjacent sorted energies that differ by at most 8 n eps L1, with L1 the
     sum of the coefficients' magnitudes (constant included), are one level,
-    whose energy is its first member's.  The bound is four times the largest
+    whose energy is its first member's; the largest magnitude is factored
+    out of an L1 that overflows.  The bound is four times the largest
     difference, 2 n eps L1, that the round-off of the doubling sums in
     ``energies`` can put between two energies equal in exact arithmetic.
     A level starts only where a tie run does, so levels are split on the
@@ -223,6 +224,10 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
     l1 = (abs(m.constant) + sum(map(abs, m.linear))
           + sum(map(abs, m.quadratic.values())))
     tol = 8 * m.n * np.finfo(float).eps * l1
+    if math.isinf(l1):  # finite magnitudes whose sum overflows
+        mags = [abs(c) for c in (m.constant, *m.linear, *m.quadratic.values())]
+        big = max(mags)
+        tol = 8 * m.n * np.finfo(float).eps * big * sum(a / big for a in mags)
     # Each 2^n array is deleted once used up: three are live at most, four
     # when the energies are all distinct.
     e = m.energies()

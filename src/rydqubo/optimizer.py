@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .annealer import (PropagationConfig, Schedule, Trajectory,
-                       energy_gradient, propagate)
+                       _initial_steps, energy_gradient, propagate)
 from .encoding import EncodedTarget
 from .models import _float, _int
 
@@ -33,8 +33,12 @@ class Stage:
     def __post_init__(self):
         if self.kind != "gradient":
             raise ValueError(f"unknown stage kind {self.kind!r}")
+        object.__setattr__(self, "max_evals", _int(self.max_evals))
+        object.__setattr__(self, "tolerance", _float(self.tolerance))
         if self.max_evals < 1:
             raise ValueError("stage budget must be positive")
+        if self.tolerance < 0:
+            raise ValueError("stage tolerance must not be negative")
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,8 @@ class StagePlan:
 
     @staticmethod
     def from_dict(data: dict) -> "StagePlan":
-        return StagePlan(tuple(Stage(s["kind"], _int(s["max_evals"]),
-                                     _float(s.get("tolerance", 1e-9)))
+        return StagePlan(tuple(Stage(s["kind"], s["max_evals"],
+                                     s.get("tolerance", 1e-9))
                                for s in data["stages"]))
 
 
@@ -85,13 +89,14 @@ def approximation_ratio(c_max: float, c_opt: float, c_obt: float) -> float:
 
 
 class AnnealObjective:
-    """E(T) as a function of flattened schedule coefficients (deltas, omegas)."""
+    """E(T) of ``energy_gradient`` at ``initial_steps`` midpoint steps, as a
+    function of flattened schedule coefficients (deltas, omegas)."""
 
     def __init__(self, enc: EncodedTarget, template: Schedule,
-                 cfg: PropagationConfig | None = None):
+                 initial_steps: int = 200):
         self.enc = enc
         self.template = template
-        self.cfg = cfg or PropagationConfig(initial_steps=200, adaptive=False)
+        self.initial_steps = _initial_steps(initial_steps)
         self.n_delta = len(template.delta_coeffs)
         self.n_omega = len(template.omega_coeffs)
 
@@ -103,23 +108,11 @@ class AnnealObjective:
                        delta_coeffs=params[:self.n_delta],
                        omega_coeffs=params[self.n_delta:])
 
-    def propagate(self, params: Sequence[float],
-                  cfg: PropagationConfig | None = None):
-        sched = self.schedule_for(params)
-        return propagate(self.enc, sched, cfg or self.cfg)
-
-    def __call__(self, params: Sequence[float]) -> float:
-        _, traj = self.propagate(params)
-        return float(traj.energy[-1])
-
     def value_and_gradient(self, params: Sequence[float]
                            ) -> tuple[float, np.ndarray]:
-        """(E(T), exact dE/dparams); E(T) equals ``self(params)`` bit for bit."""
-        if self.cfg.adaptive:
-            raise ValueError("the gradient is of a fixed-step propagation; "
-                             "use adaptive=False")
+        """(E(T), exact dE/dparams)."""
         return energy_gradient(self.enc, self.schedule_for(params),
-                               self.cfg.initial_steps)
+                               self.initial_steps)
 
 
 class _BudgetExceeded(Exception):
@@ -204,9 +197,8 @@ def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
         stage_history.append(tuple(tracker.trace[mark:]))
 
     # final high-accuracy propagation of the incumbent
-    final_cfg = PropagationConfig(initial_steps=max(objective.cfg.initial_steps, 200),
-                                  adaptive=True)
-    _, traj = objective.propagate(params, final_cfg)
+    _, traj = propagate(enc, objective.schedule_for(params),
+                        PropagationConfig(max(objective.initial_steps, 200)))
     e_best = float(traj.energy[-1])
     f_best = float(traj.fidelity[-1])
     diag = enc.diagonal_energies() + enc.constant

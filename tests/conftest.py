@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rydqubo.annealer import Trajectory
 from rydqubo.models import IsingModel, QuboModel, as_ising
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
@@ -58,9 +60,14 @@ def exact_energies(model) -> np.ndarray:
 
 
 def level_tolerance(m):
-    """8 n eps L1, with L1 the sum of the coefficients' magnitudes."""
+    """8 n eps L1, with L1 the sum of the coefficients' magnitudes; where L1
+    overflows a float, the product is taken exactly and rounded once."""
     l1 = (abs(m.constant) + sum(abs(a) for a in m.linear)
           + sum(abs(b) for b in m.quadratic.values()))
+    if math.isinf(l1):
+        coeffs = (m.constant, *m.linear, *m.quadratic.values())
+        return float(8 * m.n * Fraction(np.finfo(float).eps)
+                     * sum(abs(Fraction(c)) for c in coeffs))
     return 8 * m.n * np.finfo(float).eps * l1
 
 
@@ -88,6 +95,11 @@ def central_differences(f, params, h=1e-6):
     return grad
 
 
+def objective_value(objective):
+    """The E(T) of an ``AnnealObjective`` as a function of its parameters."""
+    return lambda params: objective.value_and_gradient(params)[0]
+
+
 def stencil_gradient(f, params, rel_step=1e-3):
     """Five-point (fourth-order) central stencil with per-coordinate step
     h_i = rel_step * (1 + |p_i|)."""
@@ -103,6 +115,63 @@ def stencil_gradient(f, params, rel_step=1e-3):
         fm2, fm1, fp1, fp2 = probes
         grad[i] = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     return grad
+
+
+def reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
+                        x_total, cfm4=False):
+    """One eigh per exponential: the loop the stacked blocks replaced.
+
+    The midpoint rule takes exp(-i dt H) of H at each step midpoint.  CFM4
+    builds H1 and H2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt and takes
+    exp(-i dt (a2 H1 + a1 H2)), then exp(-i dt (a1 H1 + a2 H2)), with
+    a1,2 = (3 -+ 2 sqrt(3))/12.  Returns the final state and the trajectory
+    at every stride-th grid time, as ``_run_steps`` does.
+    """
+    t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
+    mid = 0.5 * (t_grid[:-1] + t_grid[1:])
+    dg, om = schedule.profiles(mid)
+    dt = schedule.t_total / n_steps
+    v_part, delta_part = enc.diagonal_parts
+    stride = n_steps // (schedule.sample_count - 1)
+    psi = psi0.astype(complex).copy()
+    states = [psi]
+    nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+    a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
+
+    def hamiltonian(delta_g, omega):
+        h = (omega / 2.0) * x_total
+        h[np.diag_indices_from(h)] += v_part - delta_g * delta_part
+        return h
+
+    for step in range(n_steps):
+        if cfm4:
+            h1, h2 = (hamiltonian(*schedule.profiles(t_grid[step] + c * dt))
+                      for c in nodes)
+            exponents = (a2 * h1 + a1 * h2, a1 * h1 + a2 * h2)
+        else:
+            exponents = (hamiltonian(dg[step], om[step]),)
+        for h in exponents:
+            evals, evecs = np.linalg.eigh(h)
+            psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
+        if (step + 1) % stride == 0:
+            states.append(psi)
+    return psi, trajectory_of(enc, schedule, states, ground_indices,
+                              t_grid[::stride])
+
+
+def trajectory_of(enc, schedule, states, ground_indices, times):
+    """The trajectory of the given states at the given times, one state at a
+    time."""
+    target = enc.diagonal_energies()
+    records = []
+    for psi in states:
+        probs = np.abs(psi) ** 2
+        records.append((float(probs @ target) + enc.constant,
+                        float(probs[list(ground_indices)].sum()),
+                        abs(math.sqrt(float(probs.sum())) - 1.0)))
+    e, f, nrm = (np.array(column) for column in zip(*records))
+    delta_g, omega = schedule.profiles(times)
+    return Trajectory(times, omega, delta_g, e, f, float(nrm.max()))
 
 
 @pytest.fixture

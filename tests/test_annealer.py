@@ -6,15 +6,16 @@ import pytest
 
 from rydqubo import annealer
 from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
-                              PropagationConfig, Schedule, Trajectory,
+                              PropagationConfig, Schedule, _exponentials,
                               _pauli_x_total, _run_steps, _start_state,
-                              energy_gradient, initial_basis_index,
+                              _sweep, energy_gradient, initial_basis_index,
                               propagate, target_ground_indices)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
 from rydqubo.problems import preset_instance
 
-from conftest import central_differences
+from conftest import (central_differences, reference_run_steps,
+                      trajectory_of)
 
 
 def xor_pair_target():
@@ -224,12 +225,10 @@ def test_adiabatic_xor_pair_reaches_high_fidelity():
 def test_step_convergence():
     enc = xor_pair_target()
     sched = Schedule(20.0, (0.2,), (2.0,), sample_count=41)
-    cfg = PropagationConfig(initial_steps=40, tolerance_rel=1e-8,
-                            adaptive=True)
+    cfg = PropagationConfig(initial_steps=40, tolerance_rel=1e-8)
     _, traj = propagate(enc, sched, cfg)
     # converged propagation: twice the steps moves E(T) by less than tol
-    _, traj2 = propagate(enc, sched,
-                         PropagationConfig(initial_steps=4 * 40, adaptive=True))
+    _, traj2 = propagate(enc, sched, PropagationConfig(initial_steps=4 * 40))
     assert abs(traj.energy[-1] - traj2.energy[-1]) < \
         10 * cfg.tolerance_rel * enc.energy_scale
 
@@ -261,57 +260,18 @@ def test_propagation_on_preset_encodings():
 
 # --- blocked propagation against the per-step reference ----------------------
 
-def _reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
-                         x_total, cfm4=False):
-    """One eigh per exponential: the loop the stacked blocks replaced.
-
-    The midpoint rule takes exp(-i dt H) of H at each step midpoint.  CFM4
-    builds H1 and H2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt and takes
-    exp(-i dt (a2 H1 + a1 H2)), then exp(-i dt (a1 H1 + a2 H2)), with
-    a1,2 = (3 -+ 2 sqrt(3))/12.  Returns the final state and the trajectory
-    at every stride-th grid time, as ``_run_steps`` does.
-    """
-    t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
-    mid = 0.5 * (t_grid[:-1] + t_grid[1:])
-    dg, om = schedule.profiles(mid)
-    dt = schedule.t_total / n_steps
-    v_part, delta_part = enc.diagonal_parts
-    target = enc.diagonal_energies()
+def _midpoint_run(enc, schedule, psi0, n_steps, ground_indices, x_total):
+    """``_sweep`` over the midpoint exponentials that ``energy_gradient``
+    takes, read at the reference's grid times by the reference's own
+    readout: the final state and the trajectory."""
+    states = [psi0]
+    for _, _, _, block in _sweep(enc, psi0, *_exponentials(schedule, n_steps),
+                                 x_total):
+        states.extend(block[1:])
     stride = n_steps // (schedule.sample_count - 1)
-    records = []
-    psi = psi0.astype(complex).copy()
-    nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-    a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
-
-    def hamiltonian(delta_g, omega):
-        h = (omega / 2.0) * x_total
-        h[np.diag_indices_from(h)] += v_part - delta_g * delta_part
-        return h
-
-    def record():
-        probs = np.abs(psi) ** 2
-        e = float(probs @ target) + enc.constant
-        f = float(probs[list(ground_indices)].sum())
-        nrm = abs(math.sqrt(float(probs.sum())) - 1.0)
-        records.append((e, f, nrm))
-
-    record()
-    for step in range(n_steps):
-        if cfm4:
-            h1, h2 = (hamiltonian(*schedule.profiles(t_grid[step] + c * dt))
-                      for c in nodes)
-            exponents = (a2 * h1 + a1 * h2, a1 * h1 + a2 * h2)
-        else:
-            exponents = (hamiltonian(dg[step], om[step]),)
-        for h in exponents:
-            evals, evecs = np.linalg.eigh(h)
-            psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))
-        if (step + 1) % stride == 0:
-            record()
-    e, f, nrm = (np.array(column) for column in zip(*records))
-    times = t_grid[::stride]
-    delta_g, omega = schedule.profiles(times)
-    return psi, Trajectory(times, omega, delta_g, e, f, float(nrm.max()))
+    times = np.linspace(0.0, schedule.t_total, n_steps + 1)[::stride]
+    return states[-1], trajectory_of(enc, schedule, states[::stride],
+                                     ground_indices, times)
 
 
 def _assert_trajectories_identical(got, want):
@@ -325,8 +285,8 @@ def _assert_trajectories_identical(got, want):
 def _assert_runs_identical(enc, schedule, psi0, n_steps, ground):
     x_total = _pauli_x_total(enc.n)
     args = (enc, schedule, psi0, n_steps, ground, x_total)
-    (psi, traj), (psi_ref, traj_ref) = (_run_steps(*args),
-                                        _reference_run_steps(*args))
+    (psi, traj), (psi_ref, traj_ref) = (_midpoint_run(*args),
+                                        reference_run_steps(*args))
     assert (psi == psi_ref).all()
     _assert_trajectories_identical(traj, traj_ref)
 
@@ -390,13 +350,12 @@ def test_adaptive_propagation_matches_per_step_cfm4_two_sat(monkeypatch):
     calls = []
 
     def reference(*args):
-        calls.append(args[6])  # cfm4
-        return _reference_run_steps(*args)
+        calls.append(args[3])
+        return reference_run_steps(*args, cfm4=True)
 
     monkeypatch.setattr(annealer, "_run_steps", reference)
     psi_ref, traj_ref = propagate(enc, sched, cfg)
     assert len(calls) > 2  # the adaptive loop doubled at least twice
-    assert calls == [True] * len(calls)
     assert np.abs(psi - psi_ref).max() <= round_off
     for field in ("times", "omega", "delta_g"):
         assert (getattr(traj, field) == getattr(traj_ref, field)).all()
@@ -435,8 +394,8 @@ def test_cfm4_and_midpoint_share_one_limit():
         psi0, ground, x_total = (_start_state(enc, sched),
                                  target_ground_indices(enc),
                                  _pauli_x_total(enc.n))
-        e_n, e_2n = (_reference_run_steps(enc, sched, psi0, n, ground,
-                                          x_total)[1].energy[-1]
+        e_n, e_2n = (reference_run_steps(enc, sched, psi0, n, ground,
+                                         x_total)[1].energy[-1]
                      for n in (1600, 3200))
         limit = (4.0 * e_2n - e_n) / 3.0
         e_cfm4 = propagate(enc, sched)[1].energy[-1]
@@ -450,13 +409,13 @@ def test_cfm4_is_fourth_order():
     enc, sched = _start_pulse("two_sat")
     psi0, ground, x_total = (_start_state(enc, sched),
                              target_ground_indices(enc), _pauli_x_total(enc.n))
-    for cfm4, low, high in ((True, 10.0, 20.0), (False, 3.5, 4.5)):
-        energies = [_run_steps(enc, sched, psi0, n, ground, x_total,
-                               cfm4)[1].energy[-1]
+    for run, low, high in ((_run_steps, 10.0, 20.0),
+                           (_midpoint_run, 3.5, 4.5)):
+        energies = [run(enc, sched, psi0, n, ground, x_total)[1].energy[-1]
                     for n in (200, 400, 800, 1600)]
         changes = np.abs(np.diff(energies))
         ratios = changes[:-1] / changes[1:]
-        assert ((low <= ratios) & (ratios <= high)).all(), (cfm4, ratios)
+        assert ((low <= ratios) & (ratios <= high)).all(), (run, ratios)
 
 
 @pytest.mark.parametrize("name, steps", [("qap", 12_800), ("clustering", 3_200)])
@@ -483,15 +442,28 @@ def test_adaptive_propagation_converges_where_midpoint_rule_could_not(
 
 def test_propagation_config_refuses_bad_input():
     """A NaN or negative tolerance used to run all ten doublings before
-    AnnealerError named the tolerance, and initial_steps = -5 ran."""
+    AnnealerError named the tolerance, and initial_steps = -5 ran.  The
+    objective and the gradient share the step check: energy_gradient ran 0,
+    -5 and True and raised TypeError from linspace on 2.5."""
+    from rydqubo.optimizer import AnnealObjective
+
+    enc, sched = xor_pair_target(), Schedule(2.0, (0.1,), (1.0,))
     for bad in (float("nan"), float("inf"), -1.0, 0.0, "1e-8", True):
         with pytest.raises(ValueError):
             PropagationConfig(tolerance_rel=bad)
     for bad in (0, -5, 2.5, "200", True):
         with pytest.raises(ValueError):
             PropagationConfig(initial_steps=bad)
+        with pytest.raises(ValueError):
+            AnnealObjective(enc, sched, initial_steps=bad)
+        with pytest.raises(ValueError):
+            energy_gradient(enc, sched, bad)
     cfg = PropagationConfig(initial_steps=40.0, tolerance_rel=1)
     assert type(cfg.initial_steps) is int and type(cfg.tolerance_rel) is float
+    assert type(AnnealObjective(enc, sched, 40.0).initial_steps) is int
+    # every propagation is adaptive: there is no field to turn that off
+    with pytest.raises(TypeError):
+        PropagationConfig(adaptive=False)
 
 
 # --- exact gradient ------------------------------------------------------------
@@ -502,7 +474,6 @@ def test_energy_gradient_zero_on_clipped_steps():
     enc = _preset_target("qap")
     template = Schedule(6.0, (0.3, -0.2), (0.0, 0.0), omega_max=2.0,
                         sample_count=21)
-    cfg = PropagationConfig(initial_steps=200, adaptive=False)
     b = np.array([3.0, 0.4])
     mid = (np.arange(200) + 0.5) * 6.0 / 200
     unclipped = template.sine_table(mid)[1][:, :2] @ b
@@ -511,12 +482,15 @@ def test_energy_gradient_zero_on_clipped_steps():
     # away from the kink: no step sits within a finite-difference probe of it
     assert np.min(np.abs(np.abs(unclipped) - template.omega_max)) > 1e-4
 
+    x_total = _pauli_x_total(enc.n)
+
     def energy(omega_coeffs):
         sched = replace(template, omega_coeffs=tuple(omega_coeffs))
-        return float(propagate(enc, sched, cfg)[1].energy[-1])
+        return float(reference_run_steps(enc, sched, _start_state(enc, sched),
+                                         200, [0], x_total)[1].energy[-1])
 
     value, grad = energy_gradient(enc, replace(template, omega_coeffs=tuple(b)),
-                                  cfg.initial_steps)
+                                  200)
     assert value == energy(b)
     assert grad.shape == (4,)
     fd = central_differences(energy, b)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rydqubo import cli, models
-from rydqubo.annealer import PropagationConfig
+from rydqubo.annealer import PropagationConfig, propagate
 from rydqubo.cli import main
 from rydqubo.hardness import format_value
 from rydqubo.models import model_from_dict
@@ -258,9 +258,9 @@ def input_files(tmp_path, xor_model_file):
     than Fourier, a one-evaluation plan, a plan naming the simplex kind and
     a one-row spectral input; files that hold NaN or Infinity, a string or
     a boolean where a number is read, a fractional number where an integer
-    is read, or a negative omega_max; a finite model whose encoding
-    overflows; an output path in a missing directory, and an output
-    directory."""
+    is read, a negative omega_max or a negative stage tolerance; a finite
+    model whose encoding overflows; an output path in a missing directory,
+    and an output directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
     gradient = {"kind": "gradient", "max_evals": 1}
@@ -282,6 +282,8 @@ def input_files(tmp_path, xor_model_file):
             "infinite_config": {"t_max": float("inf")},
             "nan_plan": {"stages": [{**gradient, "tolerance": nan}]},
             "fractional_plan": {"stages": [{**gradient, "max_evals": 2.9}]},
+            "negative_tolerance_plan": {"stages": [{**gradient,
+                                                    "tolerance": -1}]},
             "infinite_spectral": [{**spectral, "E0": -float("inf")}],
             "fractional_spectral": [{**spectral, "D_opt": 1.5}],
             "pair_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]]},
@@ -411,6 +413,9 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
     pytest.param(["pipeline", "--preset", "xor_sat", "--plan",
                   "{fractional_plan}", "--out-dir", "{out_dir}"],
                  2, "error: cannot load plan ", id="plan-fractional"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--plan",
+                  "{negative_tolerance_plan}", "--out-dir", "{out_dir}"],
+                 2, "error: cannot load plan ", id="plan-negative-tolerance"),
     pytest.param(["report", "--from-spectral", "{infinite_spectral}"], 2,
                  "error: cannot load spectral input ", id="spectral-infinity"),
     pytest.param(["report", "--from-spectral", "{fractional_spectral}"], 2,
@@ -572,8 +577,8 @@ def test_anneal_default_drives_the_optimizer_start_pulse(capsys,
     assert all(w > 0 for w in omega[1:-1])
     enc = encode_for_annealing(preset_instance("xor_sat").model).target
     template = default_schedule(None, enc, t_total=2.0)
-    _, traj = AnnealObjective(enc, template).propagate(
-        initial_parameters(template), PropagationConfig(initial_steps=20))
+    _, traj = propagate(enc, AnnealObjective(enc, template).schedule_for(
+        initial_parameters(template)), PropagationConfig(initial_steps=20))
     assert [row[header.index("E")] for row in rows] == [
         format_value(e) for e in traj.energy.tolist()]
 

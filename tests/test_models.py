@@ -203,6 +203,20 @@ def test_spectrum_order_with_overflowing_energies():
     assert overflowed == {"inf", "-inf", "nan"}
 
 
+def test_level_tolerance_survives_an_overflowing_l1():
+    """The magnitudes sum to inf while every energy is finite: the tolerance
+    was inf, and the spectrum one level of all 8 states at -1e308.  The
+    levels are 1e308 apart and the four states with x0 = x1 lie within 6 of
+    0, far under the tolerance of about 1e94."""
+    model = QuboModel(3, (1e308, -1e308, 1.0), {(0, 1): 5.0})
+    assert np.isfinite(model.energies()).all()
+    table = enumerate_spectrum(model)
+    assert table.energies.tolist() == [-1e308, 0.0, 1e308]
+    assert table.counts.tolist() == [2, 4, 2]
+    assert table.states.tolist() == [2, 6, 0, 3, 4, 7, 1, 5]
+    _assert_matches_stable_reference(model)
+
+
 def test_spectrum_zero_level_keeps_its_first_members_sign():
     """+0.0 and -0.0 tie; the zero level's energy has the sign of its lowest
     state, which an unstable sort need not put first."""

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rydqubo.annealer import (PropagationConfig, Schedule,
-                              initial_basis_index, propagate,
+from rydqubo.annealer import (Schedule, _pauli_x_total, _start_state,
+                              _step_count, initial_basis_index, propagate,
                               target_ground_indices)
 from rydqubo.encoding import IsingModel, encode
 from rydqubo.models import as_ising, model_from_dict
@@ -18,7 +18,8 @@ from rydqubo.optimizer import (AnnealObjective, OptimizationResult, Stage,
 from rydqubo.pipeline import default_schedule, encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
-from conftest import TIED_START_MODEL, central_differences
+from conftest import (TIED_START_MODEL, central_differences, objective_value,
+                      reference_run_steps)
 
 
 def xor_pair_target():
@@ -30,8 +31,7 @@ def small_template():
 
 
 def small_objective():
-    return AnnealObjective(xor_pair_target(), small_template(),
-                           PropagationConfig(initial_steps=40, adaptive=False))
+    return AnnealObjective(xor_pair_target(), small_template(), initial_steps=40)
 
 
 # --- plumbing ----------------------------------------------------------------
@@ -44,14 +44,24 @@ def test_stage_plan_round_trip():
         with pytest.raises(ValueError, match="unknown stage kind"):
             Stage(kind, 10)
     with pytest.raises(ValueError):
-        Stage("gradient", 0)
-    with pytest.raises(ValueError):
         StagePlan(())
     data = {"stages": [{"kind": "gradient", "max_evals": 2.9}]}
     with pytest.raises(ValueError, match="expected an integer"):
         StagePlan.from_dict(data)
     data["stages"][0]["max_evals"] = 3.0
     assert StagePlan.from_dict(data).stages[0].max_evals == 3
+    # a Stage checks its own fields: a fractional budget died in scipy's line
+    # search with TypeError, and a boolean budget and a NaN or negative
+    # tolerance ran
+    for bad in (0, 30.5, True, "800", float("nan")):
+        with pytest.raises(ValueError):
+            Stage("gradient", bad)
+    for bad in (-1.0, float("nan"), float("inf"), "1e-9", True):
+        with pytest.raises(ValueError):
+            Stage("gradient", 10, bad)
+    stage = Stage("gradient", 10.0, 0)
+    assert type(stage.max_evals) is int and type(stage.tolerance) is float
+    assert stage.tolerance == 0.0
 
 
 def test_default_plan_budgets():
@@ -93,27 +103,23 @@ def preset_objective(name):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_adjoint_gradient_matches_central_differences(name):
-    """At the start pulse and three seeded starts, the value is the objective
-    bit for bit and the gradient is central differences at h = 1e-6 within
-    1e-5 relative.  The scale is at least 1: clustering's start pulse is
-    nearly flat (|g| = 0.01), and there the round-off of the differences,
-    about 3e-7, is the whole discrepancy."""
+    """At the start pulse and three seeded starts, the value is the per-step
+    midpoint reference's E(T) bit for bit and the gradient is central
+    differences at h = 1e-6 within 1e-5 relative.  The scale is at least 1:
+    clustering's start pulse is nearly flat (|g| = 0.01), and there the
+    round-off of the differences, about 3e-7, is the whole discrepancy."""
     obj = preset_objective(name)
+    enc, x_total = obj.enc, _pauli_x_total(obj.enc.n)
     for seed in range(4):
         p = initial_parameters(obj.template, seed)
         value, grad = obj.value_and_gradient(p)
-        assert value == obj(p)
-        fd = central_differences(obj, p)
+        sched = obj.schedule_for(p)
+        _, ref = reference_run_steps(enc, sched, _start_state(enc, sched),
+                                     _step_count(sched, obj.initial_steps),
+                                     [0], x_total)
+        assert value == ref.energy[-1]
+        fd = central_differences(objective_value(obj), p)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
-
-
-def test_value_and_gradient_refuses_an_adaptive_objective():
-    """The gradient is of the fixed-step E(T); an adaptive objective's value
-    is another number, so its gradient would not be the value's."""
-    obj = AnnealObjective(xor_pair_target(), small_template(),
-                          PropagationConfig())
-    with pytest.raises(ValueError, match="fixed-step"):
-        obj.value_and_gradient(initial_parameters(obj.template))
 
 
 # --- objective ---------------------------------------------------------------
@@ -136,22 +142,23 @@ def test_objective_starts_where_propagate_does(source):
     start = initial_basis_index(enc, template)
     if source == "tied_start":
         assert start == (6, 6)
-    obj = AnnealObjective(enc, template,
-                          PropagationConfig(initial_steps=20, adaptive=False))
+    obj = AnnealObjective(enc, template, initial_steps=20)
     params = initial_parameters(template, seed=3)
     sched = obj.schedule_for(params)
-    # propagate's defaults must equal an explicit start vector and ground set
     psi0 = np.zeros(1 << enc.n, dtype=complex)
     psi0[start[0]] = 1.0
-    psi, traj = obj.propagate(params)
-    for psi_b, traj_b in (propagate(enc, sched, obj.cfg),
-                          propagate(enc, sched, obj.cfg,
-                                    ground_indices=target_ground_indices(enc),
-                                    psi0=psi0)):
-        assert (psi == psi_b).all()
-        for field in ("times", "omega", "delta_g", "energy", "fidelity"):
-            assert (getattr(traj, field) == getattr(traj_b, field)).all()
-        assert traj.norm_error == traj_b.norm_error
+    ground = target_ground_indices(enc)
+    # the objective's anneal starts from that basis state
+    _, ref = reference_run_steps(enc, sched, psi0, _step_count(sched, 20),
+                                 ground, _pauli_x_total(enc.n))
+    assert obj.value_and_gradient(params)[0] == ref.energy[-1]
+    # propagate's defaults must equal an explicit start vector and ground set
+    psi, traj = propagate(enc, sched)
+    psi_b, traj_b = propagate(enc, sched, ground_indices=ground, psi0=psi0)
+    assert (psi == psi_b).all()
+    for field in ("times", "omega", "delta_g", "energy", "fidelity"):
+        assert (getattr(traj, field) == getattr(traj_b, field)).all()
+    assert traj.norm_error == traj_b.norm_error
 
 
 # --- hybrid loop -------------------------------------------------------------
@@ -219,8 +226,8 @@ for name in ("two_sat", "qap", "clustering"):
     enc = encode_for_annealing(as_ising(preset_instance(name).model)).target
     objective = AnnealObjective(enc, default_schedule(name, enc))
     params = initial_parameters(objective.template)
-    _, grad = objective.value_and_gradient(params)
-    print(name, objective(params).hex(), *map(float.hex, grad.tolist()))
+    value, grad = objective.value_and_gradient(params)
+    print(name, value.hex(), *map(float.hex, grad.tolist()))
 """
 
 

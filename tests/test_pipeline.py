@@ -207,11 +207,11 @@ def test_run_pipeline_respects_custom_schedule():
 
 
 def test_run_pipeline_propagates_final_pulse_once(monkeypatch):
-    adaptive = []
+    calls = []
     real = rydqubo.optimizer.propagate
 
     def counting(enc, schedule, cfg=PropagationConfig(), **kwargs):
-        adaptive.append(cfg.adaptive)
+        calls.append(cfg.initial_steps)
         return real(enc, schedule, cfg, **kwargs)
 
     monkeypatch.setattr(rydqubo.optimizer, "propagate", counting)
@@ -219,7 +219,7 @@ def test_run_pipeline_propagates_final_pulse_once(monkeypatch):
                           plan=StagePlan((Stage("gradient", 3),)),
                           schedule=Schedule(2.0, (0.0,), (1.0,),
                                             sample_count=11))
-    assert adaptive.count(True) == 1
+    assert calls == [200]
     traj = result.optimization.trajectory
     delta_final = result.outcome.target.delta_final
     lines = trajectory_csv(traj, delta_final).splitlines()
