@@ -1,6 +1,6 @@
 """QUBO problems on a simulated Rydberg annealer with local light shifts."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .models import (IsingModel, QuboModel, SpectrumTable, as_ising, as_qubo,
                      enumerate_spectrum, ising_to_qubo, qubo_to_ising,
@@ -11,10 +11,9 @@ from .encoding import (AtomLayout, EncodedTarget, HardwareLimits,
 from .annealer import PropagationConfig, Schedule, Trajectory, propagate
 from .optimizer import (AnnealObjective, OptimizationResult, Stage, StagePlan,
                         approximation_ratio, run_hybrid)
-from .hardness import (HardnessReport, Subspace, analyze_model,
-                       analyze_spectrum, cluster_subspaces, format_csv,
-                       format_table, hardness_parameter, report_rows, sigma,
-                       threatening_set)
+from .hardness import (HardnessReport, analyze_model, analyze_spectrum,
+                       format_csv, format_table, hardness_parameter,
+                       report_rows, sigma, threatening_set)
 from .problems import (PRESET_NAMES, ClusteringInstance, ProteinToyInstance,
                        QapInstance, SetPackingInstance, TwoSatInstance,
                        XorSatInstance, build_binary_clustering, build_mixed,

@@ -38,9 +38,9 @@ from pathlib import Path
 from .annealer import AnnealerError, PropagationConfig, Schedule, propagate
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
                        embed_layout, validate)
-from .hardness import (DEFAULT_EPSILON, HardnessError, analyze_model,
-                       analyze_spectrum, analyze_supplied, format_csv,
-                       format_table, format_value, report_row, report_rows)
+from .hardness import (HardnessError, analyze_model, analyze_spectrum,
+                       analyze_supplied, format_csv, format_table,
+                       format_value, report_row, report_rows)
 from .models import (ModelError, _float, _int, enumerate_spectrum,
                      model_from_dict, state_bits)
 from .optimizer import AnnealObjective, StagePlan, initial_parameters
@@ -223,8 +223,7 @@ def cmd_validate(args) -> int:
 
 def cmd_hardness(args) -> int:
     model = _load_json(args.model, "model", model_from_dict)
-    rep = analyze_model(model, epsilon=args.epsilon,
-                        energy_shift=args.energy_shift)
+    rep = analyze_model(model, energy_shift=args.energy_shift)
     row = report_row(args.name, rep)
     print(format_csv([row]) if args.csv else format_table([row]))
     return EXIT_OK
@@ -334,7 +333,7 @@ def cmd_report(args) -> int:
             note = ("" if preset.metadata.get("degeneracy_pinned")
                     else "degeneracy depends on unpinned penalty defaults")
             named.append((name, preset.model, note))
-        rows = report_rows(named, epsilon=args.epsilon)
+        rows = report_rows(named)
     else:
         rows = [_load_json(path, "result",
                            functools.partial(_result_row, Path(path).stem))
@@ -420,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("hardness", help="spectral hardness of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--name", default="model")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--energy-shift", type=finite_float, default=0.0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_hardness)
@@ -448,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-spectral", help="JSON with spectral quantities")
     p.add_argument("--presets", action="store_true",
                    help="hardness table of the built-in presets")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)

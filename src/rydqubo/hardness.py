@@ -1,29 +1,24 @@
-"""Spectral subspace clustering and the method-independent hardness parameter.
+"""The method-independent hardness parameter of a spectrum's levels.
 
-The parameter combines ground degeneracy, the gap to the first excited
-subspace, and an exponentially gap-suppressed sum over "threatening"
-subspaces: HP = Sigma / (|E0| * D_opt * G^2).
+The levels of ``enumerate_spectrum`` are the subspaces: its level rule alone
+says which energies are one level.  The parameter combines the ground
+degeneracy, the gap to the first excited level, and an exponentially
+gap-suppressed sum over "threatening" levels: HP = Sigma / (|E0| * D_opt * G^2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .models import (IsingModel, ModelError, QuboModel, SpectrumTable,
                      enumerate_spectrum)
 
-DEFAULT_EPSILON = 1e-10
-
 
 class HardnessError(ValueError):
     pass
-
-
-class Subspace(NamedTuple):
-    mean_energy: float
-    degeneracy: int
 
 
 @dataclass(frozen=True)
@@ -36,69 +31,43 @@ class HardnessReport:
     sigma: float
     hp: float
     normalized_by_width: bool
-    epsilon: float
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0 < epsilon < math.inf:  # also rejects nan
-        raise HardnessError("epsilon must be positive and finite")
+def threatening_set(energies: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices alpha > 0 of the levels that are gap-adjacent or highly
+    degenerate.
 
-
-def cluster_subspaces(spectrum: SpectrumTable, epsilon: float = DEFAULT_EPSILON
-                      ) -> tuple[Subspace, ...]:
-    """Greedy left-to-right clustering of near-degenerate energies.
-
-    A new subspace starts when the next distinct energy differs from the
-    running degeneracy-weighted mean by at least epsilon.
+    A level threatens if its excitation energy is within one gap of the
+    ground level or its degeneracy reaches max(1, D_opt / 2).
     """
-    _check_epsilon(epsilon)
-    out: list[Subspace] = []
-    weighted = total = 0
-    for e, m in zip(spectrum.energies.tolist(), spectrum.counts.tolist()):
-        if total and abs(e - weighted / total) >= epsilon:
-            out.append(Subspace(weighted / total, total))
-            weighted = total = 0
-        weighted += e * m
-        total += m
-    out.append(Subspace(weighted / total, total))
-    return tuple(out)
+    with np.errstate(over="ignore"):  # beyond the float range is beyond the gap
+        excitation = energies[1:] - energies[0]
+    gap = excitation[:1]  # empty for a one-level spectrum, which has no threats
+    d_thresh = max(1.0, counts[0] / 2.0)
+    return np.flatnonzero((excitation <= gap) | (counts[1:] >= d_thresh)) + 1
 
 
-def threatening_set(subspaces: Sequence[Subspace]) -> tuple[int, ...]:
-    """Indices alpha > 0 that are gap-adjacent or highly degenerate.
-
-    A subspace threatens if its excitation energy is within one gap of the
-    ground subspace or its degeneracy reaches max(1, D_opt / 2).
-    """
-    if len(subspaces) < 2:
-        return ()
-    e0 = subspaces[0].mean_energy
-    gap = subspaces[1].mean_energy - e0
-    d_thresh = max(1.0, subspaces[0].degeneracy / 2.0)
-    selected = []
-    for alpha in range(1, len(subspaces)):
-        sub = subspaces[alpha]
-        if (sub.mean_energy - e0) <= gap or sub.degeneracy >= d_thresh:
-            selected.append(alpha)
-    return tuple(selected)
-
-
-def sigma(subspaces: Sequence[Subspace], threats: Sequence[int],
-          gap: float) -> float:
-    """Sum of threatening degeneracies, exponentially suppressed by the gap."""
+def sigma(energies: np.ndarray, counts: np.ndarray,
+          threats: Sequence[int] | np.ndarray, gap: float) -> float:
+    """Sum of threatening degeneracies, exponentially suppressed by the gap,
+    added left to right in level order.  An excitation wider than the float
+    range is taken as E_alpha / G - E0 / G."""
     if gap <= 0:
         raise HardnessError("spectral gap must be positive")
-    e0 = subspaces[0].mean_energy
-    return float(sum(subspaces[a].degeneracy *
-                     math.exp(-(subspaces[a].mean_energy - e0) / gap)
-                     for a in threats))
+    e = energies[threats]
+    with np.errstate(over="ignore"):
+        excitation = e - energies[0]
+        x = excitation / gap
+        wide = np.isinf(excitation) & np.isfinite(e)
+        x[wide] = e[wide] / gap - energies[0] / gap
+    return float(sum((counts[threats] * np.exp(-x)).tolist()))
 
 
 def hardness_parameter(e0: float, d_opt: int, gap: float, sigma_value: float,
                        e_max: float | None = None) -> tuple[float, bool]:
     """HP = Sigma / (|E0| * D_opt * G^2).
 
-    When |E0| is numerically zero the spectral width (E_max - E0) replaces
+    When |E0| is below 1e-9 gaps the spectral width (E_max - E0) replaces
     the normalization and the returned flag is set.
     """
     if gap <= 0:
@@ -107,7 +76,7 @@ def hardness_parameter(e0: float, d_opt: int, gap: float, sigma_value: float,
         raise HardnessError("ground degeneracy D_opt must be at least 1")
     scale = abs(e0)
     by_width = False
-    if scale < 1e-9:
+    if scale < 1e-9 * gap:
         if e_max is None:
             raise HardnessError("|E0| ~ 0 requires e_max for width normalization")
         scale = e_max - e0
@@ -118,26 +87,23 @@ def hardness_parameter(e0: float, d_opt: int, gap: float, sigma_value: float,
 
 
 def analyze_spectrum(spectrum: SpectrumTable,
-                     epsilon: float = DEFAULT_EPSILON,
                      energy_shift: float = 0.0) -> HardnessReport:
-    subspaces = cluster_subspaces(spectrum, epsilon)
-    if len(subspaces) < 2:
+    energies, counts = spectrum.energies, spectrum.counts
+    if energies.size < 2:
         raise HardnessError("constant spectrum: no excited subspace")
-    e0 = subspaces[0].mean_energy + energy_shift
-    gap = subspaces[1].mean_energy - subspaces[0].mean_energy
-    threats = threatening_set(subspaces)
-    s = sigma(subspaces, threats, gap)
-    e_max = subspaces[-1].mean_energy + energy_shift
-    hp, by_width = hardness_parameter(e0, subspaces[0].degeneracy, gap, s, e_max)
-    return HardnessReport(e0, gap, subspaces[0].degeneracy,
-                          subspaces[1].degeneracy, len(threats), s, hp,
-                          by_width, epsilon)
+    (e_min, e_1), (d_opt, d_1) = energies[:2].tolist(), counts[:2].tolist()
+    gap = e_1 - e_min
+    threats = threatening_set(energies, counts)
+    s = sigma(energies, counts, threats, gap)
+    e0 = e_min + energy_shift
+    hp, by_width = hardness_parameter(e0, d_opt, gap, s,
+                                      spectrum.e_max + energy_shift)
+    return HardnessReport(e0, gap, d_opt, d_1, threats.size, s, hp, by_width)
 
 
 def analyze_model(model: IsingModel | QuboModel,
-                  epsilon: float = DEFAULT_EPSILON,
                   energy_shift: float = 0.0) -> HardnessReport:
-    return analyze_spectrum(enumerate_spectrum(model), epsilon, energy_shift)
+    return analyze_spectrum(enumerate_spectrum(model), energy_shift)
 
 
 def analyze_supplied(e0: float, gap: float, d_opt: int, d_first_excited: int,
@@ -146,14 +112,15 @@ def analyze_supplied(e0: float, gap: float, d_opt: int, d_first_excited: int,
     """Hardness from given spectral quantities instead of a model.
 
     ``threat_degeneracies`` lists (degeneracy, E_alpha - E0) per threatening
-    subspace; no clustering takes place, so ``epsilon`` is NaN.
+    level.
     """
-    subspaces = [Subspace(0.0, d_opt)] + [Subspace(de, d)
-                                          for d, de in threat_degeneracies]
-    s = sigma(subspaces, range(1, len(subspaces)), gap)
+    energies = np.array([0.0, *(de for _, de in threat_degeneracies)])
+    counts = np.array([d_opt, *(d for d, _ in threat_degeneracies)], dtype=float)
+    threats = np.arange(1, energies.size)
+    s = sigma(energies, counts, threats, gap)
     hp, by_width = hardness_parameter(e0, d_opt, gap, s, e_max)
-    return HardnessReport(e0, gap, d_opt, d_first_excited, len(subspaces) - 1,
-                          s, hp, by_width, math.nan)
+    return HardnessReport(e0, gap, d_opt, d_first_excited, threats.size, s, hp,
+                          by_width)
 
 
 REPORT_COLUMNS = ("problem", "E0", "gap", "D_opt", "D_E1", "threats",
@@ -170,15 +137,14 @@ def report_row(problem: str, rep: HardnessReport, note: str = "") -> dict:
             "note": note}
 
 
-def report_rows(named_models: Sequence[tuple[str, IsingModel | QuboModel, str]],
-                epsilon: float = DEFAULT_EPSILON) -> list[dict]:
+def report_rows(named_models: Sequence[tuple[str, IsingModel | QuboModel, str]]
+                ) -> list[dict]:
     """One row per model, holding the model's HardnessError or ModelError if
-    it has one; an epsilon that fails every row is raised."""
-    _check_epsilon(epsilon)
+    it has one."""
     rows = []
     for name, model, note in named_models:
         try:
-            rep = analyze_model(model, epsilon)
+            rep = analyze_model(model)
         except (HardnessError, ModelError) as exc:
             rows.append({"problem": name, "error": str(exc), "note": note})
             continue

@@ -22,9 +22,9 @@ class ModelError(ValueError):
 
 def _int(value) -> int:
     """int(value), refusing a string, a boolean and a float that is not
-    integral."""
+    integral (infinities and NaN included)."""
     if isinstance(value, (str, bool)) or (isinstance(value, float)
-                                          and int(value) != value):
+                                          and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

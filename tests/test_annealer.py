@@ -83,7 +83,7 @@ def test_schedule_refuses_non_finite_and_string_numbers():
     for bad in (float("nan"), float("inf"), "0.5"):
         for kwargs in ({"delta_coeffs": (0.1, bad)}, {"omega_coeffs": (bad,)},
                        {"delta0": bad}, {"t_total": bad},
-                       {"omega_max": bad}):
+                       {"omega_max": bad}, {"sample_count": bad}):
             with pytest.raises(ValueError):
                 Schedule(**{"t_total": 2.0, "delta_coeffs": (),
                             "omega_coeffs": (1.0,), **kwargs})
@@ -451,7 +451,7 @@ def test_propagation_config_refuses_bad_input():
     for bad in (float("nan"), float("inf"), -1.0, 0.0, "1e-8", True):
         with pytest.raises(ValueError):
             PropagationConfig(tolerance_rel=bad)
-    for bad in (0, -5, 2.5, "200", True):
+    for bad in (0, -5, 2.5, float("inf"), "200", True):
         with pytest.raises(ValueError):
             PropagationConfig(initial_steps=bad)
         with pytest.raises(ValueError):

@@ -1,98 +1,92 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rydqubo.hardness import (DEFAULT_EPSILON, HardnessError, Subspace,
-                              analyze_model, analyze_spectrum,
-                              cluster_subspaces, format_csv, format_table,
-                              hardness_parameter, report_rows, sigma,
-                              threatening_set)
-from rydqubo.models import ENUMERATION_CAP, QuboModel, enumerate_spectrum
+from rydqubo.hardness import (HardnessError, analyze_model, analyze_spectrum,
+                              format_csv, format_table, hardness_parameter,
+                              report_rows, sigma, threatening_set)
+from rydqubo.models import (ENUMERATION_CAP, IsingModel, QuboModel, as_ising,
+                            as_qubo, enumerate_spectrum)
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import random_qubo, spectrum_cases
 
 
-def test_cluster_subspaces_merges_within_epsilon():
-    q = QuboModel(2, (1.0, 1.0 + 1e-12), {})
-    tight = cluster_subspaces(enumerate_spectrum(q), epsilon=1e-15)
-    loose = cluster_subspaces(enumerate_spectrum(q), epsilon=1e-9)
-    assert [s.degeneracy for s in tight] == [1, 1, 1, 1]
-    assert [s.degeneracy for s in loose] == [1, 2, 1]
+def _reference_threatening_set(levels):
+    """The per-level loop the mask replaced, over (energy, degeneracy)
+    pairs."""
+    if len(levels) < 2:
+        return ()
+    e0 = levels[0][0]
+    gap = levels[1][0] - e0
+    d_thresh = max(1.0, levels[0][1] / 2.0)
+    return tuple(alpha for alpha in range(1, len(levels))
+                 if levels[alpha][0] - e0 <= gap or levels[alpha][1] >= d_thresh)
 
 
-def test_subspaces_are_named_tuples():
-    subspaces = cluster_subspaces(enumerate_spectrum(QuboModel(2, (1.0, 1.0), {})))
-    assert subspaces == ((0.0, 1), (1.0, 2), (2.0, 1))
-    mean, degeneracy = subspaces[1]
-    assert (mean, degeneracy) == (subspaces[1].mean_energy, subspaces[1].degeneracy)
-    assert type(degeneracy) is int
+def _reference_sigma(levels, threats, gap):
+    """The per-level sum that np.exp replaced, added in level order."""
+    e0 = levels[0][0]
+    return float(sum(levels[a][1] * math.exp(-(levels[a][0] - e0) / gap)
+                     for a in threats))
 
 
-def test_cluster_subspaces_idempotent(rng):
-    q = random_qubo(rng, 6)
-    subspaces = cluster_subspaces(enumerate_spectrum(q))
-    assert sum(s.degeneracy for s in subspaces) == 1 << 6
-    means = [s.mean_energy for s in subspaces]
-    assert means == sorted(means)
-    # consecutive subspace means are separated by at least epsilon
-    assert all(b - a >= DEFAULT_EPSILON for a, b in zip(means, means[1:]))
-
-
-def _reference_cluster_subspaces(spectrum, epsilon):
-    """The clustering loop the running sums replaced: each cluster's mean is
-    recomputed from its members for every level.  Returns [(mean, D), ...]."""
-    out, members = [], []
-
-    def flush():
-        if members:
-            total = sum(m for _, m in members)
-            out.append((sum(e * m for e, m in members) / total, total))
-            members.clear()
-
-    for energy, count in zip(spectrum.energies.tolist(), spectrum.counts.tolist()):
-        if members:
-            total = sum(m for _, m in members)
-            mean = sum(e * m for e, m in members) / total
-            if abs(energy - mean) >= epsilon:
-                flush()
-        members.append((energy, count))
-    flush()
-    return out
-
-
-@pytest.mark.parametrize("epsilon", [1e-15, 1e-10, 1e-6, 0.3])
-def test_cluster_subspaces_matches_reference(rng, epsilon):
+def test_threats_and_sigma_match_the_per_level_loops(rng):
     for model in spectrum_cases(rng):
         spectrum = enumerate_spectrum(model)
-        got = [(s.mean_energy.hex(), s.degeneracy)
-               for s in cluster_subspaces(spectrum, epsilon)]
-        want = [(mean.hex(), d)
-                for mean, d in _reference_cluster_subspaces(spectrum, epsilon)]
-        assert got == want
+        levels = list(zip(spectrum.energies.tolist(), spectrum.counts.tolist()))
+        threats = _reference_threatening_set(levels)
+        got = threatening_set(spectrum.energies, spectrum.counts)
+        assert got.tolist() == list(threats)
+        gap = levels[1][0] - levels[0][0]
+        want = _reference_sigma(levels, threats, gap)
+        hp, _ = hardness_parameter(levels[0][0], levels[0][1], gap, want,
+                                   levels[-1][0])
+        rep = analyze_spectrum(spectrum)
+        assert rep.threat_count == len(threats)
+        assert rep.sigma == pytest.approx(want, rel=1e-14, abs=0)
+        assert rep.hp == pytest.approx(hp, rel=1e-14, abs=0)
 
 
-def sub(mean, deg):
-    return Subspace(mean, deg)
+def test_levels_at_the_float_limit():
+    """Levels -1e308 x2, 0 x4 and 1e308 x2: D_opt / 2 = 1, so both excited
+    levels threaten, at one gap and at two gaps, and the second excitation,
+    2e308, is wider than a float.  A running sum of energy * degeneracy gave
+    E0 = -inf and a NaN Sigma here."""
+    model = QuboModel(3, (1e308, -1e308, 1.0), {(0, 1): 5.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = analyze_model(model)
+    assert (rep.e0, rep.gap, rep.d_opt, rep.d_first_excited,
+            rep.threat_count) == (-1e308, 1e308, 2, 4, 2)
+    assert rep.sigma == pytest.approx(4 * math.exp(-1) + 2 * math.exp(-2),
+                                      rel=1e-15)
+    # Sigma / (1e308 * 2 * 1e616) underflows to zero
+    assert rep.hp == 0.0 and not rep.normalized_by_width
 
 
 def test_threatening_set_rules():
-    subs = (sub(0.0, 4), sub(0.5, 1), sub(0.6, 2), sub(5.0, 1), sub(6.0, 8))
-    # gap G = 0.5; low-lying subspaces threaten, as do large ones
-    threats = threatening_set(subs)
-    assert 1 in threats        # within one gap of the ground subspace
+    energies = np.array([0.0, 0.5, 0.6, 5.0, 6.0])
+    counts = np.array([4, 1, 2, 1, 8])
+    # gap G = 0.5; low-lying levels threaten, as do large ones
+    threats = threatening_set(energies, counts)
+    assert 1 in threats        # within one gap of the ground level
     assert 2 in threats        # D = 2 >= max(1, 4/2)
     assert 3 not in threats    # high energy, small degeneracy
     assert 4 in threats        # D = 8 >= 2
+    assert threatening_set(np.array([1.0]), np.array([2])).size == 0
 
 
 def test_sigma_weighting():
-    subs = (sub(0.0, 4), sub(0.5, 2))
-    val = sigma(subs, [1], 0.5)
+    energies, counts = np.array([0.0, 0.5]), np.array([4, 2])
+    val = sigma(energies, counts, [1], 0.5)
     assert val == pytest.approx(2.0 * math.exp(-1.0))
+    assert sigma(energies, counts, [], 0.5) == 0.0
     with pytest.raises(HardnessError):
-        sigma(subs, [1], 0.0)
+        sigma(energies, counts, [1], 0.0)
 
 
 def test_sigma_at_least_first_excited_term(rng):
@@ -116,25 +110,15 @@ def test_hardness_width_fallback():
     assert hp == pytest.approx(1.0 / (4.0 * 2 * 1.0))
     with pytest.raises(HardnessError):
         hardness_parameter(0.0, 2, 1.0, 1.0, e_max=None)
+    # |E0| ~ 0 is measured in gaps, so a uniform scale does not flip it
+    for lam in (1e-12, 1.0, 1e12):
+        assert not hardness_parameter(lam * 1e-6, 2, lam, 1.0, lam * 4.0)[1]
+        assert hardness_parameter(lam * 1e-10, 2, lam, 1.0, lam * 4.0)[1]
 
 
 def test_hardness_rejects_empty_ground_space():
     with pytest.raises(HardnessError):
         hardness_parameter(-1.0, 0, 0.5, 1.0)
-
-
-def test_hardness_scale_covariance(rng):
-    q = random_qubo(rng, 5)
-    # make sure |E0| is comfortably nonzero
-    q = QuboModel(q.n, q.linear, q.quadratic, q.constant - 50.0)
-    lam = 3.0
-    scaled = QuboModel(q.n, tuple(lam * a for a in q.linear),
-                       {k: lam * v for k, v in q.quadratic.items()},
-                       lam * q.constant)
-    a = analyze_model(q)
-    b = analyze_model(scaled)
-    assert b.sigma == pytest.approx(a.sigma, rel=1e-9)
-    assert b.hp == pytest.approx(a.hp / lam**3, rel=1e-9)
 
 
 def test_energy_shift_changes_normalization_only():
@@ -176,9 +160,75 @@ def test_report_rows_isolation_and_flags():
     assert csv.splitlines()[0].startswith("problem,")
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
-def test_report_rows_raises_bad_epsilon(epsilon):
-    """An epsilon that is not positive would fail every row alike, so it is
-    raised."""
-    with pytest.raises(HardnessError, match="epsilon must be positive"):
-        report_rows([("good", preset_instance("xor_sat").model, "")], epsilon)
+def _scaled(model, lam):
+    return type(model)(model.n, tuple(lam * a for a in model.linear),
+                       {k: lam * b for k, b in model.quadratic.items()},
+                       lam * model.constant)
+
+
+def _permuted(model, perm):
+    """``model`` with variable i renamed perm[i]."""
+    linear = [0.0] * model.n
+    for i, a in enumerate(model.linear):
+        linear[perm[i]] = a
+    return type(model)(model.n, tuple(linear),
+                       {(perm[i], perm[j]): b
+                        for (i, j), b in model.quadratic.items()},
+                       model.constant)
+
+
+def _gauge_flipped(model, flips):
+    """The Ising form of ``model`` with spin i negated where flips[i]."""
+    m = as_ising(model)
+    sign = [-1.0 if f else 1.0 for f in flips]
+    return IsingModel(m.n, tuple(s * h for s, h in zip(sign, m.linear)),
+                      {(i, j): sign[i] * sign[j] * b
+                       for (i, j), b in m.quadratic.items()}, m.constant)
+
+
+METAMORPHIC_CASES = ([(name, conv) for name in PRESET_NAMES
+                      for conv in ("qubo", "ising")]
+                     + [("random", k) for k in range(20)])
+
+
+@pytest.mark.parametrize("source, key", METAMORPHIC_CASES,
+                         ids=[f"{s}-{k}" for s, k in METAMORPHIC_CASES])
+def test_hardness_is_metamorphic(source, key):
+    """Relabeling the variables, flipping Ising gauges, converting between
+    QUBO and Ising and back, and scaling every coefficient by lambda keep
+    D_opt, the threat count, Sigma and the normalization, scale HP by
+    1 / lambda^3, and map the ground states as they map the variables."""
+    rng = np.random.default_rng([19, METAMORPHIC_CASES.index((source, key))])
+    if source == "random":
+        model = random_qubo(rng, 2 + key % 6)
+    else:
+        model = preset_instance(source).model
+        model = as_ising(model) if key == "ising" else model
+    ising = isinstance(model, IsingModel)
+    other = as_qubo(model) if ising else as_ising(model)
+    n = model.n
+    same = lambda x: x
+    perms = list(itertools.permutations(range(n)))
+    variants = [(_permuted(model, perms[k]), 1.0,
+                 lambda x, p=perms[k]: sum((x >> i & 1) << p[i]
+                                           for i in range(n)))
+                for k in rng.choice(len(perms), min(24, len(perms)),
+                                    replace=False)]
+    variants += [(_gauge_flipped(model, flips), 1.0,
+                  lambda x, m=int(flips @ (1 << np.arange(n))): x ^ m)
+                 for flips in rng.integers(0, 2, size=(8, n))]
+    variants += [(other, 1.0, same),
+                 (as_ising(other) if ising else as_qubo(other), 1.0, same)]
+    variants += [(_scaled(model, lam), lam, same)
+                 for lam in [3.0] + [10.0 ** k for k in range(-12, 13)]]
+    spectrum = enumerate_spectrum(model)
+    base = analyze_spectrum(spectrum)
+    for variant, lam, relabel in variants:
+        mapped = enumerate_spectrum(variant)
+        rep = analyze_spectrum(mapped)
+        assert ((rep.d_opt, rep.threat_count, rep.normalized_by_width)
+                == (base.d_opt, base.threat_count, base.normalized_by_width))
+        assert rep.sigma == pytest.approx(base.sigma, rel=1e-9)
+        assert rep.hp * lam ** 3 == pytest.approx(base.hp, rel=1e-9)
+        assert mapped.ground_states == tuple(
+            sorted(map(relabel, spectrum.ground_states)))

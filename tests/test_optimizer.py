@@ -53,7 +53,7 @@ def test_stage_plan_round_trip():
     # a Stage checks its own fields: a fractional budget died in scipy's line
     # search with TypeError, and a boolean budget and a NaN or negative
     # tolerance ran
-    for bad in (0, 30.5, True, "800", float("nan")):
+    for bad in (0, 30.5, True, "800", float("nan"), float("inf")):
         with pytest.raises(ValueError):
             Stage("gradient", bad)
     for bad in (-1.0, float("nan"), float("inf"), "1e-9", True):
