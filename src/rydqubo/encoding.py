@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .models import IsingModel, QuboModel, _float
 
@@ -259,6 +258,13 @@ def _pair_data(t: EncodedTarget, c6: float):
     return iu, ju, vt, pos_mask, r_target
 
 
+def _minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: only layouts and
+    the pulse optimizer need it, and it is most of the package's import time."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
 def _stress_and_grad(flat: np.ndarray, n: int, dim: int, iu, ju, pos_mask,
                      r_target, r_far: float):
     pos = flat.reshape(n, dim)
@@ -304,9 +310,9 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     best = None
     for _ in range(EMBED_RESTARTS):
         x0 = rng.normal(scale=0.5 * span, size=n * dim)
-        res = minimize(_stress_and_grad, x0, jac=True, method="L-BFGS-B",
-                       args=(n, dim, iu, ju, pos_mask, r_target, limits.r_far),
-                       options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
+        res = _minimize(_stress_and_grad, x0, jac=True, method="L-BFGS-B",
+                        args=(n, dim, iu, ju, pos_mask, r_target, limits.r_far),
+                        options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
         if best is None or res.fun < best.fun:
             best = res
     pos = best.x.reshape(n, dim)

@@ -91,6 +91,10 @@ def analyze_spectrum(spectrum: SpectrumTable,
     energies, counts = spectrum.energies, spectrum.counts
     if energies.size < 2:
         raise HardnessError("constant spectrum: no excited subspace")
+    # a NaN energy is inf - inf, and that inf is the lowest or highest level
+    if not np.isfinite(energies[[0, -1]]).all():
+        raise HardnessError("a level is not finite: the energies overflow "
+                            "a float")
     (e_min, e_1), (d_opt, d_1) = energies[:2].tolist(), counts[:2].tolist()
     gap = e_1 - e_min
     threats = threatening_set(energies, counts)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .annealer import (PropagationConfig, Schedule, Trajectory,
                        _initial_steps, energy_gradient, propagate)
-from .encoding import EncodedTarget
+# a module global, looked up per call, so a tracer can rebind it
+from .encoding import EncodedTarget, _minimize as minimize
 from .models import _float, _int
 
 

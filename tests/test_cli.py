@@ -259,8 +259,9 @@ def input_files(tmp_path, xor_model_file):
     a one-row spectral input; files that hold NaN or Infinity, a string or
     a boolean where a number is read, a fractional number where an integer
     is read, a negative omega_max or a negative stage tolerance; a finite
-    model whose encoding overflows; an output path in a missing directory,
-    and an output directory."""
+    model whose encoding overflows, and two whose lowest or highest energy
+    overflows; an output path in a missing directory, and an output
+    directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
     gradient = {"kind": "gradient", "max_evals": 1}
@@ -317,7 +318,11 @@ def input_files(tmp_path, xor_model_file):
             "overflowing_encoding_model": {
                 "n": 3, "linear": [1e308, 1, 1],
                 "quadratic": [[0, 1, 1e308], [1, 2, 1]],
-                "convention": "ising"}}
+                "convention": "ising"},
+            "overflowing_low_model": {"n": 2, "linear": [-1e308, -1e308],
+                                      "quadratic": []},
+            "overflowing_high_model": {"n": 2, "linear": [1e308, 1e308],
+                                       "quadratic": []}}
     files = {"{xor}": xor_model_file,
              "{missing_dir_out}": str(tmp_path / "missing" / "out.json"),
              "{out_dir}": str(tmp_path / "runs")}
@@ -461,6 +466,11 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                  2, "usage: rydqubo ", id="hardness-epsilon-inf"),
     pytest.param(["report", "--presets", "--epsilon", "inf"],
                  2, "usage: rydqubo ", id="report-epsilon-inf"),
+    # the lowest (highest) energy -2e308 (2e308) is -inf (inf): no gap
+    pytest.param(["hardness", "--model", "{overflowing_low_model}"], 3,
+                 "error: a level is not finite", id="hardness-level-minus-inf"),
+    pytest.param(["hardness", "--model", "{overflowing_high_model}", "--csv"],
+                 3, "error: a level is not finite", id="hardness-level-inf"),
     # one input source per report: --presets does not ignore the others
     pytest.param(["report", "--presets", "missing.json"],
                  2, "error: give one of ", id="report-presets-and-file"),

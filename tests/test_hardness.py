@@ -147,13 +147,23 @@ def test_analyze_known_presets():
 def test_report_rows_isolation_and_flags():
     constant = QuboModel(1, (0.0,), {})
     too_large = QuboModel(ENUMERATION_CAP + 1, (0.0,) * (ENUMERATION_CAP + 1), {})
-    rows = report_rows([("good", preset_instance("xor_sat").model, ""),
-                        ("bad", constant, "flagged"),
-                        ("large", too_large, "")])
+    # energies beyond the float range: a lowest level -inf, a highest level
+    # +inf, and x = 111 summing -inf and +inf to NaN beside x = 011 at -inf
+    overflowing = [QuboModel(2, (-1e308, -1e308), {}),
+                   QuboModel(2, (1e308, 1e308), {}),
+                   QuboModel(3, (-1e308, -1e308, 0.0),
+                             {(0, 2): 1e308, (1, 2): 1e308})]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = report_rows([("good", preset_instance("xor_sat").model, ""),
+                            ("bad", constant, "flagged"),
+                            ("large", too_large, ""),
+                            *(("overflow", m, "") for m in overflowing)])
     assert rows[0]["HP"] > 0
     assert "error" in rows[1]
     assert rows[1]["note"] == "flagged"
     assert "enumeration cap" in rows[2]["error"]
+    assert [row["error"] for row in rows[3:]] == [
+        "a level is not finite: the energies overflow a float"] * 3
     table = format_table(rows)
     assert "good" in table and "bad" in table
     csv = format_csv(rows)

@@ -1,6 +1,10 @@
-"""Every import in the package is used (``__init__.py`` re-exports excepted)."""
+"""Every import in the package is used (``__init__.py`` re-exports excepted),
+and only layouts and the pulse optimizer load scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rydqubo
@@ -53,3 +57,49 @@ def test_package_has_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+# Run in a fresh interpreter, whose sys.modules holds only what it imports;
+# argv[1] is a scratch directory.
+SCIPY_ON_FIRST_USE = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import rydqubo
+from rydqubo import cli
+assert loaded() == [], loaded()[:3]
+
+model = sys.argv[1] + "/xor_sat.json"
+for argv in (["problem", "--preset", "xor_sat", "--out", model],
+             ["spectrum", "--model", model],
+             ["encode", "--model", model, "--mode", "ideal"],
+             ["encode", "--model", model, "--mode", "physical"],
+             ["hardness", "--model", model],
+             ["report", "--presets"],
+             ["anneal", "--model", model, "--duration", "2", "--steps", "20"]):
+    assert cli.main(argv) == 0, argv
+assert loaded() == [], loaded()[:3]
+
+from rydqubo import (AnnealObjective, Stage, StagePlan, default_schedule,
+                     embed_layout, encode_for_annealing, preset_instance,
+                     run_hybrid)
+enc = encode_for_annealing(preset_instance("xor_sat").model).target
+res = run_hybrid(AnnealObjective(enc, default_schedule("xor_sat", enc),
+                                 initial_steps=40),
+                 StagePlan((Stage("gradient", 10),)))
+assert res.evaluations == 10 and "scipy.optimize" in sys.modules
+assert embed_layout(enc)[0].n == enc.n
+"""
+
+
+def test_scipy_loads_only_for_layouts_and_the_optimizer(tmp_path):
+    """``import rydqubo`` and the analysis commands load no scipy module;
+    ``embed_layout`` and ``run_hybrid`` import ``scipy.optimize`` when first
+    called."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_USE,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
