@@ -157,11 +157,6 @@ def _check_cap(n: int) -> None:
         raise AnnealerError(f"n={n} exceeds the propagation cap of {DIM_CAP} atoms")
 
 
-def target_ground_indices(enc: EncodedTarget) -> np.ndarray:
-    d = enc.diagonal_energies()
-    return np.flatnonzero(d <= d.min() + 1e-12 * enc.energy_scale)
-
-
 def initial_basis_index(enc: EncodedTarget,
                         schedule: Schedule) -> tuple[int, int]:
     """(start index, number of tied minima) of the diagonal H(0).
@@ -182,14 +177,6 @@ def _start_state(enc: EncodedTarget, schedule: Schedule) -> np.ndarray:
     psi0 = np.zeros(1 << enc.n, dtype=complex)
     psi0[initial_basis_index(enc, schedule)[0]] = 1.0
     return psi0
-
-
-def _step_count(schedule: Schedule, initial_steps: int) -> int:
-    """initial_steps rounded up to a multiple of the sample intervals, so the
-    step grid is commensurate with the sample grid and the last sample is the
-    final step."""
-    intervals = schedule.sample_count - 1
-    return intervals * max(1, -(-initial_steps // intervals))
 
 
 def _step_grid(schedule: Schedule, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +236,7 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     """``_sweep`` over n_steps CFM4 steps, read at every stride-th state,
     stride = exponentials / (sample_count - 1): returns the final state and
     the trajectory at those grid times.  n_steps must be a multiple of
-    sample_count - 1, as ``_step_count`` makes it and doubling keeps it."""
+    sample_count - 1, as ``propagate`` makes it and doubling keeps it."""
     intervals = schedule.sample_count - 1
     delta_g, omega, dt = _exponentials(schedule, n_steps, cfm4=True)
     stride = len(delta_g) // intervals
@@ -273,7 +260,7 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
                     initial_steps: int = 200) -> tuple[float, np.ndarray]:
     """(E(T), dE/d(delta_coeffs, omega_coeffs)) of the midpoint-rule anneal.
 
-    The anneal takes ``_step_count`` steps from the state
+    The anneal takes ``initial_steps`` steps, as given, from the state
     ``initial_basis_index`` picks, and the gradient is the exact gradient of
     that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  One
     forward sweep keeps each step's eigen-pairs H_k = V diag(lambda) V^T,
@@ -291,7 +278,7 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     """
     _check_cap(enc.n)
     x_total = _pauli_x_total(enc.n)
-    n_steps = _step_count(schedule, _initial_steps(initial_steps))
+    n_steps = _initial_steps(initial_steps)
     _, omega, dt = controls = _exponentials(schedule, n_steps)
     _, delta_part = enc.diagonal_parts
     target = enc.diagonal_energies()
@@ -333,27 +320,26 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
 
 
 def propagate(enc: EncodedTarget, schedule: Schedule,
-              cfg: PropagationConfig = PropagationConfig(),
-              ground_indices: Sequence[int] | None = None,
+              cfg: PropagationConfig = PropagationConfig(), *,
+              ground_indices: Sequence[int],
               psi0: np.ndarray | None = None) -> tuple[np.ndarray, Trajectory]:
     """Solve i dpsi/dt = H(t) psi with CFM4 steps.
 
-    The run starts at ``_step_count`` steps and doubles their count until
-    E(T) moves by less than ``tolerance_rel`` times the energy scale, at
-    most MAX_DOUBLINGS times.  Without ``psi0`` the anneal starts from the
-    basis state that ``initial_basis_index`` picks; without
-    ``ground_indices`` the fidelity is taken on the ground set of the
-    target.
+    The run starts at ``initial_steps`` rounded up to a multiple of the
+    sample intervals and doubles the step count until E(T) moves by less
+    than ``tolerance_rel`` times the energy scale, at most MAX_DOUBLINGS
+    times.  F sums the probability of the basis states ``ground_indices``.
+    Without ``psi0`` the anneal starts from the basis state that
+    ``initial_basis_index`` picks.
     """
     _check_cap(enc.n)
     x_total = _pauli_x_total(enc.n)
-    if ground_indices is None:
-        ground_indices = target_ground_indices(enc)
     if psi0 is None:
         psi0 = _start_state(enc, schedule)
 
     tol = cfg.tolerance_rel * enc.energy_scale
-    n_steps = _step_count(schedule, cfg.initial_steps)
+    intervals = schedule.sample_count - 1
+    n_steps = intervals * -(-cfg.initial_steps // intervals)
     e_prev = math.inf
     for _ in range(1 + MAX_DOUBLINGS):
         psi, traj = _run_steps(enc, schedule, psi0, n_steps, ground_indices,

@@ -162,11 +162,11 @@ def cmd_problem(args) -> int:
 
 
 def _encoded(args, mode: str):
-    """(encoding outcome, hardware limits) of the --model file under
+    """(model, encoding outcome, hardware limits) of the --model file under
     --config."""
     model = _load_json(args.model, "model", model_from_dict)
     limits = _load_limits(args)
-    return encode_for_annealing(model, mode=mode, limits=limits), limits
+    return model, encode_for_annealing(model, mode=mode, limits=limits), limits
 
 
 def cmd_spectrum(args) -> int:
@@ -184,7 +184,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    outcome, _ = _encoded(args, args.mode)
+    _, outcome, _ = _encoded(args, args.mode)
     enc = outcome.target
     payload = {"n": enc.n, "V": enc.v.tolist(),
                "delta_final": enc.delta_final.tolist(),
@@ -197,7 +197,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_layout(args) -> int:
-    outcome, limits = _encoded(args, "physical")
+    _, outcome, limits = _encoded(args, "physical")
     layout, report = embed_layout(outcome.target, dim=args.dim,
                                   seed=args.seed, limits=limits)
     payload = layout.to_dict()
@@ -209,7 +209,7 @@ def cmd_layout(args) -> int:
 
 def cmd_validate(args) -> int:
     layout = _load_json(args.layout, "layout", AtomLayout.from_dict)
-    outcome, _ = _encoded(args, "physical")
+    _, outcome, _ = _encoded(args, "physical")
     with _bad_input(f"layout {args.layout}"):
         report = validate(outcome.target, layout, tol=args.tol)
     print(f"max_rel_error={format_value(report.max_rel_error)} "
@@ -236,7 +236,7 @@ def _load_schedule(args) -> Schedule | None:
 
 
 def cmd_anneal(args) -> int:
-    outcome, limits = _encoded(args, args.mode)
+    model, outcome, limits = _encoded(args, args.mode)
     enc = outcome.target
     schedule = _load_schedule(args)
     if schedule is None:  # the pulse the optimizer starts from
@@ -244,8 +244,9 @@ def cmd_anneal(args) -> int:
                                     limits=limits)
         schedule = AnnealObjective(enc, template).schedule_for(
             initial_parameters(template))
-    _, traj = propagate(enc, schedule,
-                        PropagationConfig(initial_steps=args.steps))
+    _, traj = propagate(enc, schedule, PropagationConfig(args.steps),
+                        ground_indices=outcome.ground_indices(
+                            enumerate_spectrum(model)))
     _emit(args, trajectory_csv(traj, enc.delta_final))
     print(f"# E(T)={format_value(traj.energy[-1])} "
           f"F(T)={format_value(traj.fidelity[-1])}", file=sys.stderr)

@@ -230,7 +230,9 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
         tol = 8 * m.n * np.finfo(float).eps * big * sum(a / big for a in mags)
     # Each 2^n array is deleted once used up: three are live at most, four
     # when the energies are all distinct.
-    e = m.energies()
+    # an overflow gives a non-finite level, which analyze_spectrum refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = m.energies()
     index = np.argsort(e)
     ordered = e[index]
     del e

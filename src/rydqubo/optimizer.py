@@ -173,9 +173,12 @@ def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
 
 
 def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
-               seed: int = 0) -> OptimizationResult:
+               seed: int = 0, *, ground_indices: Sequence[int],
+               c_opt: float, c_max: float) -> OptimizationResult:
     """Run the staged optimizer; returns the best schedule found, never raises
-    on budget exhaustion."""
+    on budget exhaustion.  F sums the probability of the encoded basis
+    states ``ground_indices``, and R reads ``c_opt`` and ``c_max``, in source
+    units; ``run_pipeline`` takes all three from the source spectrum."""
     plan = plan or StagePlan.default()
     enc = objective.enc
     tracker = _Tracker(objective)
@@ -198,12 +201,10 @@ def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
 
     # final high-accuracy propagation of the incumbent
     _, traj = propagate(enc, objective.schedule_for(params),
-                        PropagationConfig(max(objective.initial_steps, 200)))
+                        PropagationConfig(max(objective.initial_steps, 200)),
+                        ground_indices=ground_indices)
     e_best = float(traj.energy[-1])
     f_best = float(traj.fidelity[-1])
-    diag = enc.diagonal_energies() + enc.constant
-    c_opt = float(diag.min()) / enc.scale
-    c_max = float(diag.max()) / enc.scale
     c_obt = e_best / enc.scale
     ratio = approximation_ratio(c_max, c_opt, c_obt)
     return OptimizationResult(params, e_best, f_best, ratio,

@@ -56,6 +56,12 @@ class EncodingOutcome:
     signed: bool                   # negative interactions kept (ideal mode only)
     scale_binding: str
 
+    def ground_indices(self, spectrum: SpectrumTable) -> np.ndarray:
+        """The source spectrum's ground states as encoded basis indices,
+        ascending: the gauge flips map pattern x to x XOR flips."""
+        mask = sum(bit << i for i, bit in enumerate(self.flips))
+        return np.sort(np.array(spectrum.ground_states) ^ mask)
+
 
 def encode_for_annealing(model: IsingModel | QuboModel,
                          mode: str = "ideal",
@@ -115,8 +121,8 @@ class PipelineResult:
 
     @property
     def ground_states(self) -> tuple[int, ...]:
-        """Ground patterns in the source-model frame; gauge flips only affect
-        the encoded target, whose ground set the objective already tracks."""
+        """Ground patterns of the source spectrum, in the source-model frame;
+        the final F sums the same states, mapped through the gauge flips."""
         return self.spectrum.ground_states
 
 
@@ -135,8 +141,10 @@ def run_pipeline(model: IsingModel | QuboModel,
     if schedule is None:
         schedule = default_schedule(preset_name, enc, limits=limits)
 
-    spectrum = enumerate_spectrum(as_ising(model))
-    result = run_hybrid(AnnealObjective(enc, schedule), plan, seed)
+    spectrum = enumerate_spectrum(model)
+    result = run_hybrid(AnnealObjective(enc, schedule), plan, seed,
+                        ground_indices=outcome.ground_indices(spectrum),
+                        c_opt=spectrum.e_min, c_max=spectrum.e_max)
 
     manifest = RunManifest(instance_name, mode, schedule.to_dict(),
                            plan.to_dict(), seed,

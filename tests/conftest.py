@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rydqubo.annealer import Trajectory
-from rydqubo.models import IsingModel, QuboModel, as_ising
+from rydqubo.models import (IsingModel, QuboModel, as_ising,
+                            enumerate_spectrum)
+from rydqubo.pipeline import encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
 # A QUBO whose diagonal H(0) minimum is tied for every default Delta_G(0)
@@ -14,6 +16,23 @@ from rydqubo.problems import PRESET_NAMES, preset_instance
 # index 6, the lowest of them.
 TIED_START_MODEL = {"n": 5, "linear": [-2, -2, 2, -2, 0],
                     "quadratic": [[0, 3, -2], [1, 3, 1]]}
+
+
+def source_optimum(model) -> dict:
+    """The ground indices, C_opt and C_max that ``run_pipeline`` passes
+    ``run_hybrid`` for ``model``."""
+    spectrum = enumerate_spectrum(model)
+    return {"ground_indices":
+            encode_for_annealing(model).ground_indices(spectrum),
+            "c_opt": spectrum.e_min, "c_max": spectrum.e_max}
+
+
+def preset_run(name):
+    """(encoded target, ground indices) of a preset, as ``run_pipeline``
+    encodes it and scores its fidelity."""
+    model = preset_instance(name).model
+    return (encode_for_annealing(model).target,
+            source_optimum(model)["ground_indices"])
 
 
 def random_qubo(rng: np.random.Generator, n: int) -> QuboModel:

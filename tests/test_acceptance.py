@@ -127,7 +127,8 @@ def test_criterion_5_propagator_physics():
     assert diag_traj.norm_error < 1e-9
 
     # adiabatic ramp on the XOR-pair encoding
-    _, adiab = propagate(enc2, Schedule(100.0, (), (1.0,), delta0=-1.0))
+    _, adiab = propagate(enc2, Schedule(100.0, (), (1.0,), delta0=-1.0),
+                         ground_indices=[1, 2])
     assert adiab.fidelity[-1] > 0.99
     assert adiab.norm_error < 1e-9
     report(f"PASS criterion 5: norm error <= 1e-9, Rabi closed form within "

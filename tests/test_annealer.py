@@ -9,12 +9,11 @@ from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
                               PropagationConfig, Schedule, _exponentials,
                               _pauli_x_total, _run_steps, _start_state,
                               _sweep, energy_gradient, initial_basis_index,
-                              propagate, target_ground_indices)
+                              propagate)
 from rydqubo.encoding import EncodedTarget, encode
-from rydqubo.models import IsingModel, as_ising
-from rydqubo.problems import preset_instance
+from rydqubo.models import IsingModel
 
-from conftest import (central_differences, reference_run_steps,
+from conftest import (central_differences, preset_run, reference_run_steps,
                       trajectory_of)
 
 
@@ -148,16 +147,11 @@ def test_schedule_profiles_match_reference():
 
 # --- target structure --------------------------------------------------------
 
-def test_target_ground_indices_xor_pair():
-    enc = xor_pair_target()
-    assert set(target_ground_indices(enc)) == {1, 2}
-
-
 def test_dim_cap_enforced():
     n = DIM_CAP + 1
     enc = EncodedTarget(n, np.zeros((n, n)), np.zeros(n), 0.0)
     with pytest.raises(AnnealerError):
-        propagate(enc, Schedule(1.0, (), (1.0,)))
+        propagate(enc, Schedule(1.0, (), (1.0,)), ground_indices=[0])
 
 
 def test_pauli_x_total_matches_per_entry_loop():
@@ -214,7 +208,7 @@ def test_diagonal_evolution_preserves_populations(rng):
 def test_adiabatic_xor_pair_reaches_high_fidelity():
     enc = xor_pair_target()
     sched = Schedule(100.0, (), (1.0,), delta0=-1.0)
-    psi, traj = propagate(enc, sched)
+    psi, traj = propagate(enc, sched, ground_indices=[1, 2])
     assert traj.fidelity[-1] > 0.99
     assert traj.norm_error < 1e-9
     # encoded energy maps back to the source convention
@@ -226,9 +220,10 @@ def test_step_convergence():
     enc = xor_pair_target()
     sched = Schedule(20.0, (0.2,), (2.0,), sample_count=41)
     cfg = PropagationConfig(initial_steps=40, tolerance_rel=1e-8)
-    _, traj = propagate(enc, sched, cfg)
+    _, traj = propagate(enc, sched, cfg, ground_indices=[1, 2])
     # converged propagation: twice the steps moves E(T) by less than tol
-    _, traj2 = propagate(enc, sched, PropagationConfig(initial_steps=4 * 40))
+    _, traj2 = propagate(enc, sched, PropagationConfig(initial_steps=4 * 40),
+                         ground_indices=[1, 2])
     assert abs(traj.energy[-1] - traj2.energy[-1]) < \
         10 * cfg.tolerance_rel * enc.energy_scale
 
@@ -236,7 +231,7 @@ def test_step_convergence():
 def test_trajectory_samples_cover_schedule():
     enc = xor_pair_target()
     sched = Schedule(10.0, (), (1.0,), sample_count=21)
-    _, traj = propagate(enc, sched)
+    _, traj = propagate(enc, sched, ground_indices=[1, 2])
     assert len(traj.times) == 21
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(10.0)
@@ -246,14 +241,12 @@ def test_trajectory_samples_cover_schedule():
 
 
 def test_propagation_on_preset_encodings():
-    from rydqubo.pipeline import encode_for_annealing
-
     for name in ("two_sat", "set_packing"):
-        enc = encode_for_annealing(as_ising(preset_instance(name).model)).target
+        enc, ground = preset_run(name)
         sched = Schedule(5.0, (), (1.0,), delta0=-1.0, sample_count=11)
         psi0 = np.zeros(1 << enc.n, dtype=complex)
         psi0[0] = 1.0
-        psi, traj = propagate(enc, sched, psi0=psi0)
+        psi, traj = propagate(enc, sched, ground_indices=ground, psi0=psi0)
         assert traj.norm_error < 1e-9
         assert np.isfinite(traj.energy).all()
 
@@ -291,12 +284,6 @@ def _assert_runs_identical(enc, schedule, psi0, n_steps, ground):
     _assert_trajectories_identical(traj, traj_ref)
 
 
-def _preset_target(name):
-    from rydqubo.pipeline import encode_for_annealing
-
-    return encode_for_annealing(as_ising(preset_instance(name).model)).target
-
-
 def _random_target(rng, n):
     v = np.triu(rng.uniform(0.0, 2.0, size=(n, n)), 1)
     return EncodedTarget(n, v + v.T, rng.uniform(0.5, 2.0, size=n), 0.3)
@@ -312,15 +299,14 @@ def test_blocked_steps_bit_identical_to_per_step_loop(n, rng):
 
 
 def test_blocked_steps_bit_identical_across_blocks():
-    enc = _preset_target("clustering")
+    enc, ground = preset_run("clustering")
     assert enc.n == 5
     # three full blocks and a partial one, on a multiple of the 10 intervals
     n_steps = 3 * (BLOCK_BYTES // (8 * 32 * 32)) + 14
     sched = Schedule(4.0, (0.3,), (2.0, -0.5), sample_count=11)
     psi0 = np.zeros(32, dtype=complex)
     psi0[0] = 1.0
-    _assert_runs_identical(enc, sched, psi0, n_steps,
-                           target_ground_indices(enc))
+    _assert_runs_identical(enc, sched, psi0, n_steps, ground)
 
 
 def test_blocked_steps_bit_identical_superposition_start(rng):
@@ -341,12 +327,12 @@ def test_adaptive_propagation_matches_per_step_cfm4_two_sat(monkeypatch):
     from rydqubo.pipeline import default_schedule
 
     round_off = 1e-12
-    enc = _preset_target("two_sat")
+    enc, ground = preset_run("two_sat")
     sched = replace(default_schedule("two_sat", enc, t_total=8.0),
                     delta_coeffs=(0.1, 0.0), omega_coeffs=(3.0, 0.5),
                     sample_count=41)
     cfg = PropagationConfig(initial_steps=40)
-    psi, traj = propagate(enc, sched, cfg)
+    psi, traj = propagate(enc, sched, cfg, ground_indices=ground)
     calls = []
 
     def reference(*args):
@@ -354,7 +340,7 @@ def test_adaptive_propagation_matches_per_step_cfm4_two_sat(monkeypatch):
         return reference_run_steps(*args, cfm4=True)
 
     monkeypatch.setattr(annealer, "_run_steps", reference)
-    psi_ref, traj_ref = propagate(enc, sched, cfg)
+    psi_ref, traj_ref = propagate(enc, sched, cfg, ground_indices=ground)
     assert len(calls) > 2  # the adaptive loop doubled at least twice
     assert np.abs(psi - psi_ref).max() <= round_off
     for field in ("times", "omega", "delta_g"):
@@ -366,20 +352,21 @@ def test_adaptive_propagation_matches_per_step_cfm4_two_sat(monkeypatch):
 
 
 def _start_pulse(name, noise_seed=None):
-    """(target, schedule) of the optimizer's seed-0 start pulse on a preset;
+    """(target, schedule, ground indices) of the optimizer's seed-0 start
+    pulse on a preset;
     with ``noise_seed``, plus the seed noise of 0.05 omega_max on all twelve
     coefficients that optimizer seeds drew before the noise was scaled per
     block."""
     from rydqubo.optimizer import AnnealObjective, initial_parameters
     from rydqubo.pipeline import default_schedule
 
-    enc = _preset_target(name)
+    enc, ground = preset_run(name)
     obj = AnnealObjective(enc, default_schedule(name, enc))
     params = initial_parameters(obj.template, 0)
     if noise_seed is not None:
         params = params + np.random.default_rng(noise_seed).normal(
             scale=0.05 * obj.template.omega_max, size=params.size)
-    return enc, obj.schedule_for(params)
+    return enc, obj.schedule_for(params), ground
 
 
 def test_cfm4_and_midpoint_share_one_limit():
@@ -390,15 +377,13 @@ def test_cfm4_and_midpoint_share_one_limit():
     from rydqubo.problems import PRESET_NAMES
 
     for name in PRESET_NAMES:
-        enc, sched = _start_pulse(name)
-        psi0, ground, x_total = (_start_state(enc, sched),
-                                 target_ground_indices(enc),
-                                 _pauli_x_total(enc.n))
+        enc, sched, ground = _start_pulse(name)
+        psi0, x_total = _start_state(enc, sched), _pauli_x_total(enc.n)
         e_n, e_2n = (reference_run_steps(enc, sched, psi0, n, ground,
                                          x_total)[1].energy[-1]
                      for n in (1600, 3200))
         limit = (4.0 * e_2n - e_n) / 3.0
-        e_cfm4 = propagate(enc, sched)[1].energy[-1]
+        e_cfm4 = propagate(enc, sched, ground_indices=ground)[1].energy[-1]
         assert abs(e_cfm4 - limit) <= 2e-9 * enc.energy_scale, name
 
 
@@ -406,9 +391,8 @@ def test_cfm4_is_fourth_order():
     """Doubling the steps shrinks CFM4's |dE(T)| by 2^4 = 16 and the midpoint
     rule's by 2^2 = 4, on two_sat's start pulse at 200-1,600 steps, where
     the smallest CFM4 change (1e-10) is far above round-off."""
-    enc, sched = _start_pulse("two_sat")
-    psi0, ground, x_total = (_start_state(enc, sched),
-                             target_ground_indices(enc), _pauli_x_total(enc.n))
+    enc, sched, ground = _start_pulse("two_sat")
+    psi0, x_total = _start_state(enc, sched), _pauli_x_total(enc.n)
     for run, low, high in ((_run_steps, 10.0, 20.0),
                            (_midpoint_run, 3.5, 4.5)):
         energies = [run(enc, sched, psi0, n, ground, x_total)[1].energy[-1]
@@ -425,7 +409,7 @@ def test_adaptive_propagation_converges_where_midpoint_rule_could_not(
     start pulses, so it raised AnnealerError after 204,800 steps; CFM4
     converges under the same 1e-8 tolerance, qap to the midpoint rule's
     Richardson limit 32.2595215."""
-    enc, sched = _start_pulse(name, noise_seed=1)
+    enc, sched, ground = _start_pulse(name, noise_seed=1)
     calls = []
 
     def counting(*args):
@@ -433,7 +417,7 @@ def test_adaptive_propagation_converges_where_midpoint_rule_could_not(
         return _run_steps(*args)
 
     monkeypatch.setattr(annealer, "_run_steps", counting)
-    _, traj = propagate(enc, sched)
+    _, traj = propagate(enc, sched, ground_indices=ground)
     assert calls[-1] == steps
     assert traj.norm_error < 1e-9
     if name == "qap":
@@ -471,7 +455,7 @@ def test_propagation_config_refuses_bad_input():
 def test_energy_gradient_zero_on_clipped_steps():
     """b_1 drives |Omega| past omega_max on about half the steps; the clipped
     steps must add nothing, or the gradient would miss central differences."""
-    enc = _preset_target("qap")
+    enc, _ = preset_run("qap")
     template = Schedule(6.0, (0.3, -0.2), (0.0, 0.0), omega_max=2.0,
                         sample_count=21)
     b = np.array([3.0, 0.4])
@@ -495,6 +479,21 @@ def test_energy_gradient_zero_on_clipped_steps():
     assert grad.shape == (4,)
     fd = central_differences(energy, b)
     assert np.linalg.norm(grad[2:] - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+def test_energy_gradient_takes_its_steps_as_given():
+    """Only ``propagate`` rounds a step count up to the sample grid: with 201
+    samples, 50 objective steps are 50 midpoint steps, not 200."""
+    enc, _ = preset_run("two_sat")
+    sched = Schedule(4.0, (0.2, -0.1), (1.5, 0.4))
+    assert sched.sample_count == 201
+    value, grad = energy_gradient(enc, sched, 50)
+    # the reference reads one sample per step; the samples do not touch E(T)
+    _, ref = reference_run_steps(enc, replace(sched, sample_count=51),
+                                 _start_state(enc, sched), 50, [0],
+                                 _pauli_x_total(enc.n))
+    assert value == ref.energy[-1]
+    assert grad.shape == (4,)
 
 
 def test_energy_gradient_refuses_non_finite():

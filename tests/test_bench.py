@@ -12,6 +12,8 @@ import rydqubo
 from rydqubo import (AnnealObjective, Stage, StagePlan, default_schedule,
                      encode_for_annealing, preset_instance)
 
+from conftest import source_optimum
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -58,10 +60,12 @@ def test_tracer_spans_the_optimizer_stage():
     tracer = tracing.Tracer()
     undo = tracing.instrument(tracer, rydqubo)
     try:
-        enc = encode_for_annealing(preset_instance("xor_sat").model).target
+        model = preset_instance("xor_sat").model
+        enc = encode_for_annealing(model).target
         rydqubo.run_hybrid(AnnealObjective(enc, default_schedule("xor_sat", enc),
                                            initial_steps=40),
-                           StagePlan((Stage("gradient", 10),)))
+                           StagePlan((Stage("gradient", 10),)),
+                           **source_optimum(model))
     finally:
         undo()
     spans = tracer.spans

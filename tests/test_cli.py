@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rydqubo import cli, models
-from rydqubo.annealer import PropagationConfig, propagate
+from rydqubo.annealer import PropagationConfig, Schedule, propagate
 from rydqubo.cli import main
 from rydqubo.hardness import format_value
 from rydqubo.models import model_from_dict
@@ -17,7 +17,7 @@ from rydqubo.optimizer import AnnealObjective, initial_parameters
 from rydqubo.pipeline import default_schedule, encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
-from conftest import TIED_START_MODEL
+from conftest import TIED_START_MODEL, source_optimum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -586,12 +586,82 @@ def test_anneal_default_drives_the_optimizer_start_pulse(capsys,
     header, *rows = [line.split(",") for line in out.splitlines()]
     omega = [float(row[header.index("omega")]) for row in rows]
     assert all(w > 0 for w in omega[1:-1])
-    enc = encode_for_annealing(preset_instance("xor_sat").model).target
+    model = preset_instance("xor_sat").model
+    enc = encode_for_annealing(model).target
     template = default_schedule(None, enc, t_total=2.0)
     _, traj = propagate(enc, AnnealObjective(enc, template).schedule_for(
-        initial_parameters(template)), PropagationConfig(initial_steps=20))
+        initial_parameters(template)), PropagationConfig(initial_steps=20),
+        ground_indices=source_optimum(model)["ground_indices"])
     assert [row[header.index("E")] for row in rows] == [
         format_value(e) for e in traj.energy.tolist()]
+
+
+def near_tie_file(tmp_path, d):
+    """A QUBO whose two lowest patterns, 1 and 2, are d apart: the spectrum's
+    level rule splits them at d = 1e-13 and ties them at d = 1e-14."""
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps({"n": 3, "linear": [-1.0, -1.0 - d, 0.5],
+                                "quadratic": [[0, 1, 2.0], [1, 2, 1.0]]}))
+    return str(path)
+
+
+def test_fidelity_counts_only_the_spectrum_ground_states(
+        capsys, short_run_files, tmp_path):
+    """At d = 1e-13 the spectrum has one ground state, pattern 2, and both
+    the pipeline's F_final and the last F of ``anneal`` are its probability
+    alone, though pattern 1 is populated too."""
+    path = near_tie_file(tmp_path, 1e-13)
+    model = model_from_dict(json.loads(Path(path).read_text()))
+    outcome = encode_for_annealing(model)
+    enc = outcome.target
+    assert outcome.flips == (0, 0, 0)
+    assert models.enumerate_spectrum(model).ground_states == (2,)
+
+    def fidelities(schedule, steps):
+        return [propagate(enc, schedule, PropagationConfig(steps),
+                          ground_indices=ground)[1].fidelity[-1]
+                for ground in ([2], [1])]
+
+    plan, schedule = short_run_files
+    code, _, err = run(capsys, "pipeline", "--model", path, "--plan", plan,
+                       "--schedule", schedule, "--threshold", "0",
+                       "--out-dir", str(tmp_path))
+    assert code == 0, err
+    result = json.loads((tmp_path / "near_tie_result.json").read_text())
+    alone, other = fidelities(Schedule.from_dict(result["schedule"]), 200)
+    assert result["F_final"] == alone
+    assert other > 0.01
+
+    code, _, err = run(capsys, "anneal", "--model", path, "--duration", "2",
+                       "--steps", "20")
+    assert code == 0, err
+    template = default_schedule(None, enc, t_total=2.0)
+    alone, other = fidelities(AnnealObjective(enc, template).schedule_for(
+        initial_parameters(template)), 20)
+    assert err.split()[-1] == f"F(T)={format_value(alone)}"
+    assert other > 0.01
+
+
+def test_one_ground_set_across_commands(capsys, short_run_files, tmp_path):
+    """At d = 1e-14 patterns 1 and 2 are one level, and ``spectrum``,
+    ``hardness --csv`` and the pipeline result JSON all say so."""
+    path = near_tie_file(tmp_path, 1e-14)
+    code, out, _ = run(capsys, "spectrum", "--model", path)
+    assert code == 0
+    assert out.splitlines()[-1].endswith(" D_opt=2 grounds=100 010")
+    code, out, _ = run(capsys, "hardness", "--model", path, "--csv")
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert row[header.index("D_opt")] == "2"
+    plan, schedule = short_run_files
+    code, _, err = run(capsys, "pipeline", "--model", path, "--plan", plan,
+                       "--schedule", schedule, "--threshold", "0",
+                       "--out-dir", str(tmp_path))
+    assert code == 0, err
+    result = json.loads((tmp_path / "near_tie_result.json").read_text())
+    assert result["ground_states"] == [1, 2]
+    hardness = (tmp_path / "near_tie_hardness.csv").read_text().splitlines()
+    assert hardness[1].split(",")[header.index("D_opt")] == "2"
 
 
 @pytest.fixture
@@ -712,6 +782,19 @@ def test_bad_duration_exits_2_without_traceback(xor_model_file):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "--duration: must be positive" in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["{overflowing_low_model}",
+                                 "{overflowing_high_model}"])
+def test_overflowing_levels_print_the_error_line_first(input_files, key):
+    """numpy's overflow warning from the energy doubling used to come first
+    on stderr; the error line must lead, with nothing before it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "rydqubo.cli", "hardness",
+                           "--model", input_files[key]], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: a level is not finite")
 
 
 def test_closed_stdout_exits_0_quietly():

@@ -83,12 +83,16 @@ for argv in (["problem", "--preset", "xor_sat", "--out", model],
 assert loaded() == [], loaded()[:3]
 
 from rydqubo import (AnnealObjective, Stage, StagePlan, default_schedule,
-                     embed_layout, encode_for_annealing, preset_instance,
-                     run_hybrid)
-enc = encode_for_annealing(preset_instance("xor_sat").model).target
+                     embed_layout, encode_for_annealing, enumerate_spectrum,
+                     preset_instance, run_hybrid)
+model = preset_instance("xor_sat").model
+outcome, spectrum = encode_for_annealing(model), enumerate_spectrum(model)
+enc = outcome.target
 res = run_hybrid(AnnealObjective(enc, default_schedule("xor_sat", enc),
                                  initial_steps=40),
-                 StagePlan((Stage("gradient", 10),)))
+                 StagePlan((Stage("gradient", 10),)),
+                 ground_indices=outcome.ground_indices(spectrum),
+                 c_opt=spectrum.e_min, c_max=spectrum.e_max)
 assert res.evaluations == 10 and "scipy.optimize" in sys.modules
 assert embed_layout(enc)[0].n == enc.n
 """

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from rydqubo.annealer import (Schedule, _pauli_x_total, _start_state,
-                              _step_count, initial_basis_index, propagate,
-                              target_ground_indices)
+                              initial_basis_index, propagate)
 from rydqubo.encoding import IsingModel, encode
 from rydqubo.models import as_ising, model_from_dict
 from rydqubo.optimizer import (AnnealObjective, OptimizationResult, Stage,
@@ -19,7 +18,7 @@ from rydqubo.pipeline import default_schedule, encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import (TIED_START_MODEL, central_differences, objective_value,
-                      reference_run_steps)
+                      reference_run_steps, source_optimum)
 
 
 def xor_pair_target():
@@ -32,6 +31,10 @@ def small_template():
 
 def small_objective():
     return AnnealObjective(xor_pair_target(), small_template(), initial_steps=40)
+
+
+# the xor pair's ground states, lowest and highest cost
+XOR_PAIR_OPTIMUM = {"ground_indices": [1, 2], "c_opt": 0.0, "c_max": 1.0}
 
 
 # --- plumbing ----------------------------------------------------------------
@@ -115,8 +118,7 @@ def test_adjoint_gradient_matches_central_differences(name):
         value, grad = obj.value_and_gradient(p)
         sched = obj.schedule_for(p)
         _, ref = reference_run_steps(enc, sched, _start_state(enc, sched),
-                                     _step_count(sched, obj.initial_steps),
-                                     [0], x_total)
+                                     obj.initial_steps, [0], x_total)
         assert value == ref.energy[-1]
         fd = central_differences(objective_value(obj), p)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
@@ -138,6 +140,7 @@ def test_objective_starts_where_propagate_does(source):
     model = (model_from_dict(TIED_START_MODEL) if source == "tied_start"
              else preset_instance(source).model)
     enc = encode_for_annealing(model).target
+    ground = source_optimum(model)["ground_indices"]
     template = default_schedule(None, enc, t_total=2.0)
     start = initial_basis_index(enc, template)
     if source == "tied_start":
@@ -147,13 +150,13 @@ def test_objective_starts_where_propagate_does(source):
     sched = obj.schedule_for(params)
     psi0 = np.zeros(1 << enc.n, dtype=complex)
     psi0[start[0]] = 1.0
-    ground = target_ground_indices(enc)
-    # the objective's anneal starts from that basis state
-    _, ref = reference_run_steps(enc, sched, psi0, _step_count(sched, 20),
-                                 ground, _pauli_x_total(enc.n))
+    # the objective's anneal starts from that basis state, and takes its 20
+    # steps as given; the reference reads one sample per step
+    _, ref = reference_run_steps(enc, replace(sched, sample_count=21), psi0,
+                                 20, ground, _pauli_x_total(enc.n))
     assert obj.value_and_gradient(params)[0] == ref.energy[-1]
-    # propagate's defaults must equal an explicit start vector and ground set
-    psi, traj = propagate(enc, sched)
+    # propagate's default start must equal an explicit start vector
+    psi, traj = propagate(enc, sched, ground_indices=ground)
     psi_b, traj_b = propagate(enc, sched, ground_indices=ground, psi0=psi0)
     assert (psi == psi_b).all()
     for field in ("times", "omega", "delta_g", "energy", "fidelity"):
@@ -169,7 +172,7 @@ def quick_plan():
 
 def test_run_hybrid_improves_and_respects_budget():
     plan = quick_plan()
-    res = run_hybrid(small_objective(), plan, seed=0)
+    res = run_hybrid(small_objective(), plan, seed=0, **XOR_PAIR_OPTIMUM)
     assert res.evaluations <= sum(s.max_evals for s in plan.stages)
     assert len(res.stage_history) == len(plan.stages)
     # best-so-far trace never increases
@@ -182,7 +185,8 @@ def test_run_hybrid_improves_and_respects_budget():
 
 def test_run_hybrid_deterministic():
     plan = StagePlan((Stage("gradient", 20), Stage("gradient", 20)))
-    a, b = (run_hybrid(small_objective(), plan, seed=3) for _ in range(2))
+    a, b = (run_hybrid(small_objective(), plan, seed=3, **XOR_PAIR_OPTIMUM)
+            for _ in range(2))
     np.testing.assert_array_equal(a.params, b.params)
     assert a.e_best == b.e_best
     assert a.evaluations == b.evaluations
@@ -191,7 +195,8 @@ def test_run_hybrid_deterministic():
 def test_gradient_stage_charges_probes_until_the_budget_is_spent():
     """A value costs 1 evaluation and a gradient 2P = 8: three points and
     a fourth value leave 2 of 30, which the fourth gradient spends."""
-    res = run_hybrid(small_objective(), StagePlan((Stage("gradient", 30),)))
+    res = run_hybrid(small_objective(), StagePlan((Stage("gradient", 30),)),
+                     **XOR_PAIR_OPTIMUM)
     assert res.evaluations == 30
     assert res.budget_exhausted
     assert len(res.stage_history[0]) == 30
@@ -200,14 +205,15 @@ def test_gradient_stage_charges_probes_until_the_budget_is_spent():
 @pytest.mark.parametrize("name", ["two_sat", "qap", "clustering"])
 def test_default_plan_spends_every_evaluation(name):
     """The solve benchmark fails a run whose BFGS stage stops early."""
-    res = run_hybrid(preset_objective(name))
+    res = run_hybrid(preset_objective(name),
+                     **source_optimum(preset_instance(name).model))
     assert res.evaluations == 800
     assert [len(stage) for stage in res.stage_history] == [800]
 
 
 def test_run_hybrid_reports_source_cost():
     obj = small_objective()
-    res = run_hybrid(obj, quick_plan(), seed=0)
+    res = run_hybrid(obj, quick_plan(), seed=0, **XOR_PAIR_OPTIMUM)
     assert res.c_obt == pytest.approx(res.e_best / obj.enc.scale)
     assert isinstance(res, OptimizationResult)
     # xor pair optimum is 0, maximum is 1

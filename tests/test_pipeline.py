@@ -10,7 +10,7 @@ from rydqubo.annealer import PropagationConfig, Schedule, initial_basis_index
 from rydqubo.encoding import (FrustratedModelError, HardwareLimits,
                               NotEncodableError, encode, gauge_fix, rescale)
 from rydqubo.hardness import format_value
-from rydqubo.models import IsingModel, QuboModel, as_ising
+from rydqubo.models import IsingModel, QuboModel, as_ising, enumerate_spectrum
 from rydqubo.optimizer import Stage, StagePlan
 from rydqubo.pipeline import (RunManifest, default_schedule,
                               encode_for_annealing, result_json, run_pipeline,
@@ -45,6 +45,27 @@ def test_encode_for_annealing_frustrated_modes():
     assert np.any(ideal.target.v < 0)
     with pytest.raises(NotEncodableError):
         encode_for_annealing(model, mode="physical")
+
+
+def test_ground_indices_xor_pair():
+    model = IsingModel(2, (0.0, 0.0), {(0, 1): 0.5}, 0.5)
+    outcome = encode_for_annealing(model)
+    assert outcome.ground_indices(enumerate_spectrum(model)).tolist() == [1, 2]
+
+
+def test_ground_indices_are_the_encoded_minima_on_presets():
+    """On every preset the source ground states, mapped through the gauge
+    flips, are the minima of the encoded diagonal in ascending order, and
+    the diagonal's extremes are the spectrum's e_min and e_max."""
+    for name in PRESET_NAMES:
+        model = preset_instance(name).model
+        outcome, spectrum = encode_for_annealing(model), enumerate_spectrum(model)
+        enc = outcome.target
+        diag = enc.diagonal_energies() + enc.constant
+        minima = np.flatnonzero(diag <= diag.min() + 1e-9 * enc.energy_scale)
+        assert outcome.ground_indices(spectrum).tolist() == minima.tolist()
+        assert (diag.min() / enc.scale, diag.max() / enc.scale) == (
+            spectrum.e_min, spectrum.e_max), name
 
 
 def test_encoding_matches_source_after_gauge():
