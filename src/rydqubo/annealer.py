@@ -4,6 +4,25 @@ All detunings follow one global profile: Delta_j(t) = Delta_G(t) * Delta_j(T),
 where Delta_G(T) = 1 and Omega(0) = Omega(T) = 0 hold exactly by construction
 of the pulse basis.
 
+The anneal runs in the start state's symmetry subspace.  Colour refinement
+finds the coarsest partition of the 2^n basis states into cells on which
+v_part, delta_part and the start amplitude are constant and whose members
+each have the same number of cube neighbours (one atom flipped) in every
+cell.  The diagonal of H(t) is v_part - Delta_G(t) delta_part and the drive
+Omega(t) sum_j X_j / 2 is global, so H(t) maps the span of the normalized
+cell indicators into itself at every t.  The anneal never leaves that span,
+and the quotient is exact, not an approximation.  An atom permutation that
+keeps V, Delta(T) and the start state maps every cell onto itself, so cells
+are unions of its orbits; on the presets they are the orbits:
+
+    preset   two_sat  xor_sat  mixed  set_packing  qap  clustering  protein
+    2^n            8        8      8           16   16          32       64
+    cells          8        4      8            6    6          32       30
+
+A target without symmetry has one state per cell and runs in the full basis
+bit for bit.  DIM_CAP bounds n, not the cell count: the refinement walks all
+2^n states.
+
 Every step is a product of exact exponentials of the real-symmetric H, one
 eigh each.  ``energy_gradient`` is the optimizer's objective and its exact
 gradient; it takes midpoint steps, one exponential per step, of H at the
@@ -19,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,14 +163,6 @@ class PropagationConfig:
             raise ValueError("tolerance_rel must be positive and finite")
 
 
-def _pauli_x_total(n: int) -> np.ndarray:
-    """sum_j X_j: entry (k ^ 2^j, k) is 1 for every state k and atom j."""
-    states = np.arange(1 << n)[:, None]
-    x = np.zeros((1 << n, 1 << n))
-    x[states ^ (1 << np.arange(n)), states] = 1.0
-    return x
-
-
 def _check_cap(n: int) -> None:
     if n > DIM_CAP:
         raise AnnealerError(f"n={n} exceeds the propagation cap of {DIM_CAP} atoms")
@@ -179,6 +190,56 @@ def _start_state(enc: EncodedTarget, schedule: Schedule) -> np.ndarray:
     return psi0
 
 
+class _Quotient(NamedTuple):
+    """H(t) and the start state in the normalized indicator basis of the
+    cells of an equitable partition of the basis states."""
+    cell: np.ndarray   # (2^n,) cell of each basis state
+    size: np.ndarray   # (m,) states per cell
+    v: np.ndarray      # (m,) v_part at each cell's members
+    delta: np.ndarray  # (m,) delta_part there
+    x: np.ndarray      # (m, m) sum_j X_j: edges from A to B / sqrt(|A||B|)
+    start: np.ndarray  # (m,) psi0 at each cell's members times sqrt(|A|)
+
+
+def _quotient(enc: EncodedTarget, psi0: np.ndarray) -> _Quotient:
+    """The coarsest equitable partition of the n-cube on which v_part,
+    delta_part and psi0 are constant, by colour refinement (McKay 1981):
+    seed cells by exact equality of the three, then split them by the
+    multiset of neighbour cells until the cell count stops changing.  Cells
+    are numbered by their smallest member, so a partition into singletons is
+    the full basis, bit for bit.  Cached on the target, like its
+    ``diagonal_parts``, for the last start it was built for."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    cached = enc.__dict__.get("_quotient")
+    if cached is not None and cached[0] == psi0.tobytes():
+        return cached[1]
+    v_part, delta_part = enc.diagonal_parts
+    flips = np.arange(1 << enc.n)[:, None] ^ (1 << np.arange(enc.n))
+    seed = np.column_stack((v_part, delta_part, psi0.real, psi0.imag))
+    cell = np.unique(seed, axis=0, return_inverse=True)[1]
+    while True:
+        signature = np.column_stack((cell, np.sort(cell[flips], axis=1)))
+        refined = np.unique(signature, axis=0, return_inverse=True)[1]
+        if refined.max() == cell.max():
+            break
+        cell = refined
+    smallest = np.unique(cell, return_index=True)[1][cell]
+    reps, cell = np.unique(smallest, return_inverse=True)
+    m, size = len(reps), np.bincount(cell).astype(float)
+    edges = np.bincount((cell[flips] * m + cell[:, None]).ravel(),
+                        minlength=m * m).reshape(m, m)
+    q = _Quotient(cell, size, v_part[reps], delta_part[reps],
+                  edges / np.sqrt(np.multiply.outer(size, size)),
+                  psi0[reps] * np.sqrt(size))
+    enc.__dict__["_quotient"] = (psi0.tobytes(), q)
+    return q
+
+
+def _expand(q: _Quotient, c: np.ndarray) -> np.ndarray:
+    """Basis-state amplitudes psi_k = c_A(k) / sqrt(|A(k)|) of coefficients c."""
+    return (c / np.sqrt(q.size))[..., q.cell]
+
+
 def _step_grid(schedule: Schedule, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(grid times t_0..t_N, step midpoints) of n_steps equal steps."""
     t_grid = np.linspace(0.0, schedule.t_total, n_steps + 1)
@@ -201,9 +262,9 @@ def _exponentials(schedule: Schedule, n_steps: int, cfm4: bool = False
     return (*((p @ _CFM4_WEIGHTS).ravel() for p in nodes), 0.5 * dt)
 
 
-def _sweep(enc: EncodedTarget, psi: np.ndarray, delta_g: np.ndarray,
-           omega: np.ndarray, dt: float, x_total: np.ndarray):
-    """Apply exp(-i dt H(delta_g[k], omega[k])) for k = 0, 1, ... in turn.
+def _sweep(q: _Quotient, delta_g: np.ndarray, omega: np.ndarray, dt: float):
+    """Apply exp(-i dt H(delta_g[k], omega[k])) for k = 0, 1, ... in turn to
+    the start coefficients of the quotient basis.
 
     Each exponential comes from an eigendecomposition of the real-symmetric
     H, so the norm is preserved to round-off.  The Hamiltonians are
@@ -212,14 +273,13 @@ def _sweep(enc: EncodedTarget, psi: np.ndarray, delta_g: np.ndarray,
     ... and states[k], the state before exponential lo + k, whose last row is
     the state after the block.
     """
-    v_part, delta_part = enc.diagonal_parts
-    psi = psi.astype(complex)
+    psi = q.start
     diag = np.arange(len(psi))
-    block = max(1, BLOCK_BYTES // x_total.nbytes)
+    block = max(1, BLOCK_BYTES // q.x.nbytes)
     for lo in range(0, len(delta_g), block):
         hi = min(lo + block, len(delta_g))
-        h = (omega[lo:hi, None, None] / 2.0) * x_total
-        h[:, diag, diag] += v_part - delta_g[lo:hi, None] * delta_part
+        h = (omega[lo:hi, None, None] / 2.0) * q.x
+        h[:, diag, diag] += q.v - delta_g[lo:hi, None] * q.delta
         evals, evecs = np.linalg.eigh(h)
         phase = np.exp(-1j * evals * dt)
         states = np.empty((hi - lo + 1, len(psi)), dtype=complex)
@@ -231,29 +291,32 @@ def _sweep(enc: EncodedTarget, psi: np.ndarray, delta_g: np.ndarray,
 
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
-               n_steps: int, ground_indices: Sequence[int],
-               x_total: np.ndarray) -> tuple[np.ndarray, Trajectory]:
-    """``_sweep`` over n_steps CFM4 steps, read at every stride-th state,
-    stride = exponentials / (sample_count - 1): returns the final state and
-    the trajectory at those grid times.  n_steps must be a multiple of
-    sample_count - 1, as ``propagate`` makes it and doubling keeps it."""
+               n_steps: int, ground_indices: Sequence[int]
+               ) -> tuple[np.ndarray, Trajectory]:
+    """``_sweep`` over n_steps CFM4 steps in the quotient of psi0, read at
+    every stride-th state, stride = exponentials / (sample_count - 1):
+    returns the final state and the trajectory at those grid times.  n_steps
+    must be a multiple of sample_count - 1, as ``propagate`` makes it and
+    doubling keeps it."""
+    q = _quotient(enc, psi0)
     intervals = schedule.sample_count - 1
     delta_g, omega, dt = _exponentials(schedule, n_steps, cfm4=True)
     stride = len(delta_g) // intervals
     snaps = []
-    for lo, _, _, states in _sweep(enc, psi0, delta_g, omega, dt, x_total):
+    for lo, _, _, states in _sweep(q, delta_g, omega, dt):
         # a block's last row is the next block's first; copies free the block
         snaps.append(states[-lo % stride:-1:stride].copy())
 
-    target = enc.diagonal_energies()
+    target = q.v - q.delta
     probs = np.abs(np.concatenate([*snaps, states[-1:]])) ** 2
     energy = np.array([row @ target for row in probs]) + enc.constant
-    fids = probs[:, list(ground_indices)].sum(axis=1)
+    # a ground state g holds the share 1/|A(g)| of its cell's probability
+    fids = (probs / q.size)[:, q.cell[list(ground_indices)]].sum(axis=1)
     norm_err = np.abs(np.sqrt(probs.sum(axis=1)) - 1.0)
     times = _step_grid(schedule, n_steps)[0][::n_steps // intervals]
     delta_g, omega = schedule.profiles(times)
-    return states[-1], Trajectory(times, omega, delta_g, energy, fids,
-                                  float(norm_err.max()))
+    return _expand(q, states[-1]), Trajectory(times, omega, delta_g, energy,
+                                              fids, float(norm_err.max()))
 
 
 def energy_gradient(enc: EncodedTarget, schedule: Schedule,
@@ -262,27 +325,28 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
 
     The anneal takes ``initial_steps`` steps, as given, from the state
     ``initial_basis_index`` picks, and the gradient is the exact gradient of
-    that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  One
-    forward sweep keeps each step's eigen-pairs H_k = V diag(lambda) V^T,
-    which costs n_steps * 4^n * 8 bytes; an adjoint sweep runs back from
+    that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  The
+    anneal runs in the start state's quotient basis of m cells, where E(T)
+    is the same function of the coefficients.  One forward sweep keeps each
+    step's eigen-pairs H_k = V diag(lambda) V^T, which costs
+    n_steps * m^2 * 8 bytes; an adjoint sweep runs back from
     lam_N = D psi_N by lam_k = U_k^dag lam_{k+1}.  The sensitivity of step k
     to a parameter theta of H_k is 2 Re[a^H (Gamma o V^T dH/dtheta V) b]
     with a = V^T lam_{k+1}, b = V^T psi_k and the eigenbasis Frechet
     derivative of exp(-i dt H) (de Fouquieres et al., JMR 212, 412, 2011)
     Gamma_jl = -i dt exp(-i dt (lambda_j + lambda_l)/2)
     sinc(dt (lambda_j - lambda_l)/2), which stays finite at degenerate
-    eigenvalues.  dH/dOmega = X_total/2 and dH/dDelta_G = -diag(delta); the
+    eigenvalues.  dH/dOmega = X/2 and dH/dDelta_G = -diag(delta); the
     coefficient gradients are S^T times these sensitivities, with S the sine
     table, and the Omega gradient is zero on steps where the clip is active.
     A non-finite value or gradient raises FloatingPointError.
     """
     _check_cap(enc.n)
-    x_total = _pauli_x_total(enc.n)
     n_steps = _initial_steps(initial_steps)
     _, omega, dt = controls = _exponentials(schedule, n_steps)
-    _, delta_part = enc.diagonal_parts
-    target = enc.diagonal_energies()
-    blocks = list(_sweep(enc, _start_state(enc, schedule), *controls, x_total))
+    q = _quotient(enc, _start_state(enc, schedule))
+    target = q.v - q.delta
+    blocks = list(_sweep(q, *controls))
     psi = blocks[-1][3][-1]
     energy = float(np.abs(psi) ** 2 @ target + enc.constant)
 
@@ -306,9 +370,9 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
         r = dt * sinc * ((a.conj() * half)[:, :, None]
                          * (half * b)[:, None, :]).imag
         vr = evecs @ r
-        # dH/dDelta_G = -diag(delta), dH/dOmega = X_total / 2
-        sens[0, lo:lo + len(b)] = -2.0 * (vr * evecs).sum(axis=2) @ delta_part
-        sens[1, lo:lo + len(b)] = (vr * (x_total @ evecs)).sum(axis=(1, 2))
+        # dH/dDelta_G = -diag(delta), dH/dOmega = X / 2
+        sens[0, lo:lo + len(b)] = -2.0 * (vr * evecs).sum(axis=2) @ q.delta
+        sens[1, lo:lo + len(b)] = (vr * (q.x @ evecs)).sum(axis=(1, 2))
 
     _, sines = schedule.sine_table(_step_grid(schedule, n_steps)[1])
     sens[1] *= np.abs(omega) < schedule.omega_max
@@ -330,10 +394,10 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
     than ``tolerance_rel`` times the energy scale, at most MAX_DOUBLINGS
     times.  F sums the probability of the basis states ``ground_indices``.
     Without ``psi0`` the anneal starts from the basis state that
-    ``initial_basis_index`` picks.
+    ``initial_basis_index`` picks; a given ``psi0`` seeds the partition with
+    its own amplitudes, so the run in its quotient is exact for any start.
     """
     _check_cap(enc.n)
-    x_total = _pauli_x_total(enc.n)
     if psi0 is None:
         psi0 = _start_state(enc, schedule)
 
@@ -342,8 +406,7 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
     n_steps = intervals * -(-cfg.initial_steps // intervals)
     e_prev = math.inf
     for _ in range(1 + MAX_DOUBLINGS):
-        psi, traj = _run_steps(enc, schedule, psi0, n_steps, ground_indices,
-                               x_total)
+        psi, traj = _run_steps(enc, schedule, psi0, n_steps, ground_indices)
         if abs(traj.energy[-1] - e_prev) < tol:
             return psi, traj
         e_prev, n_steps = traj.energy[-1], 2 * n_steps

@@ -35,7 +35,8 @@ import os
 import sys
 from pathlib import Path
 
-from .annealer import AnnealerError, PropagationConfig, Schedule, propagate
+from .annealer import (AnnealerError, PropagationConfig, Schedule, _check_cap,
+                       propagate)
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
                        embed_layout, validate)
 from .hardness import (HardnessError, analyze_model, analyze_spectrum,
@@ -238,6 +239,7 @@ def _load_schedule(args) -> Schedule | None:
 def cmd_anneal(args) -> int:
     model, outcome, limits = _encoded(args, args.mode)
     enc = outcome.target
+    _check_cap(enc.n)  # before the spectrum enumerates up to 2^20 states
     schedule = _load_schedule(args)
     if schedule is None:  # the pulse the optimizer starts from
         template = default_schedule(None, enc, t_total=args.duration,

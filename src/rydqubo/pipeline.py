@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .annealer import Schedule, Trajectory, initial_basis_index
+from .annealer import Schedule, Trajectory, _check_cap, initial_basis_index
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        encode, gauge_fix, rescale)
 from .hardness import format_csv
@@ -138,6 +138,7 @@ def run_pipeline(model: IsingModel | QuboModel,
     plan = plan or StagePlan.default()
     outcome = encode_for_annealing(model, mode=mode, limits=limits)
     enc = outcome.target
+    _check_cap(enc.n)  # before the spectrum enumerates up to 2^20 states
     if schedule is None:
         schedule = default_schedule(preset_name, enc, limits=limits)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from rydqubo.annealer import Trajectory
+from rydqubo.encoding import EncodedTarget
 from rydqubo.models import (IsingModel, QuboModel, as_ising,
                             enumerate_spectrum)
 from rydqubo.pipeline import encode_for_annealing
@@ -16,6 +18,22 @@ from rydqubo.problems import PRESET_NAMES, preset_instance
 # index 6, the lowest of them.
 TIED_START_MODEL = {"n": 5, "linear": [-2, -2, 2, -2, 0],
                     "quadratic": [[0, 3, -2], [1, 3, 1]]}
+
+# The basis dimension of each preset's anneal: the cells of its start
+# state's quotient, which are the orbits of the basis states under the atom
+# permutations that keep V, the detunings and the start state.
+PRESET_CELLS = {"two_sat": 8, "xor_sat": 4, "mixed": 8, "set_packing": 6,
+                "qap": 6, "clustering": 32, "protein": 30}
+
+# Integer-valued targets with a planted atom permutation: (n, permutation,
+# start index), where start None is a superposition that the permutation
+# keeps.  The starts 1 and 0b100001 keep only part of the symmetry.
+PLANTED = {"planted-3cycle": (3, (1, 2, 0), 0),
+           "planted-swaps": (4, (1, 0, 3, 2), 0),
+           "planted-swaps-superposition": (4, (1, 0, 3, 2), None),
+           "planted-mirror": (5, (4, 3, 2, 1, 0), 0),
+           "planted-ring": (6, (1, 2, 3, 4, 5, 0), 1),
+           "planted-mirror-start": (6, (5, 4, 3, 2, 1, 0), 0b100001)}
 
 
 def source_optimum(model) -> dict:
@@ -136,9 +154,70 @@ def stencil_gradient(f, params, rel_step=1e-3):
     return grad
 
 
+def pauli_x_total(n):
+    """sum_j X_j on the full basis, one entry (k ^ 2^j, k) at a time."""
+    x = np.zeros((1 << n, 1 << n))
+    for k in range(1 << n):
+        for j in range(n):
+            x[k ^ (1 << j), k] += 1.0
+    return x
+
+
+def planted_target(name):
+    """(target, start state) of a PLANTED case: V takes the value k on the
+    k-th orbit of atom pairs under the permutation, and the detunings the
+    value k or -k, by parity, on the k-th orbit of atoms."""
+    n, perm, start = PLANTED[name]
+    v, delta = np.zeros((n, n)), np.zeros(n)
+    orbits = 0
+    for pair in itertools.combinations(range(n), 2):
+        orbits += v[pair] == 0
+        while v[pair] == 0:
+            v[pair] = v[pair[::-1]] = orbits
+            pair = perm[pair[0]], perm[pair[1]]
+    orbits = 0
+    for atom in range(n):
+        orbits += delta[atom] == 0
+        while delta[atom] == 0:
+            delta[atom] = orbits * (-1) ** orbits
+            atom = perm[atom]
+    psi0 = np.zeros(1 << n, dtype=complex)
+    if start is None:
+        image = [sum((k >> i & 1) << perm[i] for i in range(n))
+                 for k in range(1 << n)]
+        rng = np.random.default_rng(n)
+        psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi0 = psi0 + psi0[image]
+        psi0 /= np.linalg.norm(psi0)
+    else:
+        psi0[start] = 1.0
+    return EncodedTarget(n, v, delta, 0.5), psi0
+
+
+def orbit_count(enc, psi0):
+    """Orbits of the basis states under every atom permutation that keeps V,
+    the detunings and psi0, by brute force over all n! permutations."""
+    n = enc.n
+    images = []
+    for perm in map(list, itertools.permutations(range(n))):
+        image = np.array([sum((k >> i & 1) << perm[i] for i in range(n))
+                          for k in range(1 << n)])
+        if ((enc.v[np.ix_(perm, perm)] == enc.v).all()
+                and (enc.delta_final[perm] == enc.delta_final).all()
+                and (psi0[image] == psi0).all()):
+            images.append(image)
+    orbit = np.full(1 << n, -1)
+    for k in range(1 << n):
+        if orbit[k] < 0:
+            for image in images:
+                orbit[image[k]] = k
+    return len(np.unique(orbit))
+
+
 def reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
-                        x_total, cfm4=False):
-    """One eigh per exponential: the loop the stacked blocks replaced.
+                        cfm4=False):
+    """One eigh per exponential on the full basis: the loop the stacked
+    blocks replaced.
 
     The midpoint rule takes exp(-i dt H) of H at each step midpoint.  CFM4
     builds H1 and H2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt and takes
@@ -151,6 +230,7 @@ def reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
     dg, om = schedule.profiles(mid)
     dt = schedule.t_total / n_steps
     v_part, delta_part = enc.diagonal_parts
+    x_total = pauli_x_total(enc.n)
     stride = n_steps // (schedule.sample_count - 1)
     psi = psi0.astype(complex).copy()
     states = [psi]

@@ -6,15 +6,18 @@ import pytest
 
 from rydqubo import annealer
 from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
-                              PropagationConfig, Schedule, _exponentials,
-                              _pauli_x_total, _run_steps, _start_state,
-                              _sweep, energy_gradient, initial_basis_index,
-                              propagate)
+                              PropagationConfig, Schedule, _expand,
+                              _exponentials, _quotient, _run_steps,
+                              _start_state, _sweep, energy_gradient,
+                              initial_basis_index, propagate)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel
 
-from conftest import (central_differences, preset_run, reference_run_steps,
-                      trajectory_of)
+from rydqubo.problems import PRESET_NAMES
+
+from conftest import (PLANTED, PRESET_CELLS, central_differences,
+                      orbit_count, pauli_x_total, planted_target, preset_run,
+                      reference_run_steps, trajectory_of)
 
 
 def xor_pair_target():
@@ -154,14 +157,47 @@ def test_dim_cap_enforced():
         propagate(enc, Schedule(1.0, (), (1.0,)), ground_indices=[0])
 
 
-def test_pauli_x_total_matches_per_entry_loop():
-    """The scatter gives the bytes of the state-by-atom loop it replaced."""
+def test_pauli_x_total_matches_per_entry_loop(rng):
+    """Where the partition is the full basis, the quotient's drive matrix
+    has the bytes of the state-by-atom loop."""
     for n in range(DIM_CAP + 1):
-        want = np.zeros((1 << n, 1 << n))
-        for k in range(1 << n):
-            for j in range(n):
-                want[k ^ (1 << j), k] += 1.0
-        assert _pauli_x_total(n).tobytes() == want.tobytes()
+        psi0 = np.zeros(1 << n, dtype=complex)
+        psi0[0] = 1.0
+        q = _quotient(_random_target(rng, n), psi0)
+        assert (q.cell == np.arange(1 << n)).all()
+        assert q.x.tobytes() == pauli_x_total(n).tobytes()
+
+
+@pytest.mark.parametrize("name", [*PLANTED, *PRESET_NAMES])
+def test_quotient_is_exact(name):
+    """The cells are the orbits of the atom permutations that keep the
+    target and the start, and a CFM4 run in the quotient expands to the
+    full-basis reference's psi(T), E and F within 1e-12 (times the energy
+    scale for E), for a ground set of whole cells and for one state of the
+    largest cell."""
+    from rydqubo.pipeline import default_schedule
+
+    if name in PLANTED:
+        enc, psi0 = planted_target(name)
+    else:
+        enc, _ = preset_run(name)
+        psi0 = _start_state(enc, default_schedule(name, enc))
+    q = _quotient(enc, psi0)
+    assert len(q.size) == orbit_count(enc, psi0)
+    if name in PRESET_CELLS:
+        assert len(q.size) == PRESET_CELLS[name]
+    sched = Schedule(3.0, (0.2, -0.1), (1.5, 0.4), sample_count=21)
+    target = enc.diagonal_energies()
+    for ground in (np.flatnonzero(target == target.min()),
+                   [int(np.argmax(q.size[q.cell]))]):
+        psi, traj = _run_steps(enc, sched, psi0, 100, ground)
+        psi_ref, ref = reference_run_steps(enc, sched, psi0, 100, ground,
+                                           cfm4=True)
+        assert np.abs(psi - psi_ref).max() <= 1e-12
+        assert np.abs(traj.energy - ref.energy).max() <= \
+            1e-12 * enc.energy_scale
+        assert np.abs(traj.fidelity - ref.fidelity).max() <= 1e-12
+        assert traj.norm_error < 1e-12
 
 
 # --- initial state -----------------------------------------------------------
@@ -253,14 +289,16 @@ def test_propagation_on_preset_encodings():
 
 # --- blocked propagation against the per-step reference ----------------------
 
-def _midpoint_run(enc, schedule, psi0, n_steps, ground_indices, x_total):
+def _midpoint_run(enc, schedule, psi0, n_steps, ground_indices):
     """``_sweep`` over the midpoint exponentials that ``energy_gradient``
-    takes, read at the reference's grid times by the reference's own
-    readout: the final state and the trajectory."""
-    states = [psi0]
-    for _, _, _, block in _sweep(enc, psi0, *_exponentials(schedule, n_steps),
-                                 x_total):
+    takes, in the quotient of psi0, read at the reference's grid times by
+    the reference's own readout of the expanded states: the final state and
+    the trajectory."""
+    q = _quotient(enc, psi0)
+    states = [q.start]
+    for _, _, _, block in _sweep(q, *_exponentials(schedule, n_steps)):
         states.extend(block[1:])
+    states = _expand(q, np.array(states))
     stride = n_steps // (schedule.sample_count - 1)
     times = np.linspace(0.0, schedule.t_total, n_steps + 1)[::stride]
     return states[-1], trajectory_of(enc, schedule, states[::stride],
@@ -276,8 +314,9 @@ def _assert_trajectories_identical(got, want):
 
 
 def _assert_runs_identical(enc, schedule, psi0, n_steps, ground):
-    x_total = _pauli_x_total(enc.n)
-    args = (enc, schedule, psi0, n_steps, ground, x_total)
+    """Bit identity holds where the partition is the full basis."""
+    assert len(_quotient(enc, psi0).size) == 1 << enc.n
+    args = (enc, schedule, psi0, n_steps, ground)
     (psi, traj), (psi_ref, traj_ref) = (_midpoint_run(*args),
                                         reference_run_steps(*args))
     assert (psi == psi_ref).all()
@@ -374,13 +413,11 @@ def test_cfm4_and_midpoint_share_one_limit():
     midpoint rule's Richardson limit (4 E(2N) - E(N)) / 3 at N = 1,600 within
     2e-9 of the energy scale (measured: at most 8e-10, on protein), a fifth
     of the adaptive tolerance."""
-    from rydqubo.problems import PRESET_NAMES
-
     for name in PRESET_NAMES:
         enc, sched, ground = _start_pulse(name)
-        psi0, x_total = _start_state(enc, sched), _pauli_x_total(enc.n)
-        e_n, e_2n = (reference_run_steps(enc, sched, psi0, n, ground,
-                                         x_total)[1].energy[-1]
+        psi0 = _start_state(enc, sched)
+        e_n, e_2n = (reference_run_steps(enc, sched, psi0, n,
+                                         ground)[1].energy[-1]
                      for n in (1600, 3200))
         limit = (4.0 * e_2n - e_n) / 3.0
         e_cfm4 = propagate(enc, sched, ground_indices=ground)[1].energy[-1]
@@ -392,10 +429,10 @@ def test_cfm4_is_fourth_order():
     rule's by 2^2 = 4, on two_sat's start pulse at 200-1,600 steps, where
     the smallest CFM4 change (1e-10) is far above round-off."""
     enc, sched, ground = _start_pulse("two_sat")
-    psi0, x_total = _start_state(enc, sched), _pauli_x_total(enc.n)
+    psi0 = _start_state(enc, sched)
     for run, low, high in ((_run_steps, 10.0, 20.0),
                            (_midpoint_run, 3.5, 4.5)):
-        energies = [run(enc, sched, psi0, n, ground, x_total)[1].energy[-1]
+        energies = [run(enc, sched, psi0, n, ground)[1].energy[-1]
                     for n in (200, 400, 800, 1600)]
         changes = np.abs(np.diff(energies))
         ratios = changes[:-1] / changes[1:]
@@ -466,16 +503,19 @@ def test_energy_gradient_zero_on_clipped_steps():
     # away from the kink: no step sits within a finite-difference probe of it
     assert np.min(np.abs(np.abs(unclipped) - template.omega_max)) > 1e-4
 
-    x_total = _pauli_x_total(enc.n)
+    # the anneal runs in qap's six-cell quotient, so the value is the
+    # full-basis reference's only to round-off
+    assert len(_quotient(enc, _start_state(enc, template)).size) == \
+        PRESET_CELLS["qap"]
 
     def energy(omega_coeffs):
         sched = replace(template, omega_coeffs=tuple(omega_coeffs))
         return float(reference_run_steps(enc, sched, _start_state(enc, sched),
-                                         200, [0], x_total)[1].energy[-1])
+                                         200, [0])[1].energy[-1])
 
     value, grad = energy_gradient(enc, replace(template, omega_coeffs=tuple(b)),
                                   200)
-    assert value == energy(b)
+    assert abs(value - energy(b)) <= 1e-12 * enc.energy_scale
     assert grad.shape == (4,)
     fd = central_differences(energy, b)
     assert np.linalg.norm(grad[2:] - fd) <= 1e-5 * np.linalg.norm(fd)
@@ -490,8 +530,7 @@ def test_energy_gradient_takes_its_steps_as_given():
     value, grad = energy_gradient(enc, sched, 50)
     # the reference reads one sample per step; the samples do not touch E(T)
     _, ref = reference_run_steps(enc, replace(sched, sample_count=51),
-                                 _start_state(enc, sched), 50, [0],
-                                 _pauli_x_total(enc.n))
+                                 _start_state(enc, sched), 50, [0])
     assert value == ref.energy[-1]
     assert grad.shape == (4,)
 

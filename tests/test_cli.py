@@ -253,7 +253,7 @@ def exit_status(capsys, argv):
 @pytest.fixture
 def input_files(tmp_path, xor_model_file):
     """Named input files: the xor_sat preset, the frustrated mixed preset, an
-    11-variable model, a model whose n overflows int, layouts of two atoms
+    11-variable model, a 21-variable chain, a Fourier schedule, a model whose n overflows int, layouts of two atoms
     and of three atoms of which two coincide, a schedule in a basis other
     than Fourier, a one-evaluation plan, a plan naming the simplex kind and
     a one-row spectral input; files that hold NaN or Infinity, a string or
@@ -270,6 +270,9 @@ def input_files(tmp_path, xor_model_file):
     data = {"mixed": preset_instance("mixed").model.to_dict(),
             "n11": {"n": 11, "linear": [1.0] * 11,
                     "quadratic": [[0, 1, 1.0]]},
+            "n21_chain": {"n": 21, "linear": [1.0] * 21,
+                          "quadratic": [[i, i + 1, 1.0] for i in range(20)]},
+            "schedule": schedule,
             "overflow": {"n": 1e400, "linear": [], "quadratic": []},
             "nan_model": {"n": 2, "linear": [nan, 1.0], "quadratic": []},
             "fractional_n_model": {"n": 2.9, "linear": [1.0, 1.0],
@@ -332,6 +335,9 @@ def input_files(tmp_path, xor_model_file):
         files["{" + name + "}"] = str(path)
     return files
 
+
+OVER_CAP = ("error: propagation failed: n=21 exceeds the propagation cap of 10 "
+            "atoms")
 
 def two_sat(params):
     return ["problem", "--family", "two_sat", "--params", params]
@@ -436,6 +442,17 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                  "usage: rydqubo anneal", id="anneal-duration"),
     pytest.param(["anneal", "--model", "{n11}"], 5,
                  "error: propagation failed: ", id="anneal-over-cap"),
+    # past the enumeration cap of 20 too, with or without --schedule: the
+    # propagation cap is checked before the spectrum is enumerated
+    pytest.param(["anneal", "--model", "{n21_chain}"], 5, OVER_CAP,
+                 id="anneal-over-both-caps"),
+    pytest.param(["anneal", "--model", "{n21_chain}", "--schedule",
+                  "{schedule}"], 5, OVER_CAP, id="anneal-schedule-over-both-caps"),
+    pytest.param(["pipeline", "--model", "{n21_chain}", "--out-dir",
+                  "{out_dir}"], 5, OVER_CAP, id="pipeline-over-both-caps"),
+    pytest.param(["pipeline", "--model", "{n21_chain}", "--schedule",
+                  "{schedule}", "--out-dir", "{out_dir}"], 5, OVER_CAP,
+                 id="pipeline-schedule-over-both-caps"),
     pytest.param(["spectrum", "--model", "{overflow}"], 2,
                  "error: cannot load model ", id="model-overflow"),
     pytest.param(["validate", "--model", "{xor}", "--layout", "{pair_layout}"],
