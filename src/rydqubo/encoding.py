@@ -21,7 +21,7 @@ from .models import IsingModel, QuboModel, _float
 # hbar = 1; energies/frequencies in rad/us, lengths in um, times in us.
 GHZ_TO_RAD_PER_US = 2.0 * math.pi * 1.0e3
 C6_DEFAULT = 139.0 * GHZ_TO_RAD_PER_US  # 139 GHz um^6 -> 2*pi*1.39e5 rad/us um^6
-EMBED_RESTARTS = 16  # random starts of the layout stress descent
+EMBED_RESTARTS = 16  # random starts, stacked into one layout stress descent
 
 
 class NotEncodableError(ValueError):
@@ -265,26 +265,30 @@ def _minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def _stress_and_grad(flat: np.ndarray, n: int, dim: int, iu, ju, pos_mask,
-                     r_target, r_far: float):
-    pos = flat.reshape(n, dim)
-    d = pos[iu] - pos[ju]
-    r = np.sqrt((d**2).sum(axis=1))
-    r = np.maximum(r, 1e-12)
-    grad = np.zeros_like(pos)
+def _stress_and_grad(flat: np.ndarray, shape: tuple[int, int, int], iu, ju,
+                     pos_mask, r_target, r_far: float):
+    """Layout stress of a stack of restarts; ``flat`` holds ``shape`` =
+    ``(restarts, n, dim)`` positions.
+
+    Returns the stress summed over the restarts, its gradient (flat, like
+    ``flat``) and each restart's own stress.  No term couples two restarts,
+    so descending the sum descends every restart at once.
+    """
+    pos = flat.reshape(shape)
+    d = pos[:, iu] - pos[:, ju]
+    r = np.maximum(np.sqrt((d**2).sum(axis=-1)), 1e-12)
+    r_scale = np.where(pos_mask, r_target, 1.0)
     # relative distance error on connected pairs
-    rel = np.where(pos_mask, (r - r_target) / np.where(pos_mask, r_target, 1.0), 0.0)
-    stress = float((rel[pos_mask] ** 2).sum())
-    coeff = np.where(pos_mask, 2.0 * rel / np.where(pos_mask, r_target, 1.0), 0.0)
+    rel = np.where(pos_mask, (r - r_target) / r_scale, 0.0)
     # hinge on unconnected pairs closer than r_far
     hinge = np.where(~pos_mask & (r < r_far), r_far - r, 0.0)
-    stress += float((hinge**2).sum())
-    coeff += -2.0 * hinge
-    unit = d / r[:, None]
-    contrib = coeff[:, None] * unit
-    np.add.at(grad, iu, contrib)
-    np.add.at(grad, ju, -contrib)
-    return stress, grad.ravel()
+    each = (rel**2).sum(axis=1) + (hinge**2).sum(axis=1)
+    coeff = 2.0 * rel / r_scale - 2.0 * hinge
+    contrib = (coeff / r)[..., None] * d
+    grad = np.zeros_like(pos)
+    np.add.at(grad, (slice(None), iu), contrib)
+    np.add.at(grad, (slice(None), ju), -contrib)
+    return float(each.sum()), grad.ravel(), each
 
 
 def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
@@ -292,8 +296,11 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
                  ) -> tuple[AtomLayout, ValidationReport]:
     """Place atoms so C6/r^6 approximates V, by multi-start stress descent.
 
-    Infeasibility (including unwanted-interaction leakage on zero pairs) is
-    reported through the residual, never raised.
+    The ``EMBED_RESTARTS`` random starts are stacked and descended together
+    by one L-BFGS-B run: their stresses are independent terms of one sum.
+    The layout is the restart with the least stress, centred.  Infeasibility
+    (including unwanted-interaction leakage on zero pairs) is reported
+    through the residual, never raised.
     """
     limits = limits or HardwareLimits()
     if dim not in (2, 3):
@@ -301,23 +308,20 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     n = t.n
     if n < 2:
         layout = AtomLayout(np.zeros((n, dim)), limits.c6)
-        return layout, ValidationReport(0.0, (-1, -1), 0.0, (), True)
+        return layout, validate(t, layout)
     iu, ju, vt, pos_mask, r_target = _pair_data(t, limits.c6)
     if not np.any(pos_mask):
         raise NotEncodableError("V has no positive entry to embed")
     span = max(float(np.max(r_target[pos_mask])), limits.r_far)
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(EMBED_RESTARTS):
-        x0 = rng.normal(scale=0.5 * span, size=n * dim)
-        res = _minimize(_stress_and_grad, x0, jac=True, method="L-BFGS-B",
-                        args=(n, dim, iu, ju, pos_mask, r_target, limits.r_far),
-                        options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
-    pos = best.x.reshape(n, dim)
-    pos -= pos.mean(axis=0)
-    layout = AtomLayout(pos, limits.c6)
+    shape = (EMBED_RESTARTS, n, dim)
+    args = (shape, iu, ju, pos_mask, r_target, limits.r_far)
+    x0 = np.random.default_rng(seed).normal(scale=0.5 * span,
+                                            size=EMBED_RESTARTS * n * dim)
+    res = _minimize(lambda x: _stress_and_grad(x, *args)[:2], x0, jac=True,
+                    method="L-BFGS-B",
+                    options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
+    pos = res.x.reshape(shape)[np.argmin(_stress_and_grad(res.x, *args)[2])]
+    layout = AtomLayout(pos - pos.mean(axis=0), limits.c6)
     return layout, validate(t, layout)
 
 
@@ -334,8 +338,10 @@ def validate(t: EncodedTarget, layout: AtomLayout, tol: float = 1e-3) -> Validat
     """Per-pair relative interaction errors of a layout against a target."""
     if layout.n != t.n:
         raise ValueError("layout and target atom counts differ")
+    if t.n < 2:  # no pair, so nothing to get wrong
+        return ValidationReport(0.0, (-1, -1), 0.0, (), True)
     achieved = layout_interactions(layout)
-    vmax = float(np.max(t.v)) if t.n > 1 else 0.0
+    vmax = float(np.max(t.v))
     if vmax <= 0:
         raise NotEncodableError("target has no positive interaction to validate")
     errs = np.abs(achieved - t.v) / vmax

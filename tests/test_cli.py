@@ -119,6 +119,23 @@ def test_layout_and_validate(capsys, xor_model_file, tmp_path):
     assert "passed=True" in out
 
 
+def test_one_atom_layout_and_validate_agree(capsys, tmp_path):
+    """A one-atom model has no pair to get wrong: `layout` reports a zero
+    residual, and `validate` passes the same layout with the same numbers."""
+    model_path, layout_path = tmp_path / "one.json", tmp_path / "layout.json"
+    model_path.write_text('{"n": 1, "linear": [1.0], "quadratic": []}')
+    code, _, _ = run(capsys, "layout", "--model", str(model_path),
+                     "--out", str(layout_path))
+    assert code == 0
+    written = json.loads(layout_path.read_text())
+    code, out, _ = run(capsys, "validate", "--model", str(model_path),
+                       "--layout", str(layout_path))
+    assert code == 0
+    assert (written["max_rel_error"], written["worst_pair"]) == (0.0, [-1, -1])
+    assert out == ("max_rel_error=0 worst_pair=(-1, -1) worst_unwanted=0 "
+                   "passed=True\n")
+
+
 def test_hardness_row(capsys, xor_model_file):
     code, out, _ = run(capsys, "hardness", "--model", xor_model_file,
                        "--name", "xor", "--csv")

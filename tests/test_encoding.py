@@ -5,9 +5,9 @@ import pytest
 
 from rydqubo.encoding import (AtomLayout, C6_DEFAULT, EncodedTarget,
                               FrustratedModelError, HardwareLimits,
-                              NotEncodableError, embed_layout, encode,
-                              gauge_fix, layout_interactions, rescale,
-                              validate)
+                              NotEncodableError, _pair_data, _stress_and_grad,
+                              embed_layout, encode, gauge_fix,
+                              layout_interactions, rescale, validate)
 from rydqubo.models import IsingModel, QuboModel, as_ising
 from rydqubo.pipeline import encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
@@ -161,21 +161,67 @@ def chain_target(n, spacing=6.0):
     return EncodedTarget(n, v, np.ones(n), 0.0)
 
 
-def test_embed_round_trip_chain():
-    target = chain_target(4)
-    layout, report = embed_layout(target, dim=2, seed=1)
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", (4, 5))
+def test_embed_round_trip_chain(n, seed, dim):
+    """A realizable chain reaches criterion 8's residual bound at embed seeds
+    0-4 in both dimensions.  The stacked descent stops on the summed stress,
+    which leaves residuals of 2e-8 to 9.1e-7 here (1.7e-8 to 8.8e-7 when
+    each restart stopped on its own)."""
+    target = chain_target(n)
+    layout, report = embed_layout(target, dim=dim, seed=seed)
     assert report.max_rel_error <= 1e-6
     achieved = layout_interactions(layout)
     np.testing.assert_allclose(achieved, target.v,
                                atol=1e-6 * target.v.max())
 
 
-def test_embed_3d_also_reaches_tight_residual():
-    target = chain_target(5)
-    _, rep2 = embed_layout(target, dim=2, seed=0)
-    _, rep3 = embed_layout(target, dim=3, seed=0)
-    assert rep2.max_rel_error <= 1e-6
-    assert rep3.max_rel_error <= 1e-6
+@pytest.mark.parametrize("restarts", (1, 16))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_stacked_stress_gradient_and_per_restart_terms(rng, restarts, dim):
+    """The stacked stress kernel's gradient matches central differences of
+    its summed stress, and each restart's stress (and gradient) is the
+    kernel's on that restart alone, as a stack of one.  Targets mix connected
+    pairs with zero-V pairs, and the random positions put zero-V pairs both
+    inside and outside r_far."""
+    r_far, h = 12.0, 1e-6
+    seen_inside = seen_outside = False
+    for n in range(2, 11):
+        r_want = rng.uniform(3.0, 10.0, size=(n, n))
+        v = np.triu(np.where(rng.random((n, n)) < 0.5,
+                             C6_DEFAULT / r_want**6, 0.0), 1)
+        v[0, 1] = C6_DEFAULT / 5.0**6  # at least one connected pair
+        target = EncodedTarget(n, v + v.T, np.zeros(n), 0.0)
+        iu, ju, _, pos_mask, r_target = _pair_data(target, C6_DEFAULT)
+        shape = (restarts, n, dim)
+        x = rng.normal(scale=8.0, size=restarts * n * dim)
+        args = (shape, iu, ju, pos_mask, r_target, r_far)
+        total, grad, each = _stress_and_grad(x, *args)
+        assert grad.shape == x.shape and each.shape == (restarts,)
+        assert total == pytest.approx(each.sum(), rel=1e-15)
+        stack = x.reshape(shape)
+        r = np.linalg.norm(stack[:, iu] - stack[:, ju], axis=-1)
+        seen_inside |= bool(np.any(~pos_mask & (r < r_far)))
+        seen_outside |= bool(np.any(~pos_mask & (r > r_far)))
+        fd = np.empty_like(x)
+        for k in range(x.size):
+            step = np.zeros_like(x)
+            step[k] = h
+            fd[k] = (_stress_and_grad(x + step, *args)[0]
+                     - _stress_and_grad(x - step, *args)[0]) / (2 * h)
+        # the differences' round-off, eps |total| / h, stays below 3e-8 of
+        # the largest component on these stacks
+        np.testing.assert_allclose(grad, fd, rtol=0,
+                                   atol=1e-6 * np.abs(grad).max())
+        for k in range(restarts):
+            one, one_grad, one_each = _stress_and_grad(
+                stack[k].ravel(), (1, n, dim), *args[1:])
+            # equal up to the order numpy sums each row in
+            np.testing.assert_allclose([each[k], one_each[0]], one, rtol=1e-14)
+            np.testing.assert_allclose(grad.reshape(shape)[k].ravel(), one_grad,
+                                       rtol=0, atol=1e-14 * np.abs(grad).max())
+    assert seen_inside and seen_outside
 
 
 def test_embed_star_reports_leakage():
