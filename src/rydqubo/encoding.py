@@ -248,6 +248,16 @@ def layout_interactions(layout: AtomLayout) -> np.ndarray:
 
 
 def _pair_data(t: EncodedTarget, c6: float):
+    """Per-embed constants of the stress kernel, one entry per atom pair
+    (i < j, in ``np.triu_indices`` order).
+
+    ``inc`` is the signed pair-incidence matrix, shaped ``(pairs, n)``: +1
+    at i and -1 at j, so ``inc @ x`` is every ``x_i - x_j``, each rounded
+    once, and ``inc.T @ y`` scatters pair terms back onto the atoms.  Then
+    the connected-pair mask, the zero-V mask, the target distance (0 where
+    V is 0) and the scale the relative distance error divides by (1 where V
+    is 0).
+    """
     iu, ju = np.triu_indices(t.n, k=1)
     vt = t.v[iu, ju]
     if np.any(vt < 0):
@@ -255,7 +265,12 @@ def _pair_data(t: EncodedTarget, c6: float):
     pos_mask = vt > 0
     r_target = np.zeros_like(vt)
     r_target[pos_mask] = (c6 / vt[pos_mask]) ** (1.0 / 6.0)
-    return iu, ju, vt, pos_mask, r_target
+    pairs = np.arange(iu.size)
+    inc = np.zeros((iu.size, t.n))
+    inc[pairs, iu] = 1.0
+    inc[pairs, ju] = -1.0
+    r_scale = np.where(pos_mask, r_target, 1.0)
+    return inc, pos_mask, ~pos_mask, r_target, r_scale
 
 
 def _minimize(*args, **kwargs):
@@ -265,29 +280,29 @@ def _minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def _stress_and_grad(flat: np.ndarray, shape: tuple[int, int, int], iu, ju,
-                     pos_mask, r_target, r_far: float):
+def _stress_and_grad(flat: np.ndarray, shape: tuple[int, int, int], inc,
+                     pos_mask, zero_mask, r_target, r_scale, r_far: float):
     """Layout stress of a stack of restarts; ``flat`` holds ``shape`` =
-    ``(restarts, n, dim)`` positions.
+    ``(restarts, n, dim)`` positions, and the pair constants are
+    ``_pair_data``'s.
 
     Returns the stress summed over the restarts, its gradient (flat, like
     ``flat``) and each restart's own stress.  No term couples two restarts,
-    so descending the sum descends every restart at once.
+    so descending the sum descends every restart at once.  The gather of
+    pair differences and the scatter of pair forces are one matrix product
+    each with the incidence matrix; the gather is exact, the differences
+    ``pos[:, iu] - pos[:, ju]`` bit for bit.
     """
     pos = flat.reshape(shape)
-    d = pos[:, iu] - pos[:, ju]
+    d = inc @ pos
     r = np.maximum(np.sqrt((d**2).sum(axis=-1)), 1e-12)
-    r_scale = np.where(pos_mask, r_target, 1.0)
     # relative distance error on connected pairs
     rel = np.where(pos_mask, (r - r_target) / r_scale, 0.0)
     # hinge on unconnected pairs closer than r_far
-    hinge = np.where(~pos_mask & (r < r_far), r_far - r, 0.0)
+    hinge = np.where(zero_mask & (r < r_far), r_far - r, 0.0)
     each = (rel**2).sum(axis=1) + (hinge**2).sum(axis=1)
     coeff = 2.0 * rel / r_scale - 2.0 * hinge
-    contrib = (coeff / r)[..., None] * d
-    grad = np.zeros_like(pos)
-    np.add.at(grad, (slice(None), iu), contrib)
-    np.add.at(grad, (slice(None), ju), -contrib)
+    grad = inc.T @ ((coeff / r)[..., None] * d)
     return float(each.sum()), grad.ravel(), each
 
 
@@ -298,7 +313,11 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
 
     The ``EMBED_RESTARTS`` random starts are stacked and descended together
     by one L-BFGS-B run: their stresses are independent terms of one sum.
-    The layout is the restart with the least stress, centred.  Infeasibility
+    The run stops when the gradient falls below ``gtol`` 1e-12, when an
+    iteration no longer lowers the stress at all (``ftol`` 0) or after 2000
+    iterations; a stop on a small relative gain would end a slowly
+    converging restart short of criterion 8's residual bound.  The layout
+    is the restart with the least stress, centred.  Infeasibility
     (including unwanted-interaction leakage on zero pairs) is reported
     through the residual, never raised.
     """
@@ -309,17 +328,17 @@ def embed_layout(t: EncodedTarget, dim: int = 2, seed: int = 0,
     if n < 2:
         layout = AtomLayout(np.zeros((n, dim)), limits.c6)
         return layout, validate(t, layout)
-    iu, ju, vt, pos_mask, r_target = _pair_data(t, limits.c6)
+    inc, pos_mask, zero_mask, r_target, r_scale = _pair_data(t, limits.c6)
     if not np.any(pos_mask):
         raise NotEncodableError("V has no positive entry to embed")
     span = max(float(np.max(r_target[pos_mask])), limits.r_far)
     shape = (EMBED_RESTARTS, n, dim)
-    args = (shape, iu, ju, pos_mask, r_target, limits.r_far)
+    args = (shape, inc, pos_mask, zero_mask, r_target, r_scale, limits.r_far)
     x0 = np.random.default_rng(seed).normal(scale=0.5 * span,
                                             size=EMBED_RESTARTS * n * dim)
     res = _minimize(lambda x: _stress_and_grad(x, *args)[:2], x0, jac=True,
                     method="L-BFGS-B",
-                    options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
+                    options={"maxiter": 2000, "ftol": 0.0, "gtol": 1e-12})
     pos = res.x.reshape(shape)[np.argmin(_stress_and_grad(res.x, *args)[2])]
     layout = AtomLayout(pos - pos.mean(axis=0), limits.c6)
     return layout, validate(t, layout)

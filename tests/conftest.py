@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +275,20 @@ def trajectory_of(enc, schedule, states, ground_indices, times):
     e, f, nrm = (np.array(column) for column in zip(*records))
     delta_g, omega = schedule.profiles(times)
     return Trajectory(times, omega, delta_g, e, f, float(nrm.max()))
+
+
+def outputs_on_blas_threads(script: str) -> list[str]:
+    """The stdout of ``script`` run in a fresh interpreter on 1 and on 2
+    OpenBLAS threads, importing rydqubo from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        outputs.append(proc.stdout)
+    return outputs
 
 
 @pytest.fixture

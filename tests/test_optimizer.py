@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +15,8 @@ from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import (PLANTED, PRESET_CELLS, TIED_START_MODEL,
                       central_differences, objective_value, orbit_count,
-                      planted_target, reference_run_steps, source_optimum)
+                      outputs_on_blas_threads, planted_target,
+                      reference_run_steps, source_optimum)
 
 
 def xor_pair_target():
@@ -257,13 +254,6 @@ for name in ("two_sat", "qap", "clustering"):
 def test_objective_invariant_to_blas_threads():
     """The solve presets' objective and its gradient are bit-identical on 1
     and 2 BLAS threads."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", _EVALUATE_PRESETS],
-                              env=env, capture_output=True, text=True,
-                              check=True, timeout=300)
-        outputs.append(proc.stdout)
+    outputs = outputs_on_blas_threads(_EVALUATE_PRESETS)
     assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]
