@@ -19,9 +19,9 @@ are unions of its orbits; on the presets they are the orbits:
     2^n            8        8      8           16   16          32       64
     cells          8        4      8            6    6          32       30
 
-A target without symmetry has one state per cell and runs in the full basis
-bit for bit.  DIM_CAP bounds n, not the cell count: the refinement walks all
-2^n states.
+A target without symmetry has one state per cell and runs in the full basis,
+whose X the quotient builds bit for bit.  DIM_CAP bounds n, not the cell
+count: the refinement walks all 2^n states.
 
 Every step is a product of exact exponentials of the real-symmetric H, one
 eigh each.  ``energy_gradient`` is the optimizer's objective and its exact
@@ -32,6 +32,13 @@ would take two eighs per step, and eigh is most of an optimizer pass.
 exponentials per step of the fourth-order commutator-free Magnus integrator
 CFM4, whose E(T) change falls 16x per step doubling against the midpoint
 rule's 4x, and doubles the steps until E(T) converges.
+
+Both run one sweep, ``_sweep``, which carries the state in the eigenbasis
+of the exponential about to act on it: c_k = V_k^T psi_k.  A step is then
+a phase and one real overlap, c_{k+1} = V_{k+1}^T V_k (p_k o c_k), and the
+overlaps of a block of steps come from one stacked product.  The state
+itself, psi_k = V_k c_k, is formed only where it is read: at the samples
+and at T.  The gradient's adjoint runs back through the same overlaps.
 """
 
 from __future__ import annotations
@@ -102,7 +109,10 @@ class Schedule:
 
     def profiles(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(Delta_G(t), Omega(t)), each summed mode by mode from one sine table."""
-        tau, sines = self.sine_table(t)
+        return self._mode_sums(*self.sine_table(t))
+
+    def _mode_sums(self, tau, sines) -> tuple[np.ndarray, np.ndarray]:
+        """``profiles`` at the times of a ``sine_table``, from that table."""
         delta_g = self.delta0 * (1.0 - tau) + tau
         for k, a in enumerate(self.delta_coeffs):
             delta_g = delta_g + a * sines[..., k]
@@ -150,6 +160,17 @@ def _initial_steps(value) -> int:
 
 @dataclass(frozen=True)
 class PropagationConfig:
+    """Start step count and E(T) tolerance of an adaptive ``propagate``.
+
+    E(T) converges only to round-off, which grows with the step count, so
+    ``tolerance_rel`` has a floor of about 1e-12.  On each preset's seed-0
+    optimized pulse the smallest change of E(T) between doublings is
+    1.4e-14 (xor_sat) to 9.5e-13 (qap) of the energy scale: 1e-12 converges
+    on all seven presets, qap only just; 1e-13 on two_sat, xor_sat and
+    clustering; 1e-14 on none.  Below the floor ``propagate`` raises
+    AnnealerError after MAX_DOUBLINGS doublings; 1e-11 leaves a margin.
+    """
+
     initial_steps: int = 200
     tolerance_rel: float = 1e-8     # on E(T), relative to the target energy scale
     # not a field; bench/tracing.py reads it, and ROADMAP item 1 drops both
@@ -246,48 +267,78 @@ def _step_grid(schedule: Schedule, n_steps: int) -> tuple[np.ndarray, np.ndarray
     return t_grid, 0.5 * (t_grid[:-1] + t_grid[1:])
 
 
-def _exponentials(schedule: Schedule, n_steps: int, cfm4: bool = False
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(Delta_G, Omega, duration) of each exponential of n_steps equal steps.
+def _midpoint_exponentials(schedule: Schedule, n_steps: int) -> tuple[
+        np.ndarray, tuple[np.ndarray, np.ndarray, float]]:
+    """(S, (Delta_G, Omega, duration)) of the midpoint rule's n_steps equal
+    steps: one exponential per step, of H at the step midpoint over dt, with
+    the controls summed from the sine table S at the midpoints."""
+    tau, sines = schedule.sine_table(_step_grid(schedule, n_steps)[1])
+    return sines, (*schedule._mode_sums(tau, sines), schedule.t_total / n_steps)
 
-    The midpoint rule takes one exponential per step, of H at the step
-    midpoint over dt.  CFM4 takes two per step, each over dt/2, of H at the
-    controls of the two Gauss nodes blended by one row of _CFM4_WEIGHTS.
-    """
-    t_grid, mid = _step_grid(schedule, n_steps)
+
+def _cfm4_exponentials(schedule: Schedule, n_steps: int
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(Delta_G, Omega, duration) of CFM4's two exponentials per step of
+    n_steps equal steps, each over dt/2, of H at the controls of the two
+    Gauss nodes blended by one row of _CFM4_WEIGHTS."""
     dt = schedule.t_total / n_steps
-    if not cfm4:
-        return (*schedule.profiles(mid), dt)
-    nodes = schedule.profiles(t_grid[:-1, None] + _CFM4_NODES * dt)
+    nodes = schedule.profiles(_step_grid(schedule, n_steps)[0][:-1, None]
+                              + _CFM4_NODES * dt)
     return (*((p @ _CFM4_WEIGHTS).ravel() for p in nodes), 0.5 * dt)
+
+
+def _rotate(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """v @ c for real matrices v and complex vectors c, stacked alike: c
+    passes as (..., m, 2) float columns, so v is never copied to complex."""
+    c = np.ascontiguousarray(c)
+    return (v @ c.view(float).reshape(*c.shape, 2)).view(complex)[..., 0]
 
 
 def _sweep(q: _Quotient, delta_g: np.ndarray, omega: np.ndarray, dt: float):
     """Apply exp(-i dt H(delta_g[k], omega[k])) for k = 0, 1, ... in turn to
-    the start coefficients of the quotient basis.
+    the start coefficients of the quotient basis, carrying each state in the
+    eigenbasis of the exponential about to act on it.
 
-    Each exponential comes from an eigendecomposition of the real-symmetric
-    H, so the norm is preserved to round-off.  The Hamiltonians are
-    decomposed in stacked blocks of at most BLOCK_BYTES.  Yields, per block,
-    (lo, evals, evecs, states): the eigen-pairs of exponentials lo, lo + 1,
-    ... and states[k], the state before exponential lo + k, whose last row is
-    the state after the block.
+    One eigh of the real-symmetric H_k = V_k diag(lambda_k) V_k^T gives
+    exponential k, so the norm is preserved to round-off.  The state psi_k
+    before exponential k is carried as c_k = V_k^T psi_k and advanced by
+    c_{k+1} = O_{k+1} (p_k o c_k), with p_k = exp(-i dt lambda_k) and the
+    real overlap O_{k+1} = V_{k+1}^T V_k.  The Hamiltonians are decomposed,
+    and their overlaps formed by one stacked product, in blocks of at most
+    BLOCK_BYTES; a block's first overlap reaches back to the previous
+    block's last V, and the first block's to the identity, which makes
+    c_0 = V_0^T psi_0.  A complex vector meets a real matrix as an (m, 2)
+    float view, written by np.dot into preallocated rows.  Yields, per
+    block, (lo, evals, evecs, over, coeffs): the eigen-pairs and overlaps
+    O_k of exponentials lo, lo + 1, ..., and coeffs[k] = c_{lo+k}, so that
+    psi_{lo+k} = V_{lo+k} c_{lo+k}; the last row is p o c of the block's
+    last exponential, the state after the block in that exponential's
+    eigenbasis.
     """
-    psi = q.start
-    diag = np.arange(len(psi))
+    m = len(q.start)
+    diag = np.arange(m)
     block = max(1, BLOCK_BYTES // q.x.nbytes)
+    basis, carry = np.eye(m), q.start
+    scaled = np.empty(m, dtype=complex)
+    scaled_f = scaled.view(float).reshape(m, 2)
     for lo in range(0, len(delta_g), block):
         hi = min(lo + block, len(delta_g))
         h = (omega[lo:hi, None, None] / 2.0) * q.x
         h[:, diag, diag] += q.v - delta_g[lo:hi, None] * q.delta
         evals, evecs = np.linalg.eigh(h)
         phase = np.exp(-1j * evals * dt)
-        states = np.empty((hi - lo + 1, len(psi)), dtype=complex)
-        states[0] = psi
-        for k in range(hi - lo):
-            psi = evecs[k] @ (phase[k] * (evecs[k].T @ psi))
-            states[k + 1] = psi
-        yield lo, evals, evecs, states
+        over = np.empty_like(evecs)
+        np.matmul(evecs[0].T, basis, out=over[0])
+        np.matmul(evecs[1:].transpose(0, 2, 1), evecs[:-1], out=over[1:])
+        coeffs = np.empty((hi - lo + 1, m), dtype=complex)
+        coeffs_f = coeffs.view(float).reshape(hi - lo + 1, m, 2)
+        np.dot(over[0], carry.view(float).reshape(m, 2), out=coeffs_f[0])
+        for k in range(1, hi - lo):
+            np.multiply(phase[k - 1], coeffs[k - 1], out=scaled)
+            np.dot(over[k], scaled_f, out=coeffs_f[k])
+        np.multiply(phase[-1], coeffs[-2], out=coeffs[-1])
+        basis, carry = evecs[-1], coeffs[-1]
+        yield lo, evals, evecs, over, coeffs
 
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
@@ -300,23 +351,24 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     doubling keeps it."""
     q = _quotient(enc, psi0)
     intervals = schedule.sample_count - 1
-    delta_g, omega, dt = _exponentials(schedule, n_steps, cfm4=True)
+    delta_g, omega, dt = _cfm4_exponentials(schedule, n_steps)
     stride = len(delta_g) // intervals
     snaps = []
-    for lo, _, _, states in _sweep(q, delta_g, omega, dt):
-        # a block's last row is the next block's first; copies free the block
-        snaps.append(states[-lo % stride:-1:stride].copy())
+    for lo, _, evecs, _, coeffs in _sweep(q, delta_g, omega, dt):
+        rows = slice(-lo % stride, len(evecs), stride)
+        snaps.append(_rotate(evecs[rows], coeffs[rows]))
+    psi = _rotate(evecs[-1], coeffs[-1])
 
     target = q.v - q.delta
-    probs = np.abs(np.concatenate([*snaps, states[-1:]])) ** 2
+    probs = np.abs(np.concatenate([*snaps, psi[None]])) ** 2
     energy = np.array([row @ target for row in probs]) + enc.constant
     # a ground state g holds the share 1/|A(g)| of its cell's probability
     fids = (probs / q.size)[:, q.cell[list(ground_indices)]].sum(axis=1)
     norm_err = np.abs(np.sqrt(probs.sum(axis=1)) - 1.0)
     times = _step_grid(schedule, n_steps)[0][::n_steps // intervals]
     delta_g, omega = schedule.profiles(times)
-    return _expand(q, states[-1]), Trajectory(times, omega, delta_g, energy,
-                                              fids, float(norm_err.max()))
+    return _expand(q, psi), Trajectory(times, omega, delta_g, energy,
+                                       fids, float(norm_err.max()))
 
 
 def energy_gradient(enc: EncodedTarget, schedule: Schedule,
@@ -327,40 +379,51 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     ``initial_basis_index`` picks, and the gradient is the exact gradient of
     that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  The
     anneal runs in the start state's quotient basis of m cells, where E(T)
-    is the same function of the coefficients.  One forward sweep keeps each
-    step's eigen-pairs H_k = V diag(lambda) V^T, which costs
-    n_steps * m^2 * 8 bytes; an adjoint sweep runs back from
-    lam_N = D psi_N by lam_k = U_k^dag lam_{k+1}.  The sensitivity of step k
-    to a parameter theta of H_k is 2 Re[a^H (Gamma o V^T dH/dtheta V) b]
-    with a = V^T lam_{k+1}, b = V^T psi_k and the eigenbasis Frechet
-    derivative of exp(-i dt H) (de Fouquieres et al., JMR 212, 412, 2011)
-    Gamma_jl = -i dt exp(-i dt (lambda_j + lambda_l)/2)
+    is the same function of the coefficients.  The forward ``_sweep`` keeps
+    each step's eigen-pairs H_k = V_k diag(lambda_k) V_k^T, overlaps
+    O_k = V_k^T V_{k-1} and eigenbasis states c_k = V_k^T psi_k, which costs
+    2 n_steps m^2 8 bytes.  The adjoint lam_N = D psi_N, lam_k =
+    U_k^dag lam_{k+1}, runs back in the same bases: a_k = V_k^T lam_{k+1}
+    starts from a_{N-1} = V_{N-1}^T lam_N and steps by
+    a_{k-1} = O_k^T (conj(p_k) o a_k), with p_k = exp(-i dt lambda_k).  The
+    sensitivity of step k to a parameter theta of H_k is
+    2 Re[a^H (Gamma o V^T dH/dtheta V) b] with a = a_k, b = c_k and the
+    eigenbasis Frechet derivative of exp(-i dt H) (de Fouquieres et al.,
+    JMR 212, 412, 2011) Gamma_jl = -i dt exp(-i dt (lambda_j + lambda_l)/2)
     sinc(dt (lambda_j - lambda_l)/2), which stays finite at degenerate
     eigenvalues.  dH/dOmega = X/2 and dH/dDelta_G = -diag(delta); the
     coefficient gradients are S^T times these sensitivities, with S the sine
-    table, and the Omega gradient is zero on steps where the clip is active.
-    A non-finite value or gradient raises FloatingPointError.
+    table at the step midpoints that the controls were summed from, and the
+    Omega gradient is zero on steps where the clip is active.  A non-finite
+    value or gradient raises FloatingPointError.
     """
     _check_cap(enc.n)
     n_steps = _initial_steps(initial_steps)
-    _, omega, dt = controls = _exponentials(schedule, n_steps)
+    sines, controls = _midpoint_exponentials(schedule, n_steps)
+    _, omega, dt = controls
     q = _quotient(enc, _start_state(enc, schedule))
     target = q.v - q.delta
     blocks = list(_sweep(q, *controls))
-    psi = blocks[-1][3][-1]
+    _, _, evecs, _, coeffs = blocks[-1]
+    psi = _rotate(evecs[-1], coeffs[-1])
     energy = float(np.abs(psi) ** 2 @ target + enc.constant)
 
     # dE/dDelta_G and dE/dOmega at each step midpoint
     sens = np.empty((2, n_steps))
-    lam = target * psi
-    for lo, evals, evecs, states in reversed(blocks):
-        vt = evecs.transpose(0, 2, 1)
-        b = (vt @ states[:-1, :, None])[..., 0]
+    # a_{k-1} = O_k^T (conj(p_k) o a_k), through the block's first overlap
+    # into the block before
+    adj = _rotate(evecs[-1].T, target * psi)
+    scaled = np.empty_like(adj)
+    adj_f, scaled_f = (v.view(float).reshape(len(v), 2) for v in (adj, scaled))
+    for lo, evals, evecs, over, coeffs in reversed(blocks):
+        b = coeffs[:-1]
         a = np.empty_like(b)
+        a_f = a.view(float).reshape(*a.shape, 2)
+        a[-1] = adj
         back = np.exp(1j * evals * dt)
-        for k in reversed(range(len(b))):
-            a[k] = vt[k] @ lam
-            lam = evecs[k] @ (back[k] * a[k])
+        for k in range(len(a) - 1, -1, -1):
+            np.multiply(back[k], a[k], out=scaled)
+            np.dot(over[k].T, scaled_f, out=a_f[k - 1] if k else adj_f)
         # the sensitivity is 2 sum_pq (dH/dtheta)_pq (V R V^T)_pq with
         # R_jl = Re[conj(a_j) Gamma_jl b_l] = dt sinc_jl Im[conj(a_j) p_j p_l b_l]
         # and p = exp(-i dt lambda / 2)
@@ -374,7 +437,6 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
         sens[0, lo:lo + len(b)] = -2.0 * (vr * evecs).sum(axis=2) @ q.delta
         sens[1, lo:lo + len(b)] = (vr * (q.x @ evecs)).sum(axis=(1, 2))
 
-    _, sines = schedule.sine_table(_step_grid(schedule, n_steps)[1])
     sens[1] *= np.abs(omega) < schedule.omega_max
     grad = np.concatenate((sines[:, :len(schedule.delta_coeffs)].T @ sens[0],
                            sines[:, :len(schedule.omega_coeffs)].T @ sens[1]))

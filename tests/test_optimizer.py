@@ -106,12 +106,13 @@ def preset_objective(name):
                                   "planted-swaps", "planted-ring"])
 def test_adjoint_gradient_matches_central_differences(name):
     """At the start pulse and three seeded starts, the value is the per-step
-    full-basis midpoint reference's E(T) and the gradient is central
-    differences at h = 1e-6 within 1e-5 relative.  The value agrees bit for
-    bit where the start state's partition is the full basis, and within
-    1e-12 of the energy scale where the anneal runs in a smaller quotient:
-    the cell counts are the presets' and, on three planted targets, the
-    brute-force orbit counts of their default starts.  The scale is at
+    full-basis midpoint reference's E(T) within 1e-12 of the energy scale,
+    and the gradient is central differences at h = 1e-6 within 1e-5
+    relative.  The anneal runs in the start state's quotient, whose cell
+    counts are the presets' and, on three planted targets, the brute-force
+    orbit counts of their default starts, and carries each state in its
+    step's eigenbasis, so the value differs from the reference's by
+    round-off even where the quotient is the full basis.  The scale is at
     least 1: clustering's start pulse is nearly flat
     (|g| = 0.01), and there the round-off of the differences, about 3e-7, is
     the whole discrepancy."""
@@ -130,10 +131,7 @@ def test_adjoint_gradient_matches_central_differences(name):
         assert cells == (PRESET_CELLS[name] if name in PRESET_CELLS
                          else orbit_count(enc, start))
         _, ref = reference_run_steps(enc, sched, start, obj.initial_steps, [0])
-        if cells == 1 << enc.n:
-            assert value == ref.energy[-1]
-        else:
-            assert abs(value - ref.energy[-1]) <= 1e-12 * enc.energy_scale
+        assert abs(value - ref.energy[-1]) <= 1e-12 * enc.energy_scale
         fd = central_differences(objective_value(obj), p)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(np.linalg.norm(fd), 1.0)
 
@@ -168,7 +166,8 @@ def test_objective_starts_where_propagate_does(source):
     # steps as given; the reference reads one sample per step
     _, ref = reference_run_steps(enc, replace(sched, sample_count=21), psi0,
                                  20, ground)
-    assert obj.value_and_gradient(params)[0] == ref.energy[-1]
+    assert abs(obj.value_and_gradient(params)[0] - ref.energy[-1]) <= \
+        1e-12 * enc.energy_scale
     # propagate's default start must equal an explicit start vector
     psi, traj = propagate(enc, sched, ground_indices=ground)
     psi_b, traj_b = propagate(enc, sched, ground_indices=ground, psi0=psi0)
@@ -237,23 +236,32 @@ def test_run_hybrid_reports_source_cost():
 # --- BLAS thread count ---------------------------------------------------------
 
 _EVALUATE_PRESETS = """
-from rydqubo.models import as_ising
+from rydqubo.annealer import propagate
+from rydqubo.models import as_ising, enumerate_spectrum
 from rydqubo.optimizer import AnnealObjective, initial_parameters
 from rydqubo.pipeline import default_schedule, encode_for_annealing
 from rydqubo.problems import preset_instance
 
 for name in ("two_sat", "qap", "clustering"):
-    enc = encode_for_annealing(as_ising(preset_instance(name).model)).target
+    model = as_ising(preset_instance(name).model)
+    outcome = encode_for_annealing(model)
+    enc = outcome.target
     objective = AnnealObjective(enc, default_schedule(name, enc))
     params = initial_parameters(objective.template)
     value, grad = objective.value_and_gradient(params)
     print(name, value.hex(), *map(float.hex, grad.tolist()))
+    _, traj = propagate(enc, objective.schedule_for(params),
+                        ground_indices=outcome.ground_indices(
+                            enumerate_spectrum(model)))
+    print(name, *map(float.hex, (traj.energy[-1], traj.fidelity[-1],
+                                 traj.norm_error)))
 """
 
 
 def test_objective_invariant_to_blas_threads():
-    """The solve presets' objective and its gradient are bit-identical on 1
-    and 2 BLAS threads."""
+    """The solve presets' objective and its gradient, and the E(T), F(T)
+    and norm error of an adaptive ``propagate`` at the same pulse, are
+    bit-identical on 1 and 2 BLAS threads."""
     outputs = outputs_on_blas_threads(_EVALUATE_PRESETS)
-    assert len(outputs[0].splitlines()) == 3
+    assert len(outputs[0].splitlines()) == 6
     assert outputs[0] == outputs[1]

@@ -171,12 +171,12 @@ def test_default_manifest_hash_pinned():
     """Schedules write ``"basis": "fourier"``, so manifest hashes of recorded
     runs stay valid; this pins the default two_sat manifest, which also
     hashes the default plan (one 800-evaluation BFGS stage) and
-    ``rydqubo.__version__`` (0.9.0)."""
+    ``rydqubo.__version__`` (0.10.0)."""
     enc = encode_for_annealing(as_ising(preset_instance("two_sat").model)).target
     manifest = RunManifest("two_sat", "ideal",
                            default_schedule("two_sat", enc).to_dict(),
                            StagePlan.default().to_dict(), 0)
-    assert manifest.hash() == "fca48470f6641b57"
+    assert manifest.hash() == "cea26d4cea5b1f7a"
 
 
 def test_version_has_one_owner():
