@@ -135,9 +135,9 @@ class Schedule:
         return Schedule(_float(data["T_us"]),
                         tuple(data["delta"]["coeffs"]),
                         tuple(data["omega"]["coeffs"]),
-                        _float(data["delta"].get("delta0", -1.0)),
+                        _float(data["delta"].get("delta0", Schedule.delta0)),
                         _float(data["omega"].get("omega_max", Schedule.omega_max)),
-                        _int(data.get("sample_count", 201)))
+                        _int(data.get("sample_count", Schedule.sample_count)))
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ where an input file holds an integer, a schedule file whose basis is not
 "fourier" or whose omega_max is not positive, a plan file with a negative
 stage tolerance, an unwritable --out or
 --out-dir path (an --out-dir that cannot be created fails before the run),
-family parameters that are unreadable, fractional where an integer is read,
-not read, or a two_sat negation flag other than a boolean, 0 or 1, no
---preset or --family for ``problem``, no --preset or --model for
-``pipeline``, ``report`` without inputs or with more than one of
+family parameters that are unreadable, missing a required key, fractional
+where an integer is read, not read, or a two_sat negation flag other than a
+boolean, 0 or 1, no --preset or --family for ``problem``, no --preset or
+--model for ``pipeline``, ``report`` without inputs or with more than one of
 --from-spectral, --presets and result files, or a layout whose atom count
 differs from the model's or that puts two atoms on one site); 3 a problem,
 model or hardness analysis that cannot be built, or a model that cannot be
@@ -146,13 +146,7 @@ def cmd_problem(args) -> int:
         meta["preset"] = preset.name
     elif args.family:
         with _bad_input("family parameters"):
-            params = _parse_json(args.params) if args.params else {}
-            for key in ("constraints", "clauses"):
-                if getattr(args, key):
-                    params[key] = _parse_json(getattr(args, key))
-            if "n" not in params and args.n is not None:
-                params["n"] = args.n
-            _, model = build_from_params(args.family, params)
+            _, model = build_from_params(args.family, _parse_json(args.params))
         meta = {"family": args.family}
     else:
         raise UsageError("provide --preset or --family")
@@ -388,10 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("problem", help="build a model from a family or preset")
     p.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--family", choices=PRESET_NAMES)
-    p.add_argument("--params", help="family parameters as JSON")
-    p.add_argument("--clauses", help="two-SAT clauses JSON shorthand")
-    p.add_argument("--constraints", help="XOR constraints JSON shorthand")
-    p.add_argument("--n", type=int, help="variable count shorthand")
+    p.add_argument("--params", default="{}", help="family parameters as JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_problem)
 

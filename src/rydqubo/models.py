@@ -277,7 +277,7 @@ def model_from_dict(data: Mapping) -> QuboModel | IsingModel:
         for i, j, c in data["quadratic"]:  # a repeated pair sums, as (j, i) does
             key = (_int(i), _int(j))
             quadratic[key] = quadratic.get(key, 0.0) + _float(c)
-        constant = _float(data.get("constant", 0.0))
+        constant = _float(data.get("constant", _QuadraticModel.constant))
         convention = data.get("convention", "qubo")
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc

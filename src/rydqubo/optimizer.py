@@ -60,7 +60,7 @@ class StagePlan:
     @staticmethod
     def from_dict(data: dict) -> "StagePlan":
         return StagePlan(tuple(Stage(s["kind"], s["max_evals"],
-                                     s.get("tolerance", 1e-9))
+                                     s.get("tolerance", Stage.tolerance))
                                for s in data["stages"]))
 
 

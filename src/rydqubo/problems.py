@@ -1,8 +1,9 @@
 """Builders turning seven combinatorial problem families into QUBO models.
 
 Each builder produces a :class:`~rydqubo.models.QuboModel` whose minimum
-encodes the problem optimum.  ``preset_instance`` returns the small named
-instances used throughout the demos and the report table.
+encodes the problem optimum.  ``build_from_params`` reads family parameters
+through one family table, and ``preset_instance`` builds the small named
+instances used in the demos and the report table from theirs.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ class XorSatInstance:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not self.weight > 0:
+            raise ProblemError("weight must be positive")
         for i, j, b in self.constraints:
             if i == j:
                 raise ProblemError("xor constraint needs two distinct variables")
@@ -281,12 +284,13 @@ class ProteinToyInstance:
 
     One binary variable per residue pair (i, j) with i < j, ordered by the
     index map p = (i-1)L - i(i+1)/2 + j (1-based); exclusions are unordered
-    pairs of those contact variables (zero-based indices).
+    pairs of those contact variables (zero-based indices); None means the
+    pairs that share a residue.
     """
 
     length: int
     hydrophobic: tuple[int, ...]
-    exclusions: tuple[tuple[int, int], ...]
+    exclusions: tuple[tuple[int, int], ...] | None = None
     penalty_linear: float = 0.5
     penalty_exclusion: float = 2.0
 
@@ -297,6 +301,9 @@ class ProteinToyInstance:
             raise ProblemError("hydrophobicity flags must be 0/1")
         if self.penalty_linear <= 0 or self.penalty_exclusion <= 0:
             raise ProblemError("penalties must be positive")
+        if self.exclusions is None:
+            object.__setattr__(self, "exclusions",
+                               shared_residue_exclusions(self.length))
         nvar = self.n_contacts
         for p, q in self.exclusions:
             if p == q or not (0 <= p < nvar and 0 <= q < nvar):
@@ -346,10 +353,121 @@ def build_protein_toy(inst: ProteinToyInstance) -> QuboModel:
     return QuboModel(inst.n_contacts, linear, quad, 0.0)
 
 
+# --- family parameters ----------------------------------------------------
+
+def _flag(value) -> bool:
+    """A negation flag: a JSON boolean or the integer 0 or 1, nothing else."""
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise ValueError(f"expected a boolean flag, got {value!r}")
+
+
+def _literal(value) -> Literal:
+    i, neg = value
+    return _int(i), _flag(neg)
+
+
+def _rows(read):
+    """A reader of a JSON list, each item read by ``read``."""
+    return lambda items: tuple(map(read, items))
+
+
+# family -> (instance class, builder, {JSON key: reader}); the keys are the
+# class's fields, so a key left out takes the class's default
+_FAMILIES = {
+    "two_sat": (TwoSatInstance, build_two_sat,
+                {"n": _int, "clauses": _rows(_rows(_literal)), "penalty": _float}),
+    "xor_sat": (XorSatInstance, build_xor_sat,
+                {"n": _int, "constraints": _rows(_rows(_int)), "weight": _float}),
+    "mixed": (lambda two_sat, xor_sat: (two_sat, xor_sat),
+              lambda parts: build_mixed(*parts),
+              {"two_sat": lambda params: _read_instance("two_sat", params),
+               "xor_sat": lambda params: _read_instance("xor_sat", params)}),
+    "set_packing": (SetPackingInstance, build_set_packing,
+                    {"n": _int, "weights": _rows(_float),
+                     "conflicts": _rows(_rows(_int)), "penalty": _float}),
+    "qap": (QapInstance, build_qap,
+            {"flow": _rows(_rows(_float)), "distance": _rows(_rows(_float)),
+             "penalty_facility": _float, "penalty_location": _float}),
+    "clustering": (ClusteringInstance, build_binary_clustering,
+                   {"dissimilarity": _rows(_rows(_float))}),
+    "protein": (ProteinToyInstance, build_protein_toy,
+                {"length": _int, "hydrophobic": _rows(_int),
+                 "exclusions": _rows(_rows(_int)), "penalty_linear": _float,
+                 "penalty_exclusion": _float}),
+}
+
+
+def _read_instance(family: str, params: dict):
+    """One family's instance from JSON-style parameters; mixed's is a pair."""
+    if family not in _FAMILIES:
+        raise ProblemError(f"unknown family {family!r}")
+    cls, _, readers = _FAMILIES[family]
+    params = {**params}  # TypeError unless a mapping
+    unread = sorted(set(params) - set(readers))
+    if unread:
+        raise ValueError(f"{family} does not read {', '.join(unread)}")
+    return cls(**{key: readers[key](value) for key, value in params.items()})
+
+
+def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
+    """(instance, model) of one family from JSON-style parameters, as the CLI
+    reads them.  The keys are the instance class's fields; a missing required
+    key raises TypeError, and a key the family does not read, a string or
+    non-finite value where a number is read, a non-integral integer field and
+    a two_sat negation flag that is not a boolean, 0 or 1 raise ValueError."""
+    inst = _read_instance(family, params)
+    return inst, _FAMILIES[family][1](inst)
+
+
 # --- named reference instances ---------------------------------------------
 
-PRESET_NAMES = ("two_sat", "xor_sat", "mixed", "set_packing", "qap",
-                "clustering", "protein")
+_TWO_SAT = {"n": 3, "clauses": (((0, False), (1, False)), ((0, True), (2, False)))}
+_QAP_PENALTY = 2.0 * 3.0 * 2.0 * 2.0  # 2 * max(A) * max(B) * n
+
+# name -> (parameters of the family of that name, metadata).
+# ``degeneracy_pinned`` marks instances whose ground degeneracy is fixed by
+# the instance alone; for qap/clustering/protein it depends on the penalty
+# choices and must be flagged in reports.
+_PRESETS = {
+    "two_sat": (_TWO_SAT,
+                {"description": "(x1 or x2) and (not x1 or x3)",
+                 "penalty": TwoSatInstance.penalty,
+                 "degeneracy_pinned": True, "duration_us": 40.0}),
+    "xor_sat": ({"n": 3, "constraints": ((0, 1, 1), (1, 2, 1), (2, 0, 1))},
+                {"description": "frustrated xor triangle (odd parity cycle)",
+                 "degeneracy_pinned": True, "duration_us": 40.0}),
+    "mixed": ({"two_sat": _TWO_SAT,
+               "xor_sat": {"n": 3, "constraints": ((1, 2, 1),)}},
+              {"description": "two-SAT clauses plus x2 xor x3 = 1",
+               "penalty": TwoSatInstance.penalty,
+               "degeneracy_pinned": True, "duration_us": 60.0}),
+    "set_packing": ({"n": 4, "weights": (1.0, 1.0, 1.0, 1.0),
+                     "conflicts": ((0, 2), (0, 3), (1, 2), (1, 3))},
+                    {"description": "four unit-weight sets, bipartite conflicts",
+                     "penalty": SetPackingInstance.penalty,
+                     "degeneracy_pinned": True, "duration_us": 40.0}),
+    "qap": ({"flow": ((0.0, 3.0), (3.0, 0.0)),
+             "distance": ((0.0, 2.0), (2.0, 0.0)),
+             "penalty_facility": _QAP_PENALTY, "penalty_location": _QAP_PENALTY},
+            {"description": "2x2 facility/location assignment",
+             "penalty_facility": _QAP_PENALTY, "penalty_location": _QAP_PENALTY,
+             "degeneracy_pinned": False, "duration_us": 40.0}),
+    "clustering": ({"dissimilarity": ((0.0, 3.0, 0.0, 0.0, 1.0),
+                                      (3.0, 0.0, 2.0, 0.0, 0.0),
+                                      (0.0, 2.0, 0.0, 4.0, 1.0),
+                                      (0.0, 0.0, 4.0, 0.0, 2.0),
+                                      (1.0, 0.0, 1.0, 2.0, 0.0))},
+                   {"description": "weighted five-node max-cut",
+                    "degeneracy_pinned": False, "duration_us": 60.0}),
+    "protein": ({"length": 4, "hydrophobic": (1, 1, 0, 1)},
+                {"description": "HHPH contact-variable toy chain",
+                 "penalty_linear": ProteinToyInstance.penalty_linear,
+                 "penalty_exclusion": ProteinToyInstance.penalty_exclusion,
+                 "exclusions": "contact pairs sharing a residue",
+                 "degeneracy_pinned": False, "duration_us": 80.0}),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -361,126 +479,8 @@ class Preset:
 
 
 def preset_instance(name: str) -> Preset:
-    """Small named instances with penalty defaults recorded in metadata.
-
-    ``degeneracy_pinned`` marks instances whose ground degeneracy is fixed by
-    the instance alone; for qap/clustering/protein it depends on the penalty
-    choices and must be flagged in reports.
-    """
-    if name == "two_sat":
-        inst = TwoSatInstance(3, (((0, False), (1, False)), ((0, True), (2, False))), 1.0)
-        meta = {"description": "(x1 or x2) and (not x1 or x3)", "penalty": 1.0,
-                "degeneracy_pinned": True, "duration_us": 40.0}
-        return Preset(name, inst, build_two_sat(inst), meta)
-    if name == "xor_sat":
-        inst = XorSatInstance(3, ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
-        meta = {"description": "frustrated xor triangle (odd parity cycle)",
-                "degeneracy_pinned": True, "duration_us": 40.0}
-        return Preset(name, inst, build_xor_sat(inst), meta)
-    if name == "mixed":
-        ts = TwoSatInstance(3, (((0, False), (1, False)), ((0, True), (2, False))), 1.0)
-        xs = XorSatInstance(3, ((1, 2, 1),))
-        meta = {"description": "two-SAT clauses plus x2 xor x3 = 1", "penalty": 1.0,
-                "degeneracy_pinned": True, "duration_us": 60.0}
-        return Preset(name, (ts, xs), build_mixed(ts, xs), meta)
-    if name == "set_packing":
-        inst = SetPackingInstance(4, (1.0, 1.0, 1.0, 1.0),
-                                  ((0, 2), (0, 3), (1, 2), (1, 3)), 2.0)
-        meta = {"description": "four unit-weight sets, bipartite conflicts",
-                "penalty": 2.0, "degeneracy_pinned": True, "duration_us": 40.0}
-        return Preset(name, inst, build_set_packing(inst), meta)
-    if name == "qap":
-        flow = ((0.0, 3.0), (3.0, 0.0))
-        dist = ((0.0, 2.0), (2.0, 0.0))
-        p = 2.0 * 3.0 * 2.0 * 2.0  # 2 * max(A) * max(B) * n
-        inst = QapInstance(flow, dist, p, p)
-        meta = {"description": "2x2 facility/location assignment",
-                "penalty_facility": p, "penalty_location": p,
-                "degeneracy_pinned": False, "duration_us": 40.0}
-        return Preset(name, inst, build_qap(inst), meta)
-    if name == "clustering":
-        w = ((0.0, 3.0, 0.0, 0.0, 1.0),
-             (3.0, 0.0, 2.0, 0.0, 0.0),
-             (0.0, 2.0, 0.0, 4.0, 1.0),
-             (0.0, 0.0, 4.0, 0.0, 2.0),
-             (1.0, 0.0, 1.0, 2.0, 0.0))
-        inst = ClusteringInstance(w)
-        meta = {"description": "weighted five-node max-cut",
-                "degeneracy_pinned": False, "duration_us": 60.0}
-        return Preset(name, inst, build_binary_clustering(inst), meta)
-    if name == "protein":
-        inst = ProteinToyInstance(4, (1, 1, 0, 1), shared_residue_exclusions(4),
-                                  0.5, 2.0)
-        meta = {"description": "HHPH contact-variable toy chain",
-                "penalty_linear": 0.5, "penalty_exclusion": 2.0,
-                "exclusions": "contact pairs sharing a residue",
-                "degeneracy_pinned": False, "duration_us": 80.0}
-        return Preset(name, inst, build_protein_toy(inst), meta)
-    raise ProblemError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-
-
-def _flag(value) -> bool:
-    """A negation flag: a JSON boolean or the integer 0 or 1, nothing else."""
-    if isinstance(value, int) and value in (0, 1):
-        return bool(value)
-    raise ValueError(f"expected a boolean flag, got {value!r}")
-
-
-def build_from_params(family: str, params: dict) -> tuple[object, QuboModel]:
-    """(instance, model) of one family from JSON-style parameters, as the CLI
-    reads them; missing required keys raise KeyError, keys the family does not
-    read, a string or non-finite value where a number is read, non-integral
-    integer fields and two_sat negation flags that are not a boolean, 0 or 1
-    raise ValueError."""
-    params = {**params}  # each key is popped as it is read
-    if family == "two_sat":
-        clauses = tuple(tuple((_int(i), _flag(neg)) for i, neg in clause)
-                        for clause in params.pop("clauses"))
-        inst = TwoSatInstance(_int(params.pop("n")), clauses,
-                              _float(params.pop("penalty", 1.0)))
-        model = build_two_sat(inst)
-    elif family == "xor_sat":
-        cons = tuple((_int(i), _int(j), _int(b))
-                     for i, j, b in params.pop("constraints"))
-        inst = XorSatInstance(_int(params.pop("n")), cons,
-                              _float(params.pop("weight", 1.0)))
-        model = build_xor_sat(inst)
-    elif family == "mixed":
-        ts, _ = build_from_params("two_sat", params.pop("two_sat"))
-        xs, _ = build_from_params("xor_sat", params.pop("xor_sat"))
-        inst, model = (ts, xs), build_mixed(ts, xs)
-    elif family == "set_packing":
-        inst = SetPackingInstance(_int(params.pop("n")),
-                                  tuple(_float(w) for w in params.pop("weights")),
-                                  tuple((_int(i), _int(j))
-                                        for i, j in params.pop("conflicts")),
-                                  _float(params.pop("penalty", 2.0)))
-        model = build_set_packing(inst)
-    elif family == "qap":
-        flow = tuple(tuple(_float(v) for v in row) for row in params.pop("flow"))
-        dist = tuple(tuple(_float(v) for v in row) for row in params.pop("distance"))
-        inst = QapInstance(flow, dist, _float(params.pop("penalty_facility")),
-                           _float(params.pop("penalty_location")))
-        model = build_qap(inst)
-    elif family == "clustering":
-        w = tuple(tuple(_float(v) for v in row) for row in params.pop("dissimilarity"))
-        inst = ClusteringInstance(w)
-        model = build_binary_clustering(inst)
-    elif family == "protein":
-        length = _int(params.pop("length"))
-        exclusions = params.pop("exclusions", None)
-        if exclusions is None:
-            exclusions = shared_residue_exclusions(length)
-        else:
-            exclusions = tuple((_int(p), _int(q)) for p, q in exclusions)
-        inst = ProteinToyInstance(length,
-                                  tuple(_int(h) for h in params.pop("hydrophobic")),
-                                  exclusions,
-                                  _float(params.pop("penalty_linear", 0.5)),
-                                  _float(params.pop("penalty_exclusion", 2.0)))
-        model = build_protein_toy(inst)
-    else:
-        raise ProblemError(f"unknown family {family!r}")
-    if params:
-        raise ValueError(f"{family} does not read {', '.join(sorted(params))}")
-    return inst, model
+    """A small named instance and a fresh copy of its metadata."""
+    if name not in _PRESETS:
+        raise ProblemError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    params, meta = _PRESETS[name]
+    return Preset(name, *build_from_params(name, params), dict(meta))

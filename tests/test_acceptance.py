@@ -16,8 +16,8 @@ from rydqubo.encoding import (AtomLayout, EncodedTarget, HardwareLimits,
                               encode, embed_layout, layout_interactions,
                               rescale, validate)
 from rydqubo.hardness import hardness_parameter, report_rows
-from rydqubo.models import IsingModel, as_ising, enumerate_spectrum, state_bits
-from rydqubo.optimizer import AnnealObjective, run_hybrid
+from rydqubo.models import IsingModel, as_ising, enumerate_spectrum
+from rydqubo.optimizer import AnnealObjective
 from rydqubo.pipeline import encode_for_annealing, run_pipeline
 from rydqubo.problems import preset_instance
 

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -360,10 +359,6 @@ def two_sat(params):
     return ["problem", "--family", "two_sat", "--params", params]
 
 
-QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
-                         "penalty_facility": 8, "penalty_location": 8})
-
-
 @pytest.mark.parametrize("argv, code, err_start", [
     pytest.param(two_sat('{"n": 2, "clauses": [[0, 1]]}'), 2,
                  "error: bad family parameters: TypeError: ",
@@ -394,26 +389,36 @@ QAP_PARAMS = json.dumps({"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
                   '{"n": 2, "constraints": [[0, 1, 1.5]]}'],
                  2, "error: bad family parameters: ValueError: ",
                  id="params-fractional-parity"),
-    pytest.param(["problem", "--family", "qap", "--params", QAP_PARAMS,
-                  "--n", "7"],
+    pytest.param(["problem", "--family", "qap", "--params", json.dumps(
+        {"flow": [[0, 1], [1, 0]], "distance": [[0, 2], [2, 0]],
+         "penalty_facility": 8, "penalty_location": 8, "n": 7})],
                  2, "error: bad family parameters: ValueError: ",
                  id="params-unread-n"),
     pytest.param(["problem", "--family", "xor_sat", "--params",
-                  '{"n": 2, "constraints": [[0, 1, 1]]}', "--clauses", "[]"],
+                  '{"n": 2, "constraints": [[0, 1, 1]], "clauses": []}'],
                  2, "error: bad family parameters: ValueError: ",
                  id="params-unread-clauses"),
     pytest.param(two_sat('{"n": 2, "clauses": [[[0, false], [1, false]]], '
                          '"penalty": NaN}'),
                  2, "error: bad family parameters: ValueError: non-finite",
                  id="params-nan"),
-    pytest.param(["problem", "--family", "xor_sat", "--params", '{"n": 2}',
-                  "--constraints", "[[0, 1, Infinity]]"],
+    pytest.param(["problem", "--family", "xor_sat", "--params",
+                  '{"n": 2, "constraints": [[0, 1, Infinity]]}'],
                  2, "error: bad family parameters: ValueError: non-finite",
                  id="constraints-infinity"),
-    pytest.param(["problem", "--family", "two_sat", "--n", "2",
-                  "--clauses", "[[[0, false], [1, 1e400]]]"],
+    pytest.param(two_sat('{"n": 2, "clauses": [[[0, false], [1, 1e400]]]}'),
                  2, "error: bad family parameters: OverflowError: ",
                  id="clauses-overflow"),
+    # family parameters are read from --params alone
+    pytest.param(["problem", "--family", "two_sat", "--clauses", "[]"],
+                 2, "usage: rydqubo ", id="clauses-option-removed"),
+    pytest.param(two_sat('{"clauses": []}'), 2,
+                 "error: bad family parameters: TypeError: ",
+                 id="params-missing-n"),
+    # the ground states of a negative weight violate every constraint
+    pytest.param(["problem", "--family", "xor_sat", "--params",
+                  '{"n": 2, "constraints": [[0, 1, 1]], "weight": -1}'],
+                 3, "error: weight must be positive", id="params-negative-weight"),
     pytest.param(["spectrum", "--model", "{nan_model}"], 2,
                  "error: cannot load model ", id="model-nan"),
     pytest.param(["hardness", "--model", "{nan_model}"], 2,

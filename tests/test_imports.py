@@ -1,5 +1,6 @@
-"""Every import in the package is used (``__init__.py`` re-exports excepted),
-and only layouts and the pulse optimizer load scipy."""
+"""Every import in the package, the tests and the demos is used
+(``__init__.py`` re-exports excepted), and only layouts and the pulse
+optimizer load scipy."""
 
 import ast
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import rydqubo
 
 PACKAGE = Path(rydqubo.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -53,9 +55,10 @@ def test_guard_flags_unused_and_accepts_used():
 
 
 def test_package_has_no_unused_imports():
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "__init__.py"}
+    paths = [*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"),
+             *ROOT.glob("demos/*.py")]
+    found = {f"{path.parent.name}/{path.name}": unused_imports(path.read_text())
+             for path in sorted(paths) if path.name != "__init__.py"}
     assert {k: v for k, v in found.items() if v} == {}
 
 

@@ -1,15 +1,17 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from rydqubo.cli import main
 from rydqubo.models import enumerate_spectrum, state_bits
-from rydqubo.problems import (PRESET_NAMES, ClusteringInstance, ProblemError,
-                              ProteinToyInstance, QapInstance,
+from rydqubo.problems import (_PRESETS, PRESET_NAMES, ClusteringInstance,
+                              ProblemError, ProteinToyInstance, QapInstance,
                               SetPackingInstance, TwoSatInstance,
-                              XorSatInstance, build_binary_clustering,
-                              build_mixed, build_protein_toy, build_qap,
-                              build_set_packing, build_two_sat, build_xor_sat,
+                              XorSatInstance, build_from_params, build_mixed,
+                              build_qap, build_two_sat, build_xor_sat,
                               preset_instance, shared_residue_exclusions)
 
 
@@ -73,6 +75,9 @@ def test_xor_sat_validation():
         XorSatInstance(3, ((0, 0, 1),))
     with pytest.raises(ProblemError):
         XorSatInstance(3, ((0, 1, 2),))
+    for weight in (0.0, -1.0, float("nan")):
+        with pytest.raises(ProblemError, match="weight must be positive"):
+            XorSatInstance(2, ((0, 1, 1),), weight)
 
 
 # --- mixed -------------------------------------------------------------------
@@ -237,6 +242,7 @@ def test_protein_contact_rewards_rule():
 
 def test_protein_shared_residue_exclusions():
     inst = ProteinToyInstance(4, (1, 1, 0, 1), shared_residue_exclusions(4))
+    assert ProteinToyInstance(4, (1, 1, 0, 1)) == inst  # None is this default
     pairs = inst.contact_pairs()
     for p, q in inst.exclusions:
         assert set(pairs[p]) & set(pairs[q])
@@ -275,3 +281,44 @@ def test_all_presets_build():
 def test_unknown_preset():
     with pytest.raises(ProblemError):
         preset_instance("nonexistent")
+
+
+def test_presets_are_family_parameters(capsys):
+    for name in PRESET_NAMES:
+        params = _PRESETS[name][0]
+        preset = preset_instance(name)
+        assert (preset.instance, preset.model) == build_from_params(name, params)
+        emitted = []
+        for argv in (["--preset", name],
+                     ["--family", name, "--params", json.dumps(params)]):
+            assert main(["problem", *argv]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            del payload["metadata"]
+            emitted.append(payload)
+        assert emitted[0] == emitted[1] == preset.model.to_dict()
+
+
+def test_preset_metadata_is_a_fresh_copy():
+    preset_instance("two_sat").metadata["penalty"] = 5.0
+    assert preset_instance("two_sat").metadata["penalty"] == 1.0
+
+
+# sha256 of each preset's model and metadata, pinned so that a change to how
+# presets are built cannot change what they are
+PRESET_PINS = {
+    "two_sat": "2441374322f8ea1561961f37fcb7289aba41fa31a3e7dd077aebd6ad06fc4d14",
+    "xor_sat": "9830867c9683028692be07c51c71f4325d8873ea9b0bf75f3f85ea2b4ea6221d",
+    "mixed": "a46bfe61b1e621bc455cb31b14c2f202e624308ba8ee28f8634882447905bb8a",
+    "set_packing": "27a455755e92863e3a7bca215bdf3712f972cb9b3d9dd775526158f909816445",
+    "qap": "61e491e3cd6a405411e80333ca227ced28eff5f3b06642f41fd7fe94649c4161",
+    "clustering": "96632ff14231eb09bca53ab9ce56af54be473769ecfab7e379e99d28f1b83e18",
+    "protein": "78b2a3105c365f9f5df54e02eb1985baae2f206ebac0f02a41ab6d58e43094e9",
+}
+
+
+def test_preset_models_and_metadata_pinned():
+    for name in PRESET_NAMES:
+        preset = preset_instance(name)
+        text = json.dumps({"model": preset.model.to_dict(),
+                           "metadata": preset.metadata}, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRESET_PINS[name], name
