@@ -1,19 +1,26 @@
 """Time-dependent Rydberg Hamiltonian and exact state-vector propagation.
 
-All detunings follow one global profile: Delta_j(t) = Delta_G(t) * Delta_j(T),
-where Delta_G(T) = 1 and Omega(0) = Omega(T) = 0 hold exactly by construction
-of the pulse basis.
+Every detuning is Delta_j(t) = Delta_G(t) Delta_j(T) - s (1 - t/T), with s
+the target's energy scale (``ramp_depth``); Delta_G(T) = 1 and
+Omega(0) = Omega(T) = 0 hold exactly by construction of the pulse basis.
+So H(T) is the target, and H(t)'s diagonal is v_part - Delta_G(t)
+delta_part + s (1 - t/T) count, with count(x) the excited atoms of x.  An
+anneal given no start state begins at |0..0>, as on hardware.  At the
+default Delta_G(0) = 0, H(0)'s diagonal is V(x) + s count(x): on a
+repulsive target (V >= 0, as every gauge-fixable or physical-mode model is)
+|0..0> is its unique minimum.  A frustrated ideal-mode target keeps a
+negative V, can put another state lower, and starts at |0..0> all the same.
 
 The anneal runs in the start state's symmetry subspace.  Colour refinement
 finds the coarsest partition of the 2^n basis states into cells on which
-v_part, delta_part and the start amplitude are constant and whose members
-each have the same number of cube neighbours (one atom flipped) in every
-cell.  The diagonal of H(t) is v_part - Delta_G(t) delta_part and the drive
-Omega(t) sum_j X_j / 2 is global, so H(t) maps the span of the normalized
-cell indicators into itself at every t.  The anneal never leaves that span,
-and the quotient is exact, not an approximation.  An atom permutation that
-keeps V, Delta(T) and the start state maps every cell onto itself, so cells
-are unions of its orbits; on the presets they are the orbits:
+v_part, delta_part, count and the start amplitude are constant and whose
+members each have the same number of cube neighbours (one atom flipped) in
+every cell.  So H(t)'s diagonal is constant on each cell, and the drive
+Omega(t) sum_j X_j / 2 is global: H(t) maps the span of the normalized cell
+indicators into itself at every t.  The anneal never leaves that span, and
+the quotient is exact, not an approximation.  An atom permutation that keeps
+V, Delta(T) and the start state maps every cell onto itself, so cells are
+unions of its orbits; on the presets they are the orbits:
 
     preset   two_sat  xor_sat  mixed  set_packing  qap  clustering  protein
     2^n            8        8      8           16   16          32       64
@@ -50,7 +57,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from .encoding import EncodedTarget, HardwareLimits
-from .models import _float, _int
+from .models import QuboModel, _float, _int
 
 DIM_CAP = 10  # atoms; 2^10 state-vector entries
 MAX_DOUBLINGS = 10  # adaptive step doublings before AnnealerError
@@ -59,8 +66,9 @@ BLOCK_BYTES = 1 << 18  # bytes of stacked step Hamiltonians per eigh call
 # CFM4 (Blanes & Moan 2006; Alvermann & Fehske, JCP 230, 5930, 2011): a step
 # of dt is exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2)), with H1, H2
 # at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt and a1,2 = (3 -+ 2 sqrt(3))/12.
-# H is affine in (Delta_G, Omega) and a1 + a2 = 1/2, so each exponential is
-# of H at the node controls blended by the rows of _CFM4_WEIGHTS, over dt/2.
+# H is affine in its controls (Delta_G, Omega, 1 - t/T) and a1 + a2 = 1/2, so
+# each exponential is of H at the node controls blended by the rows of
+# _CFM4_WEIGHTS, over dt/2.
 _CFM4_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 _CFM4_WEIGHTS = 0.5 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * (math.sqrt(3.0) / 3.0)
 
@@ -69,18 +77,23 @@ class AnnealerError(RuntimeError):
     pass
 
 
+class ScheduleLimitError(ValueError):
+    """A schedule past the hardware limits' t_max or omega_max."""
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Pulse profiles over [0, T] in the one Fourier basis.
 
     Delta_G(t) = delta0*(1 - t/T) + t/T + sum_n a_n sin(n pi t/T) and
     Omega(t) = sum_n b_n sin(n pi t/T), clipped to |Omega| <= omega_max.
+    At the default delta0 = 0, H(0)'s detunings are the uniform term alone.
     """
 
     t_total: float
     delta_coeffs: tuple[float, ...]
     omega_coeffs: tuple[float, ...]
-    delta0: float = -1.0
+    delta0: float = 0.0
     omega_max: float = HardwareLimits.omega_max
     sample_count: int = 201
 
@@ -109,17 +122,29 @@ class Schedule:
 
     def profiles(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(Delta_G(t), Omega(t)), each summed mode by mode from one sine table."""
-        return self._mode_sums(*self.sine_table(t))
+        return self._mode_sums(*self.sine_table(t))[:2]
 
-    def _mode_sums(self, tau, sines) -> tuple[np.ndarray, np.ndarray]:
-        """``profiles`` at the times of a ``sine_table``, from that table."""
+    def _mode_sums(self, tau, sines) -> tuple[np.ndarray, ...]:
+        """(Delta_G, Omega, 1 - t/T), the controls H is affine in, at the
+        times of a ``sine_table``, from that table."""
         delta_g = self.delta0 * (1.0 - tau) + tau
         for k, a in enumerate(self.delta_coeffs):
             delta_g = delta_g + a * sines[..., k]
         omega = np.zeros_like(tau)
         for k, b in enumerate(self.omega_coeffs):
             omega = omega + b * sines[..., k]
-        return delta_g, np.clip(omega, -self.omega_max, self.omega_max)
+        return delta_g, np.clip(omega, -self.omega_max, self.omega_max), 1.0 - tau
+
+    def within(self, limits: HardwareLimits) -> "Schedule":
+        """The schedule, if T and omega_max are within the limits' t_max and
+        omega_max; else ScheduleLimitError naming the limit."""
+        for key, value, name in (("T_us", self.t_total, "t_max"),
+                                 ("omega_max", self.omega_max, "omega_max")):
+            if value > getattr(limits, name):
+                raise ScheduleLimitError(f"schedule {key} = {value} exceeds the"
+                                         f" hardware limit {name} = "
+                                         f"{getattr(limits, name)}")
+        return self
 
     def to_dict(self) -> dict:
         return {"T_us": self.t_total, "basis": "fourier",
@@ -189,26 +214,14 @@ def _check_cap(n: int) -> None:
         raise AnnealerError(f"n={n} exceeds the propagation cap of {DIM_CAP} atoms")
 
 
-def initial_basis_index(enc: EncodedTarget,
-                        schedule: Schedule) -> tuple[int, int]:
-    """(start index, number of tied minima) of the diagonal H(0).
-
-    Among tied minima the anneal starts from |00..0> if it is one of them,
-    the easy state to prepare, and otherwise from the lowest tied index.
-    """
-    _check_cap(enc.n)
-    v_part, delta_part = enc.diagonal_parts
-    diag0 = v_part - schedule.delta0 * delta_part
-    tol = 1e-9 * enc.energy_scale
-    minima = np.flatnonzero(diag0 <= diag0.min() + tol)
-    return (0 if 0 in minima else int(minima[0])), len(minima)
+def ramp_depth(enc: EncodedTarget) -> float:
+    """s of the uniform detuning term -s (1 - t/T): the energy scale."""
+    return enc.energy_scale
 
 
-def _start_state(enc: EncodedTarget, schedule: Schedule) -> np.ndarray:
-    """The basis state ``initial_basis_index`` picks, as a state vector."""
-    psi0 = np.zeros(1 << enc.n, dtype=complex)
-    psi0[initial_basis_index(enc, schedule)[0]] = 1.0
-    return psi0
+def _start_state(n: int) -> np.ndarray:
+    """|0..0>, every atom in its ground state."""
+    return np.eye(1, 1 << n, dtype=complex)[0]
 
 
 class _Quotient(NamedTuple):
@@ -218,25 +231,29 @@ class _Quotient(NamedTuple):
     size: np.ndarray   # (m,) states per cell
     v: np.ndarray      # (m,) v_part at each cell's members
     delta: np.ndarray  # (m,) delta_part there
+    ramp: np.ndarray   # (m,) s times the excitation count there
     x: np.ndarray      # (m, m) sum_j X_j: edges from A to B / sqrt(|A||B|)
     start: np.ndarray  # (m,) psi0 at each cell's members times sqrt(|A|)
 
 
 def _quotient(enc: EncodedTarget, psi0: np.ndarray) -> _Quotient:
     """The coarsest equitable partition of the n-cube on which v_part,
-    delta_part and psi0 are constant, by colour refinement (McKay 1981):
-    seed cells by exact equality of the three, then split them by the
-    multiset of neighbour cells until the cell count stops changing.  Cells
-    are numbered by their smallest member, so a partition into singletons is
-    the full basis, bit for bit.  Cached on the target, like its
-    ``diagonal_parts``, for the last start it was built for."""
+    delta_part, the excitation count and psi0 are constant, by colour
+    refinement (McKay 1981): seed cells by exact equality of the four, then
+    split them by the multiset of neighbour cells until the cell count stops
+    changing.  An explicit psi0 can tie patterns whose counts differ, so
+    the count keeps the quotient exact for any start.  Cells are numbered
+    by their smallest member, so a partition into singletons is the full
+    basis, bit for bit.  Cached on the target, like its ``diagonal_parts``,
+    for the last start it was built for."""
     psi0 = np.asarray(psi0, dtype=complex)
     cached = enc.__dict__.get("_quotient")
     if cached is not None and cached[0] == psi0.tobytes():
         return cached[1]
     v_part, delta_part = enc.diagonal_parts
+    count = QuboModel(enc.n, (1.0,) * enc.n, {}).energies()
     flips = np.arange(1 << enc.n)[:, None] ^ (1 << np.arange(enc.n))
-    seed = np.column_stack((v_part, delta_part, psi0.real, psi0.imag))
+    seed = np.column_stack((v_part, delta_part, count, psi0.real, psi0.imag))
     cell = np.unique(seed, axis=0, return_inverse=True)[1]
     while True:
         signature = np.column_stack((cell, np.sort(cell[flips], axis=1)))
@@ -250,6 +267,7 @@ def _quotient(enc: EncodedTarget, psi0: np.ndarray) -> _Quotient:
     edges = np.bincount((cell[flips] * m + cell[:, None]).ravel(),
                         minlength=m * m).reshape(m, m)
     q = _Quotient(cell, size, v_part[reps], delta_part[reps],
+                  ramp_depth(enc) * count[reps],
                   edges / np.sqrt(np.multiply.outer(size, size)),
                   psi0[reps] * np.sqrt(size))
     enc.__dict__["_quotient"] = (psi0.tobytes(), q)
@@ -268,22 +286,22 @@ def _step_grid(schedule: Schedule, n_steps: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _midpoint_exponentials(schedule: Schedule, n_steps: int) -> tuple[
-        np.ndarray, tuple[np.ndarray, np.ndarray, float]]:
-    """(S, (Delta_G, Omega, duration)) of the midpoint rule's n_steps equal
-    steps: one exponential per step, of H at the step midpoint over dt, with
-    the controls summed from the sine table S at the midpoints."""
+        np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """(S, (Delta_G, Omega, 1 - t/T, duration)) of the midpoint rule's
+    n_steps equal steps: one exponential per step, of H at the step midpoint
+    over dt, with the controls summed from the sine table S there."""
     tau, sines = schedule.sine_table(_step_grid(schedule, n_steps)[1])
     return sines, (*schedule._mode_sums(tau, sines), schedule.t_total / n_steps)
 
 
 def _cfm4_exponentials(schedule: Schedule, n_steps: int
-                       ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(Delta_G, Omega, duration) of CFM4's two exponentials per step of
-    n_steps equal steps, each over dt/2, of H at the controls of the two
-    Gauss nodes blended by one row of _CFM4_WEIGHTS."""
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(Delta_G, Omega, 1 - t/T, duration) of CFM4's two exponentials per
+    step of n_steps equal steps, each over dt/2, of H at the controls of the
+    two Gauss nodes blended by one row of _CFM4_WEIGHTS."""
     dt = schedule.t_total / n_steps
-    nodes = schedule.profiles(_step_grid(schedule, n_steps)[0][:-1, None]
-                              + _CFM4_NODES * dt)
+    nodes = schedule._mode_sums(*schedule.sine_table(
+        _step_grid(schedule, n_steps)[0][:-1, None] + _CFM4_NODES * dt))
     return (*((p @ _CFM4_WEIGHTS).ravel() for p in nodes), 0.5 * dt)
 
 
@@ -294,9 +312,9 @@ def _rotate(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (v @ c.view(float).reshape(*c.shape, 2)).view(complex)[..., 0]
 
 
-def _sweep(q: _Quotient, delta_g: np.ndarray, omega: np.ndarray, dt: float):
-    """Apply exp(-i dt H(delta_g[k], omega[k])) for k = 0, 1, ... in turn to
-    the start coefficients of the quotient basis, carrying each state in the
+def _sweep(q: _Quotient, delta_g, omega, ramp, dt: float):
+    """Apply exp(-i dt H(delta_g[k], omega[k], ramp[k])) for k = 0, 1, ...
+    in turn to the start coefficients of the quotient basis, carrying each state in the
     eigenbasis of the exponential about to act on it.
 
     One eigh of the real-symmetric H_k = V_k diag(lambda_k) V_k^T gives
@@ -324,7 +342,8 @@ def _sweep(q: _Quotient, delta_g: np.ndarray, omega: np.ndarray, dt: float):
     for lo in range(0, len(delta_g), block):
         hi = min(lo + block, len(delta_g))
         h = (omega[lo:hi, None, None] / 2.0) * q.x
-        h[:, diag, diag] += q.v - delta_g[lo:hi, None] * q.delta
+        h[:, diag, diag] += (q.v - delta_g[lo:hi, None] * q.delta
+                             + ramp[lo:hi, None] * q.ramp)
         evals, evecs = np.linalg.eigh(h)
         phase = np.exp(-1j * evals * dt)
         over = np.empty_like(evecs)
@@ -351,10 +370,10 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     doubling keeps it."""
     q = _quotient(enc, psi0)
     intervals = schedule.sample_count - 1
-    delta_g, omega, dt = _cfm4_exponentials(schedule, n_steps)
-    stride = len(delta_g) // intervals
+    controls = _cfm4_exponentials(schedule, n_steps)
+    stride = len(controls[0]) // intervals
     snaps = []
-    for lo, _, evecs, _, coeffs in _sweep(q, delta_g, omega, dt):
+    for lo, _, evecs, _, coeffs in _sweep(q, *controls):
         rows = slice(-lo % stride, len(evecs), stride)
         snaps.append(_rotate(evecs[rows], coeffs[rows]))
     psi = _rotate(evecs[-1], coeffs[-1])
@@ -375,9 +394,8 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
                     initial_steps: int = 200) -> tuple[float, np.ndarray]:
     """(E(T), dE/d(delta_coeffs, omega_coeffs)) of the midpoint-rule anneal.
 
-    The anneal takes ``initial_steps`` steps, as given, from the state
-    ``initial_basis_index`` picks, and the gradient is the exact gradient of
-    that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  The
+    The anneal takes ``initial_steps`` steps, as given, from |0..0>, and
+    the gradient is the exact gradient of that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  The
     anneal runs in the start state's quotient basis of m cells, where E(T)
     is the same function of the coefficients.  The forward ``_sweep`` keeps
     each step's eigen-pairs H_k = V_k diag(lambda_k) V_k^T, overlaps
@@ -392,6 +410,7 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     JMR 212, 412, 2011) Gamma_jl = -i dt exp(-i dt (lambda_j + lambda_l)/2)
     sinc(dt (lambda_j - lambda_l)/2), which stays finite at degenerate
     eigenvalues.  dH/dOmega = X/2 and dH/dDelta_G = -diag(delta); the
+    uniform detuning term has no coefficient and adds no term; the
     coefficient gradients are S^T times these sensitivities, with S the sine
     table at the step midpoints that the controls were summed from, and the
     Omega gradient is zero on steps where the clip is active.  A non-finite
@@ -400,8 +419,8 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     _check_cap(enc.n)
     n_steps = _initial_steps(initial_steps)
     sines, controls = _midpoint_exponentials(schedule, n_steps)
-    _, omega, dt = controls
-    q = _quotient(enc, _start_state(enc, schedule))
+    omega, dt = controls[1], controls[-1]
+    q = _quotient(enc, _start_state(enc.n))
     target = q.v - q.delta
     blocks = list(_sweep(q, *controls))
     _, _, evecs, _, coeffs = blocks[-1]
@@ -455,13 +474,12 @@ def propagate(enc: EncodedTarget, schedule: Schedule,
     sample intervals and doubles the step count until E(T) moves by less
     than ``tolerance_rel`` times the energy scale, at most MAX_DOUBLINGS
     times.  F sums the probability of the basis states ``ground_indices``.
-    Without ``psi0`` the anneal starts from the basis state that
-    ``initial_basis_index`` picks; a given ``psi0`` seeds the partition with
-    its own amplitudes, so the run in its quotient is exact for any start.
+    Without ``psi0`` the anneal starts from |0..0>; a given ``psi0`` seeds
+    the partition with its own amplitudes, so the run in its quotient is
+    exact for any start.
     """
     _check_cap(enc.n)
-    if psi0 is None:
-        psi0 = _start_state(enc, schedule)
+    psi0 = _start_state(enc.n) if psi0 is None else psi0
 
     tol = cfg.tolerance_rel * enc.energy_scale
     intervals = schedule.sample_count - 1

@@ -1,27 +1,14 @@
 """Command-line surface: build -> encode -> layout -> optimize -> report.
 
-Exit codes: 0 success; 2 bad arguments (a non-positive or infinite
---duration, a non-positive --steps, a negative --seed, a non-finite
---energy-shift or --threshold, a negative or non-finite --tol, a missing or
-malformed input file, a non-finite number in any JSON input, a string or a
-boolean where a number belongs (a result file's R too), a fractional number
-where an input file holds an integer, a schedule file whose basis is not
-"fourier" or whose omega_max is not positive, a plan file with a negative
-stage tolerance, an unwritable --out or
---out-dir path (an --out-dir that cannot be created fails before the run),
-family parameters that are unreadable, missing a required key, fractional
-where an integer is read, not read, or a two_sat negation flag other than a
-boolean, 0 or 1, no --preset or --family for ``problem``, no --preset or
---model for ``pipeline``, ``report`` without inputs or with more than one of
---from-spectral, --presets and result files, or a layout whose atom count
-differs from the model's or that puts two atoms on one site); 3 a problem,
-model or hardness analysis that cannot be built, or a model that cannot be
-encoded, also because its encoded coefficients overflow a float; 4
-solution quality below --threshold, or a failed validation; 5 propagation
-failure. A reader that closes stdout early ends the command
-quietly with exit 0. Subcommands raise; main() alone maps an exception to
-its exit code through FAILURES. Any other exception is a bug and prints a
-traceback.
+Exit codes: 0 success; 2 bad arguments or input, such as a malformed,
+non-finite or fractional value, a file that cannot be read or written, or a
+schedule past the hardware limits (README.md lists every case); 3 a
+problem, model or hardness analysis that cannot be built, or a model that
+cannot be encoded; 4 solution quality below --threshold, or a failed
+validation; 5 propagation failure.  A reader that closes stdout early ends
+the command quietly with exit 0.  Subcommands raise; main() alone maps an
+exception to its exit code through FAILURES.  Any other exception is a bug
+and prints a traceback.
 """
 
 from __future__ import annotations
@@ -35,8 +22,8 @@ import os
 import sys
 from pathlib import Path
 
-from .annealer import (AnnealerError, PropagationConfig, Schedule, _check_cap,
-                       propagate)
+from .annealer import (AnnealerError, PropagationConfig, Schedule,
+                       ScheduleLimitError, _check_cap, propagate)
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
                        embed_layout, validate)
 from .hardness import (HardnessError, analyze_model, analyze_spectrum,
@@ -65,6 +52,7 @@ class UsageError(Exception):
 # "error: <prefix><message>" for the first row the exception matches
 FAILURES = (
     (UsageError, EXIT_USAGE, ""),
+    (ScheduleLimitError, EXIT_USAGE, ""),
     (NotEncodableError, EXIT_BUILD, "not encodable: "),
     (AnnealerError, EXIT_PROPAGATION, "propagation failed: "),
     (ProblemError, EXIT_BUILD, ""),
@@ -117,10 +105,8 @@ def _bad_input(what: str):
 
 
 def _load_limits(args) -> HardwareLimits:
-    if not args.config:
-        return HardwareLimits()
-    return _load_json(args.config, "config", lambda data: HardwareLimits(
-        **{key: _float(value) for key, value in data.items()}))
+    return (_load_json(args.config, "config", lambda data: HardwareLimits(**data))
+            if args.config else HardwareLimits())
 
 
 def _write(path: Path, text: str) -> None:
@@ -240,10 +226,11 @@ def cmd_anneal(args) -> int:
                                     limits=limits)
         schedule = AnnealObjective(enc, template).schedule_for(
             initial_parameters(template))
-    _, traj = propagate(enc, schedule, PropagationConfig(args.steps),
+    _, traj = propagate(enc, schedule.within(limits),
+                        PropagationConfig(args.steps),
                         ground_indices=outcome.ground_indices(
                             enumerate_spectrum(model)))
-    _emit(args, trajectory_csv(traj, enc.delta_final))
+    _emit(args, trajectory_csv(traj, enc))
     print(f"# E(T)={format_value(traj.energy[-1])} "
           f"F(T)={format_value(traj.fidelity[-1])}", file=sys.stderr)
     return EXIT_OK
@@ -268,7 +255,7 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
     opt = result.optimization
     _write(out_dir / f"{instance_name}_trajectory.csv",
            f"# manifest {result.manifest.hash()}\n"
-           + trajectory_csv(opt.trajectory, result.outcome.target.delta_final))
+           + trajectory_csv(opt.trajectory, result.outcome.target))
     try:
         row = report_row(instance_name, analyze_spectrum(result.spectrum))
     except HardnessError as exc:

@@ -49,8 +49,10 @@ class HardwareLimits:
     def __post_init__(self):
         for name in ("delta_max", "omega_max", "r_min", "r_far", "t_max",
                      "c6", "lifetime_us"):
-            if not getattr(self, name) > 0:  # also rejects nan
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, (str, bool)) or not value > 0:  # NaN too
+                raise ValueError(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, _float(value))  # refuses inf
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,8 @@ class AtomLayout:
             raise ValueError("positions must be (n, 2) or (n, 3)")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
+        if not self.c6 > 0:  # also rejects nan
+            raise ValueError("C6 must be positive")
         object.__setattr__(self, "positions", pos)
 
     @property

@@ -157,9 +157,10 @@ def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
     """Zeroed delta coefficients plus a small fundamental-mode Rabi seed.
 
     Seeds other than 0 add a small deterministic perturbation so repeated
-    runs can restart from distinct points: 5 % of the ramp span
-    |1 - delta0| on the Delta_G coefficients and 5 % of omega_max on the
-    Omega coefficients.
+    runs can restart from distinct points: 5 % of omega_max on the Omega
+    coefficients, and 5 % of |1 - delta0|, the span of Delta_G's own linear
+    ramp (1 at the default delta0 = 0), on the Delta_G coefficients.  The
+    uniform detuning term has no coefficient and no noise.
     """
     n_delta = len(template.delta_coeffs)
     p = np.zeros(n_delta + len(template.omega_coeffs))

@@ -10,12 +10,12 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .annealer import Schedule, Trajectory, _check_cap, initial_basis_index
+from .annealer import Schedule, Trajectory, _check_cap, ramp_depth
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        encode, gauge_fix, rescale)
 from .hardness import format_csv
@@ -25,7 +25,6 @@ from .optimizer import (AnnealObjective, OptimizationResult, StagePlan,
                         run_hybrid)
 from .problems import preset_instance
 
-DELTA0_CANDIDATES = (-1.0, -0.5, -2.0, 0.5, 2.0, -4.0, 4.0)
 TEMPLATE_MODES = 6  # Fourier coefficients per profile in the default template
 
 
@@ -88,28 +87,15 @@ def encode_for_annealing(model: IsingModel | QuboModel,
 def default_schedule(preset_name: str | None, enc: EncodedTarget,
                      t_total: float | None = None,
                      limits: HardwareLimits | None = None) -> Schedule:
-    """Schedule template with a Delta_G(0) for which H(0) has a usable start.
-
-    Scans a small candidate list for a non-degenerate diagonal minimum; if
-    every candidate is degenerate, picks the first one whose start state is
-    the all-ground-atoms state.
-    """
-    limits = limits or HardwareLimits()
+    """The optimizer's template over ``t_total``, else the preset's
+    duration (60 us without one): zero coefficients, the default Delta_G(0)
+    and the limits' omega_max.  Every anneal starts at |0..0>, so ``enc`` is
+    not read; nothing is clipped to ``t_max`` (see ``Schedule.within``)."""
     if t_total is None:
         meta = preset_instance(preset_name).metadata if preset_name else {}
         t_total = float(meta.get("duration_us", 60.0))
-    t_total = min(t_total, limits.t_max)
-    base = Schedule(t_total, (0.0,) * TEMPLATE_MODES, (0.0,) * TEMPLATE_MODES,
-                    omega_max=limits.omega_max)
-    fallback = None
-    for cand in DELTA0_CANDIDATES:
-        sched = replace(base, delta0=cand)
-        index, ties = initial_basis_index(enc, sched)
-        if ties == 1:
-            return sched
-        if fallback is None and index == 0:
-            fallback = sched
-    return fallback if fallback is not None else replace(base, delta0=-1.0)
+    return Schedule(t_total, (0.0,) * TEMPLATE_MODES, (0.0,) * TEMPLATE_MODES,
+                    omega_max=(limits or HardwareLimits()).omega_max)
 
 
 @dataclass(frozen=True)
@@ -139,8 +125,8 @@ def run_pipeline(model: IsingModel | QuboModel,
     outcome = encode_for_annealing(model, mode=mode, limits=limits)
     enc = outcome.target
     _check_cap(enc.n)  # before the spectrum enumerates up to 2^20 states
-    if schedule is None:
-        schedule = default_schedule(preset_name, enc, limits=limits)
+    schedule = (schedule or default_schedule(preset_name, enc, limits=limits)
+                ).within(limits)
 
     spectrum = enumerate_spectrum(model)
     result = run_hybrid(AnnealObjective(enc, schedule), plan, seed,
@@ -154,13 +140,16 @@ def run_pipeline(model: IsingModel | QuboModel,
     return PipelineResult(manifest, outcome, result, spectrum)
 
 
-def trajectory_csv(traj: Trajectory, delta_final: np.ndarray) -> str:
-    """The trajectory as CSV, one row per sample: t, Omega, Delta_G, each
-    Delta_j(t) = Delta_G(t) Delta_j(T), E and F."""
+def trajectory_csv(traj: Trajectory, enc: EncodedTarget) -> str:
+    """The trajectory of an anneal of ``enc`` as CSV, one row per sample: t,
+    Omega, Delta_G, each Delta_j(t) = Delta_G(t) Delta_j(T) - s (1 - t/T),
+    E and F."""
     columns = ["t_us", "omega", "delta_G",
-               *(f"delta_{j + 1}" for j in range(len(delta_final))), "E", "F"]
+               *(f"delta_{j + 1}" for j in range(enc.n)), "E", "F"]
+    uniform = ramp_depth(enc) * (1.0 - traj.times / traj.times[-1])
     table = np.column_stack((traj.times, traj.omega, traj.delta_g,
-                             np.multiply.outer(traj.delta_g, delta_final),
+                             np.multiply.outer(traj.delta_g, enc.delta_final)
+                             - uniform[:, None],
                              traj.energy, traj.fidelity))
     return format_csv([dict(zip(columns, row)) for row in table.tolist()],
                       columns)

@@ -16,10 +16,10 @@ from rydqubo.models import (IsingModel, QuboModel, as_ising,
 from rydqubo.pipeline import encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
-# A QUBO whose diagonal H(0) minimum is tied for every default Delta_G(0)
-# candidate without |00..0> among the ties, so its default schedule is the
-# fallback Delta_G(0) = -1: six states tie there, and the anneal starts from
-# index 6, the lowest of them.
+# A QUBO for which V - Delta_G(0) sum_j Delta_j(T) x_j, H(0)'s diagonal
+# without the uniform detuning term, has tied minima without |00..0> among
+# them at each Delta_G(0) in {-4, -2, -1, -0.5, 0.5, 2, 4}; at -1 six states
+# tie, the lowest index 6.  With the term, |00..0> is the unique minimum.
 TIED_START_MODEL = {"n": 5, "linear": [-2, -2, 2, -2, 0],
                     "quadratic": [[0, 3, -2], [1, 3, 1]]}
 
@@ -218,10 +218,29 @@ def orbit_count(enc, psi0):
     return len(np.unique(orbit))
 
 
+def uniform_term(enc):
+    """s count(x) for every pattern x: the diagonal of the uniform detuning
+    term -s (1 - t/T) at t = 0, with count(x) the number of excited atoms
+    and s the target's largest |V_jk| or |Delta_j|."""
+    s = max(np.abs(enc.v).max(initial=0.0),
+            np.abs(enc.delta_final).max(initial=0.0))
+    return s * np.array([bin(k).count("1") for k in range(1 << enc.n)],
+                        dtype=float)
+
+
+def start_diagonal(enc, schedule):
+    """The diagonal of H(0): V(x) - Delta_G(0) sum_j Delta_j(T) x_j
+    + s count(x)."""
+    v_part, delta_part = enc.diagonal_parts
+    return (v_part - schedule.profiles(0.0)[0] * delta_part
+            + uniform_term(enc))
+
+
 def reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
                         cfm4=False):
     """One eigh per exponential on the full basis: the loop the stacked
-    blocks replaced.
+    blocks replaced.  H(t) has the diagonal V(x) - Delta_G(t) sum_j
+    Delta_j(T) x_j + (1 - t/T) s count(x), built here from ``uniform_term``.
 
     The midpoint rule takes exp(-i dt H) of H at each step midpoint.  CFM4
     builds H1 and H2 at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt and takes
@@ -234,6 +253,7 @@ def reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
     dg, om = schedule.profiles(mid)
     dt = schedule.t_total / n_steps
     v_part, delta_part = enc.diagonal_parts
+    uniform = uniform_term(enc)
     x_total = pauli_x_total(enc.n)
     stride = n_steps // (schedule.sample_count - 1)
     psi = psi0.astype(complex).copy()
@@ -241,18 +261,19 @@ def reference_run_steps(enc, schedule, psi0, n_steps, ground_indices,
     nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
     a1, a2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
-    def hamiltonian(delta_g, omega):
+    def hamiltonian(delta_g, omega, t):
         h = (omega / 2.0) * x_total
-        h[np.diag_indices_from(h)] += v_part - delta_g * delta_part
+        h[np.diag_indices_from(h)] += (v_part - delta_g * delta_part
+                                       + (1.0 - t / schedule.t_total) * uniform)
         return h
 
     for step in range(n_steps):
         if cfm4:
-            h1, h2 = (hamiltonian(*schedule.profiles(t_grid[step] + c * dt))
-                      for c in nodes)
+            times = (t_grid[step] + c * dt for c in nodes)
+            h1, h2 = (hamiltonian(*schedule.profiles(t), t) for t in times)
             exponents = (a2 * h1 + a1 * h2, a1 * h1 + a2 * h2)
         else:
-            exponents = (hamiltonian(dg[step], om[step]),)
+            exponents = (hamiltonian(dg[step], om[step], mid[step]),)
         for h in exponents:
             evals, evecs = np.linalg.eigh(h)
             psi = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ psi))

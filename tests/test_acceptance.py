@@ -153,17 +153,25 @@ def test_criterion_6_end_to_end_quality(name):
            f"{THRESHOLDS[name]} in {elapsed:.0f}s")
 
 
-@pytest.mark.parametrize("name, seed", [("qap", 1), ("qap", 2),
-                                        ("clustering", 1), ("protein", 1)])
+# runs whose BFGS stage meets its gradient tolerance before the 800-evaluation
+# budget is spent, with the evaluations they take
+EARLY_STOPS = {("xor_sat", 1): 750}
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in THRESHOLDS
+                                        for seed in (1, 2)])
 def test_criterion_6_holds_at_other_optimizer_seeds(name, seed):
-    """The seeded start noise is scaled per block (the ramp span for Delta_G,
-    omega_max for Omega), so a seeded start stays a pulse whose final
-    adaptive propagation converges and whose R meets the threshold.  The
-    fourth-order final propagation keeps protein at seed 1 to seconds (its
-    midpoint-rule propagation took about 160 s)."""
+    """The seeded start noise is scaled per block (|1 - Delta_G(0)| for the
+    Delta_G coefficients, omega_max for Omega), so a seeded start stays a
+    pulse whose final adaptive propagation converges and whose R meets the
+    threshold, on every preset from |0..0>.  The fourth-order final
+    propagation keeps protein at seed 1 to seconds (its midpoint-rule
+    propagation took about 160 s)."""
     result = run_pipeline(preset_instance(name).model, name,
                           preset_name=name, seed=seed)
-    assert result.optimization.evaluations == 800
+    assert result.optimization.evaluations == EARLY_STOPS.get((name, seed), 800)
+    assert result.optimization.budget_exhausted == (
+        (name, seed) not in EARLY_STOPS)
     assert result.optimization.ratio >= THRESHOLDS[name], (
         f"{name} seed {seed}: R = {result.optimization.ratio:.5f}")
 

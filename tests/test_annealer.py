@@ -8,16 +8,17 @@ from rydqubo import annealer
 from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
                               PropagationConfig, Schedule, _expand,
                               _midpoint_exponentials, _quotient, _run_steps,
-                              _start_state, _sweep, energy_gradient,
-                              initial_basis_index, propagate)
+                              _start_state, _sweep, energy_gradient, propagate)
 from rydqubo.encoding import EncodedTarget, encode
-from rydqubo.models import IsingModel
+from rydqubo.models import IsingModel, as_ising
+from rydqubo.pipeline import encode_for_annealing
 
-from rydqubo.problems import PRESET_NAMES
+from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import (PLANTED, PRESET_CELLS, central_differences,
                       orbit_count, pauli_x_total, planted_target, preset_run,
-                      reference_run_steps, trajectory_of)
+                      random_antiferro_ising, reference_run_steps,
+                      start_diagonal, trajectory_of)
 
 
 def xor_pair_target():
@@ -175,13 +176,11 @@ def test_quotient_is_exact(name):
     full-basis reference's psi(T), E and F within 1e-12 (times the energy
     scale for E), for a ground set of whole cells and for one state of the
     largest cell."""
-    from rydqubo.pipeline import default_schedule
-
     if name in PLANTED:
         enc, psi0 = planted_target(name)
     else:
         enc, _ = preset_run(name)
-        psi0 = _start_state(enc, default_schedule(name, enc))
+        psi0 = _start_state(enc.n)
     q = _quotient(enc, psi0)
     assert len(q.size) == orbit_count(enc, psi0)
     if name in PRESET_CELLS:
@@ -202,17 +201,71 @@ def test_quotient_is_exact(name):
 
 # --- initial state -----------------------------------------------------------
 
-def test_initial_state_unique_minimum():
-    enc = single_atom(delta=1.0)
-    sched = Schedule(1.0, (), (), delta0=-1.0)
-    # H(0) diagonal = +delta * n_j, so |0> is the unique minimum
-    assert initial_basis_index(enc, sched) == (0, 1)
+def _sweep_start_diagonal(enc):
+    """(quotient of |0..0>, H(0)'s diagonal on its cells) at the default
+    Delta_G(0), from the controls and the quotient the sweep reads."""
+    q = _quotient(enc, _start_state(enc.n))
+    sched = Schedule(1.0, (), ())
+    delta_g, _, ramp = sched._mode_sums(*sched.sine_table(0.0))
+    return q, q.v - delta_g * q.delta + ramp * q.ramp
+
+
+def test_initial_state_unique_minimum(rng):
+    """At the default Delta_G(0) = 0, H(0)'s diagonal is V(x) + s count(x):
+    |0..0> is its unique minimum, alone in its cell and at least s below
+    every other state, on every preset and on seeded random repulsive
+    targets."""
+    targets = [encode_for_annealing(as_ising(preset_instance(name).model)
+                                    ).target for name in PRESET_NAMES]
+    targets += [encode(random_antiferro_ising(rng, n)) for n in range(1, 9)
+                for _ in range(3)]
+    for enc in targets:
+        q, diag = _sweep_start_diagonal(enc)
+        np.testing.assert_allclose(diag[q.cell], start_diagonal(
+            enc, Schedule(1.0, (), ())), rtol=0, atol=1e-12 * enc.energy_scale)
+        assert q.size[0] == 1 and q.cell[0] == 0
+        assert diag[1:].min() >= diag[0] + (1 - 1e-12) * enc.energy_scale
 
 
 def test_initial_state_degenerate_starts_from_ground_atoms():
+    """A flat target, whose states all tie in the target, and a frustrated
+    signed one, on which another state lies below |0..0> at t = 0, both
+    start at |0..0>.  The signed target has J = -1 on every pair among atoms
+    0-3, J = +1 from each of them to each of atoms 4-6, and h = -4 on atoms
+    4-6: every Delta_j(T) is 0, s = 4, and pattern 15 sits at -2 s."""
     enc = single_atom(delta=0.0)
-    sched = Schedule(1.0, (), (), delta0=-1.0)
-    assert initial_basis_index(enc, sched) == (0, 2)
+    sched = Schedule(1.0, (), ())  # Omega = 0: the start is never left
+    assert propagate(enc, sched, ground_indices=[0])[1].fidelity[-1] == 1.0
+    quad = {(i, j): -1.0 for i in range(4) for j in range(i + 1, 4)}
+    quad.update({(i, j): 1.0 for i in range(4) for j in range(4, 7)})
+    outcome = encode_for_annealing(IsingModel(7, (0.0,) * 4 + (-4.0,) * 3,
+                                              quad))
+    enc = outcome.target
+    assert outcome.signed and (enc.delta_final == 0).all()
+    assert enc.energy_scale == 4.0
+    q, diag = _sweep_start_diagonal(enc)
+    assert diag[q.cell[15]] == -2.0 * enc.energy_scale < diag[0] == 0.0
+    sched = Schedule(2.0, (0.3,), (1.0,), sample_count=11)
+    psi, traj = propagate(enc, sched, ground_indices=[15])
+    psi_0, traj_0 = propagate(enc, sched, ground_indices=[15],
+                              psi0=np.eye(1 << 7, dtype=complex)[0])
+    assert (psi == psi_0).all() and (traj.energy == traj_0.energy).all()
+
+
+def test_quotient_seeds_cells_by_excitation_count():
+    """Two atoms, V = 0, Delta = (d, 0) and psi0 = (|00> + |10>)/sqrt(2):
+    patterns 0 and 2 agree in V, Delta and psi0 and have the same neighbour
+    cells, so only their excitation counts split them.  Each state keeps its
+    own cell, and the run agrees with the full-basis reference."""
+    enc = EncodedTarget(2, np.zeros((2, 2)), np.array([1.5, 0.0]), 0.0)
+    psi0 = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    assert len(_quotient(enc, psi0).size) == 4
+    sched = Schedule(3.0, (0.2, -0.1), (1.5, 0.4), sample_count=21)
+    psi, traj = _run_steps(enc, sched, psi0, 100, [1])
+    psi_ref, ref = reference_run_steps(enc, sched, psi0, 100, [1], cfm4=True)
+    assert np.abs(psi - psi_ref).max() <= 1e-12
+    assert np.abs(traj.energy - ref.energy).max() <= 1e-12 * enc.energy_scale
+    assert np.abs(traj.fidelity - ref.fidelity).max() <= 1e-12
 
 
 # --- propagation physics -----------------------------------------------------
@@ -429,7 +482,7 @@ def test_cfm4_and_midpoint_share_one_limit():
     of the adaptive tolerance."""
     for name in PRESET_NAMES:
         enc, sched, ground = _start_pulse(name)
-        psi0 = _start_state(enc, sched)
+        psi0 = _start_state(enc.n)
         e_n, e_2n = (reference_run_steps(enc, sched, psi0, n,
                                          ground)[1].energy[-1]
                      for n in (1600, 3200))
@@ -443,7 +496,7 @@ def test_cfm4_is_fourth_order():
     rule's by 2^2 = 4, on two_sat's start pulse at 200-1,600 steps, where
     the smallest CFM4 change (1e-10) is far above round-off."""
     enc, sched, ground = _start_pulse("two_sat")
-    psi0 = _start_state(enc, sched)
+    psi0 = _start_state(enc.n)
     for run, low, high in ((_run_steps, 10.0, 20.0),
                            (_midpoint_run, 3.5, 4.5)):
         energies = [run(enc, sched, psi0, n, ground)[1].energy[-1]
@@ -519,12 +572,12 @@ def test_energy_gradient_zero_on_clipped_steps():
 
     # the anneal runs in qap's six-cell quotient, so the value is the
     # full-basis reference's only to round-off
-    assert len(_quotient(enc, _start_state(enc, template)).size) == \
+    assert len(_quotient(enc, _start_state(enc.n)).size) == \
         PRESET_CELLS["qap"]
 
     def energy(omega_coeffs):
         sched = replace(template, omega_coeffs=tuple(omega_coeffs))
-        return float(reference_run_steps(enc, sched, _start_state(enc, sched),
+        return float(reference_run_steps(enc, sched, _start_state(enc.n),
                                          200, [0])[1].energy[-1])
 
     value, grad = energy_gradient(enc, replace(template, omega_coeffs=tuple(b)),
@@ -544,7 +597,7 @@ def test_energy_gradient_takes_its_steps_as_given():
     value, grad = energy_gradient(enc, sched, 50)
     # the reference reads one sample per step; the samples do not touch E(T)
     _, ref = reference_run_steps(enc, replace(sched, sample_count=51),
-                                 _start_state(enc, sched), 50, [0])
+                                 _start_state(enc.n), 50, [0])
     assert abs(value - ref.energy[-1]) <= 1e-12 * enc.energy_scale
     assert grad.shape == (4,)
 

@@ -276,8 +276,9 @@ def input_files(tmp_path, xor_model_file):
     a boolean where a number is read, a fractional number where an integer
     is read, a negative omega_max or a negative stage tolerance; a finite
     model whose encoding overflows, and two whose lowest or highest energy
-    overflows; an output path in a missing directory, and an output
-    directory."""
+    overflows; a config whose t_max is 10, schedules whose T_us or
+    omega_max exceed the default limits, layouts whose C6 is 0 or -1; an
+    output path in a missing directory, and an output directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
     gradient = {"kind": "gradient", "max_evals": 1}
@@ -331,6 +332,14 @@ def input_files(tmp_path, xor_model_file):
             "string_result": {"instance": "x", "C_opt": "nan", "R": 0.5,
                               "ground_states": [0]},
             "bool_config": {"omega_max": True},
+            "short_t_max_config": {"t_max": 10},
+            "long_schedule": {**schedule, "T_us": 500},
+            "strong_schedule": {**schedule, "omega": {"coeffs": [1.0],
+                                                      "omega_max": 1000}},
+            "zero_c6_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]],
+                               "C6": 0},
+            "negative_c6_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]],
+                                   "C6": -1},
             "bool_model": {"n": 2, "linear": [True, 1.0], "quadratic": []},
             "bool_r_result": {"instance": "x", "R": True,
                               "ground_states": [0]},
@@ -584,6 +593,42 @@ def two_sat(params):
                  "usage: rydqubo anneal", id="anneal-duration-infinite"),
     pytest.param(["report", "{bool_r_result}"], 2,
                  "error: cannot load result ", id="result-bool-R"),
+    # a layout whose C6 is not positive is malformed, not a failed layout
+    pytest.param(["validate", "--model", "{xor}", "--layout",
+                  "{zero_c6_layout}"], 2, "error: cannot load layout ",
+                 id="layout-c6-zero"),
+    pytest.param(["validate", "--model", "{xor}", "--layout",
+                  "{negative_c6_layout}"], 2, "error: cannot load layout ",
+                 id="layout-c6-negative"),
+    # every schedule a run uses, default or from a file, is checked against
+    # the limits: nothing is clipped
+    pytest.param(["anneal", "--model", "{xor}", "--duration", "500"], 2,
+                 "error: schedule T_us = 500.0 exceeds the hardware limit "
+                 "t_max = 200.0", id="anneal-duration-past-t-max"),
+    pytest.param(["anneal", "--model", "{xor}", "--config",
+                  "{short_t_max_config}"], 2,
+                 "error: schedule T_us = 60.0 exceeds the hardware limit "
+                 "t_max = 10.0", id="anneal-default-past-t-max"),
+    pytest.param(["anneal", "--model", "{xor}", "--schedule",
+                  "{long_schedule}"], 2,
+                 "error: schedule T_us = 500.0 exceeds ",
+                 id="anneal-schedule-past-t-max"),
+    pytest.param(["anneal", "--model", "{xor}", "--schedule",
+                  "{strong_schedule}"], 2,
+                 "error: schedule omega_max = 1000.0 exceeds the hardware "
+                 "limit omega_max = 31.4", id="anneal-schedule-past-omega-max"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--config",
+                  "{short_t_max_config}", "--out-dir", "{out_dir}"], 2,
+                 "error: schedule T_us = 40.0 exceeds the hardware limit "
+                 "t_max = 10.0", id="pipeline-default-past-t-max"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--schedule",
+                  "{long_schedule}", "--out-dir", "{out_dir}"], 2,
+                 "error: schedule T_us = 500.0 exceeds ",
+                 id="pipeline-schedule-past-t-max"),
+    pytest.param(["pipeline", "--preset", "xor_sat", "--schedule",
+                  "{strong_schedule}", "--out-dir", "{out_dir}"], 2,
+                 "error: schedule omega_max = 1000.0 exceeds ",
+                 id="pipeline-schedule-past-omega-max"),
 ])
 def test_failure_exit_codes(capsys, input_files, argv, code, err_start):
     status, err = exit_status(capsys, [input_files.get(a, a) for a in argv])
@@ -603,18 +648,21 @@ def test_out_dir_fails_before_the_run(monkeypatch, capsys, input_files):
 
 
 def test_anneal_tied_start_runs_where_pipeline_starts(capsys, tmp_path):
+    """Whatever ties the target has, ``anneal`` starts where ``pipeline``
+    does, at |00..0>: E(0) is the target energy of basis state 0, and each
+    Delta_j(0) is -s, the uniform term alone."""
     path = tmp_path / "tied.json"
     path.write_text(json.dumps(TIED_START_MODEL))
     code, out, err = run(capsys, "anneal", "--model", str(path),
                          "--duration", "2", "--steps", "20")
     assert code == 0, err
     assert err.startswith("# E(T)=")
-    # E(0) is the target energy of basis state 6, where pipeline starts too
-    header, first = out.splitlines()[:2]
-    e0 = float(first.split(",")[header.split(",").index("E")])
+    header, first = (line.split(",") for line in out.splitlines()[:2])
     enc = encode_for_annealing(model_from_dict(TIED_START_MODEL)).target
-    assert e0 == pytest.approx(enc.diagonal_energies()[6] + enc.constant,
-                               rel=1e-11)
+    assert float(first[header.index("E")]) == pytest.approx(
+        enc.diagonal_energies()[0] + enc.constant, rel=1e-11)
+    assert [first[header.index(f"delta_{j + 1}")] for j in range(enc.n)] == \
+        [format_value(-enc.energy_scale)] * enc.n
 
 
 def test_anneal_default_drives_the_optimizer_start_pulse(capsys,

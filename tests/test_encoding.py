@@ -149,7 +149,9 @@ def test_validate_counts_a_nan_error_as_offending():
     """A NaN pair error is not within tolerance: it must fail validation."""
     v = np.array([[0.0, 1.0], [1.0, 0.0]])
     target = EncodedTarget(2, v, np.ones(2), 0.0)
-    layout = AtomLayout(np.array([[0.0, 0.0], [10.0, 0.0]]), float("nan"))
+    layout = AtomLayout(np.array([[0.0, 0.0], [10.0, 0.0]]))
+    # AtomLayout refuses a NaN C6; validate must not rely on that
+    object.__setattr__(layout, "c6", float("nan"))
     report = validate(target, layout)
     assert report.offending_pairs == ((0, 1),)
     assert not report.passed
@@ -305,10 +307,28 @@ def test_validate_flags_misplaced_atom():
 
 
 def test_hardware_limits_validation():
+    """Every field is read as a finite float: a boolean or a string is
+    refused, as NaN and a value that is not positive are, and an int is
+    stored as a float."""
     for field in ("r_min", "omega_max", "t_max"):
-        for value in (-1.0, float("nan")):
+        for value in (-1.0, float("nan"), True, "5"):
             with pytest.raises(ValueError, match=f"{field} must be positive"):
                 HardwareLimits(**{field: value})
+    limits = HardwareLimits(delta_max=5)
+    assert limits.delta_max == 5.0 and type(limits.delta_max) is float
+
+
+def test_layout_refuses_non_positive_c6():
+    """With C6 = 0 or -1 every pair error is 1, and ``validate`` would
+    report a failed layout rather than a malformed one; NaN is refused
+    too."""
+    pair = np.array([[0.0, 0.0], [10.0, 0.0]])
+    for c6 in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="C6 must be positive"):
+            AtomLayout(pair, c6)
+    for c6 in (0, -1):
+        with pytest.raises(ValueError, match="C6 must be positive"):
+            AtomLayout.from_dict({"positions_um": pair.tolist(), "C6": c6})
 
 
 # SHA-256 over diagonal_parts (pair part, then detuning part) of every

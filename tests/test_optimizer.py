@@ -3,8 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydqubo.annealer import (Schedule, _quotient, _start_state,
-                              initial_basis_index, propagate)
+from rydqubo.annealer import Schedule, _quotient, _start_state, propagate
 from rydqubo.encoding import IsingModel, encode
 from rydqubo.models import as_ising, model_from_dict
 from rydqubo.optimizer import (AnnealObjective, OptimizationResult, Stage,
@@ -16,7 +15,7 @@ from rydqubo.problems import PRESET_NAMES, preset_instance
 from conftest import (PLANTED, PRESET_CELLS, TIED_START_MODEL,
                       central_differences, objective_value, orbit_count,
                       outputs_on_blas_threads, planted_target,
-                      reference_run_steps, source_optimum)
+                      reference_run_steps, source_optimum, start_diagonal)
 
 
 def xor_pair_target():
@@ -126,7 +125,7 @@ def test_adjoint_gradient_matches_central_differences(name):
         p = initial_parameters(obj.template, seed)
         value, grad = obj.value_and_gradient(p)
         sched = obj.schedule_for(p)
-        start = _start_state(enc, sched)
+        start = _start_state(enc.n)
         cells = len(_quotient(enc, start).size)
         assert cells == (PRESET_CELLS[name] if name in PRESET_CELLS
                          else orbit_count(enc, start))
@@ -154,16 +153,20 @@ def test_objective_starts_where_propagate_does(source):
     enc = encode_for_annealing(model).target
     ground = source_optimum(model)["ground_indices"]
     template = default_schedule(None, enc, t_total=2.0)
-    start = initial_basis_index(enc, template)
+    # |0..0> is H(0)'s unique minimum, also where the target's minimum and
+    # the diagonal without the uniform term tie elsewhere
+    diag = start_diagonal(enc, template)
+    assert np.flatnonzero(diag == diag.min()).tolist() == [0]
     if source == "tied_start":
-        assert start == (6, 6)
+        target = enc.diagonal_energies()
+        assert np.flatnonzero(target == target.min()).tolist() == [1, 17]
     obj = AnnealObjective(enc, template, initial_steps=20)
     params = initial_parameters(template, seed=3)
     sched = obj.schedule_for(params)
     psi0 = np.zeros(1 << enc.n, dtype=complex)
-    psi0[start[0]] = 1.0
-    # the objective's anneal starts from that basis state, and takes its 20
-    # steps as given; the reference reads one sample per step
+    psi0[0] = 1.0
+    # the objective's anneal starts from |0..0>, and takes its 20 steps as
+    # given; the reference reads one sample per step
     _, ref = reference_run_steps(enc, replace(sched, sample_count=21), psi0,
                                  20, ground)
     assert abs(obj.value_and_gradient(params)[0] - ref.energy[-1]) <= \

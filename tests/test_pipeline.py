@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 import rydqubo.optimizer
-from rydqubo.annealer import PropagationConfig, Schedule, initial_basis_index
+from rydqubo.annealer import PropagationConfig, Schedule
 from rydqubo.encoding import (FrustratedModelError, HardwareLimits,
                               NotEncodableError, encode, gauge_fix, rescale)
 from rydqubo.hardness import format_value
 from rydqubo.models import IsingModel, QuboModel, as_ising, enumerate_spectrum
 from rydqubo.optimizer import Stage, StagePlan
-from rydqubo.pipeline import (RunManifest, default_schedule,
+from rydqubo.pipeline import (TEMPLATE_MODES, RunManifest, default_schedule,
                               encode_for_annealing, result_json, run_pipeline,
                               trajectory_csv)
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
-from conftest import random_integer_qubo, random_qubo
+from conftest import random_integer_qubo, random_qubo, start_diagonal
 
 
 def tiny_plan():
@@ -147,13 +147,20 @@ def test_encode_for_annealing_equals_three_call_path():
 
 
 def test_default_schedule_avoids_degenerate_start():
-    for name in ("two_sat", "xor_sat", "mixed", "set_packing"):
+    """The template is the same for every target: the preset's duration,
+    Delta_G(0) at the Schedule default of 0 and zero coefficients.  Under
+    it |0..0> is the unique minimum of H(0)'s diagonal on every preset."""
+    for name in PRESET_NAMES:
         outcome = encode_for_annealing(as_ising(preset_instance(name).model))
         sched = default_schedule(name, outcome.target)
-        idx, ties = initial_basis_index(outcome.target, sched)
-        assert 0 <= idx < (1 << outcome.target.n)
-        assert ties == 1 or idx == 0
+        zeros = (0.0,) * TEMPLATE_MODES
+        assert sched == Schedule(
+            preset_instance(name).metadata["duration_us"], zeros, zeros)
+        assert sched.delta0 == Schedule.delta0 == 0.0
+        assert sched.profiles(0.0)[0] == 0.0
         assert sched.profiles(sched.t_total)[0] == pytest.approx(1.0)
+        diag = start_diagonal(outcome.target, sched)
+        assert np.flatnonzero(diag == diag.min()).tolist() == [0], name
 
 
 def test_manifest_hash_stable_and_timestamp_free():
@@ -170,13 +177,13 @@ def test_manifest_hash_stable_and_timestamp_free():
 def test_default_manifest_hash_pinned():
     """Schedules write ``"basis": "fourier"``, so manifest hashes of recorded
     runs stay valid; this pins the default two_sat manifest, which also
-    hashes the default plan (one 800-evaluation BFGS stage) and
-    ``rydqubo.__version__`` (0.10.0)."""
+    hashes the template's Delta_G(0) (0), the default plan (one
+    800-evaluation BFGS stage) and ``rydqubo.__version__`` (0.11.0)."""
     enc = encode_for_annealing(as_ising(preset_instance("two_sat").model)).target
     manifest = RunManifest("two_sat", "ideal",
                            default_schedule("two_sat", enc).to_dict(),
                            StagePlan.default().to_dict(), 0)
-    assert manifest.hash() == "cea26d4cea5b1f7a"
+    assert manifest.hash() == "f90dae47d6e69d8d"
 
 
 def test_version_has_one_owner():
@@ -202,7 +209,7 @@ def test_run_pipeline_outputs():
     json.dumps(payload)  # fully serializable
 
     traj = result.optimization.trajectory
-    lines = trajectory_csv(traj, result.outcome.target.delta_final).splitlines()
+    lines = trajectory_csv(traj, result.outcome.target).splitlines()
     header = lines[0].split(",")
     assert header == ["t_us", "omega", "delta_G", "delta_1", "delta_2",
                       "delta_3", "E", "F"]
@@ -242,11 +249,15 @@ def test_run_pipeline_propagates_final_pulse_once(monkeypatch):
                                             sample_count=11))
     assert calls == [200]
     traj = result.optimization.trajectory
-    delta_final = result.outcome.target.delta_final
-    lines = trajectory_csv(traj, delta_final).splitlines()
+    enc = result.outcome.target
+    lines = trajectory_csv(traj, enc).splitlines()
     assert len(lines) == 1 + len(traj.times)
+    # each Delta_j(t) = Delta_G(t) Delta_j(T) - s (1 - t/T): -s at t = 0
+    s = max(np.abs(enc.v).max(), np.abs(enc.delta_final).max())
     for k, line in enumerate(lines[1:]):
+        uniform = s * (1.0 - traj.times[k] / traj.times[-1])
         assert line.split(",") == [format_value(v) for v in (
             traj.times[k], traj.omega[k], traj.delta_g[k],
-            *(traj.delta_g[k] * delta_final), traj.energy[k],
+            *(traj.delta_g[k] * enc.delta_final - uniform), traj.energy[k],
             traj.fidelity[k])]
+    assert lines[1].split(",")[3:6] == [format_value(-s)] * 3
