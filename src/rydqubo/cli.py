@@ -26,9 +26,9 @@ from .annealer import (AnnealerError, PropagationConfig, Schedule,
                        ScheduleLimitError, _check_cap, propagate)
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
                        embed_layout, validate)
-from .hardness import (HardnessError, analyze_model, analyze_spectrum,
-                       analyze_supplied, format_csv, format_table,
-                       format_value, report_row, report_rows)
+from .hardness import (HardnessError, analyze_model, analyze_supplied,
+                       format_csv, format_table, format_value, report_row,
+                       report_rows)
 from .models import (ModelError, _float, _int, enumerate_spectrum,
                      model_from_dict, state_bits)
 from .optimizer import AnnealObjective, StagePlan, initial_parameters
@@ -204,8 +204,7 @@ def cmd_validate(args) -> int:
 
 def cmd_hardness(args) -> int:
     model = _load_json(args.model, "model", model_from_dict)
-    rep = analyze_model(model, energy_shift=args.energy_shift)
-    row = report_row(args.name, rep)
+    row = report_row(args.name, analyze_model(model))
     print(format_csv([row]) if args.csv else format_table([row]))
     return EXIT_OK
 
@@ -250,16 +249,16 @@ def _run_full(args, instance_name: str, model, preset_name=None) -> int:
                           mode=args.mode, plan=plan, seed=args.seed,
                           schedule=schedule, limits=limits)
 
+    record = result_json(result)
     _write(out_dir / f"{instance_name}_result.json",
-           json.dumps(result_json(result), indent=2))
+           json.dumps(record, indent=2))
     opt = result.optimization
     _write(out_dir / f"{instance_name}_trajectory.csv",
            f"# manifest {result.manifest.hash()}\n"
            + trajectory_csv(opt.trajectory, result.outcome.target))
-    try:
-        row = report_row(instance_name, analyze_spectrum(result.spectrum))
-    except HardnessError as exc:
-        print(f"warning: hardness row failed: {exc}", file=sys.stderr)
+    row = record["hardness"]
+    if "error" in row:
+        print(f"warning: hardness row failed: {row['error']}", file=sys.stderr)
     else:
         _write(out_dir / f"{instance_name}_hardness.csv", format_csv([row]))
 
@@ -292,14 +291,17 @@ def _supplied_row(item: dict) -> dict:
 
 
 def _result_row(stem: str, data: dict) -> dict:
-    """A report row from a pipeline result JSON; it has no spectral columns."""
-    return {"problem": data.get("instance", stem),
-            "E0": _float(data["C_opt"]) if "C_opt" in data else float("nan"),
-            "gap": float("nan"),
-            "D_opt": len(data.get("ground_states", [])),
-            "D_E1": 0, "threats": 0, "Sigma": float("nan"),
-            "HP": float("nan"),
-            "note": f"R={_float(data['R']):.6f}"}
+    """A report row from a pipeline result JSON: its stored hardness row,
+    with R ahead of the row's own note."""
+    row, name = data["hardness"], data.get("instance", stem)
+    note = "; ".join(filter(None, (f"R={_float(data['R']):.6f}",
+                                   row.get("note", ""))))
+    if "error" in row:
+        return {"problem": name, "error": str(row["error"]), "note": note}
+    return {"problem": name, "E0": _float(row["E0"]), "gap": _float(row["gap"]),
+            "D_opt": _int(row["D_opt"]), "D_E1": _int(row["D_E1"]),
+            "threats": _int(row["threats"]), "Sigma": _float(row["Sigma"]),
+            "HP": _float(row["HP"]), "note": note}
 
 
 def cmd_report(args) -> int:
@@ -400,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("hardness", help="spectral hardness of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--name", default="model")
-    p.add_argument("--energy-shift", type=finite_float, default=0.0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_hardness)
 

@@ -11,7 +11,7 @@ rest of the package relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -44,11 +44,9 @@ class HardwareLimits:
     r_far: float = 12.0                       # um
     t_max: float = 200.0                      # us
     c6: float = C6_DEFAULT                    # rad/us * um^6
-    lifetime_us: float = 234.0                # metadata only
 
     def __post_init__(self):
-        for name in ("delta_max", "omega_max", "r_min", "r_far", "t_max",
-                     "c6", "lifetime_us"):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             if isinstance(value, (str, bool)) or not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive, got {value!r}")
@@ -100,10 +98,6 @@ class EncodedTarget:
         """-sum Delta_j x_j + sum_{j<k} V_jk x_j x_k for every bit pattern."""
         v_part, delta_part = self.diagonal_parts
         return v_part - delta_part
-
-    def source_energy(self, encoded_energy: float) -> float:
-        """Map an encoded (diagonal) energy back to the source model convention."""
-        return (encoded_energy + self.constant) / self.scale
 
     @property
     def energy_scale(self) -> float:

@@ -68,7 +68,8 @@ def hardness_parameter(e0: float, d_opt: int, gap: float, sigma_value: float,
     """HP = Sigma / (|E0| * D_opt * G^2).
 
     When |E0| is below 1e-9 gaps the spectral width (E_max - E0) replaces
-    the normalization and the returned flag is set.
+    the normalization and the returned flag is set.  An HP beyond the float
+    range, or a normalization that underflows to 0, is refused.
     """
     if gap <= 0:
         raise HardnessError("spectral gap must be positive")
@@ -83,11 +84,16 @@ def hardness_parameter(e0: float, d_opt: int, gap: float, sigma_value: float,
         by_width = True
         if scale <= 0:
             raise HardnessError("constant spectrum has no hardness normalization")
-    return sigma_value / (scale * d_opt * gap * gap), by_width
+    norm = scale * d_opt * gap * gap
+    if not (norm > 0 and sigma_value / norm < np.inf):
+        raise HardnessError("HP overflows a float: |E0| * D_opt * G^2 is "
+                            "too small")
+    return sigma_value / norm, by_width
 
 
-def analyze_spectrum(spectrum: SpectrumTable,
-                     energy_shift: float = 0.0) -> HardnessReport:
+def analyze_spectrum(spectrum: SpectrumTable) -> HardnessReport:
+    """The hardness of a spectrum's levels.  E0 is the lowest level, so the
+    model's ``constant`` sets the energy zero that |E0| is measured from."""
     energies, counts = spectrum.energies, spectrum.counts
     if energies.size < 2:
         raise HardnessError("constant spectrum: no excited subspace")
@@ -95,19 +101,16 @@ def analyze_spectrum(spectrum: SpectrumTable,
     if not np.isfinite(energies[[0, -1]]).all():
         raise HardnessError("a level is not finite: the energies overflow "
                             "a float")
-    (e_min, e_1), (d_opt, d_1) = energies[:2].tolist(), counts[:2].tolist()
-    gap = e_1 - e_min
+    (e0, e_1), (d_opt, d_1) = energies[:2].tolist(), counts[:2].tolist()
+    gap = e_1 - e0
     threats = threatening_set(energies, counts)
     s = sigma(energies, counts, threats, gap)
-    e0 = e_min + energy_shift
-    hp, by_width = hardness_parameter(e0, d_opt, gap, s,
-                                      spectrum.e_max + energy_shift)
+    hp, by_width = hardness_parameter(e0, d_opt, gap, s, spectrum.e_max)
     return HardnessReport(e0, gap, d_opt, d_1, threats.size, s, hp, by_width)
 
 
-def analyze_model(model: IsingModel | QuboModel,
-                  energy_shift: float = 0.0) -> HardnessReport:
-    return analyze_spectrum(enumerate_spectrum(model), energy_shift)
+def analyze_model(model: IsingModel | QuboModel) -> HardnessReport:
+    return analyze_spectrum(enumerate_spectrum(model))
 
 
 def analyze_supplied(e0: float, gap: float, d_opt: int, d_first_excited: int,

@@ -171,17 +171,16 @@ class SpectrumTable:
     """Exhaustive spectrum as arrays.
 
     ``energies`` are the levels in ascending order (each its first member's
-    energy; ``enumerate_spectrum`` states the level rule) and ``counts``
-    their multiplicities; ``states`` holds all 2^n bit patterns (bit i of a
-    state is x_i) in stable energy order, by energy and then by pattern, as
-    one sort of (tie run, pattern) keys gives it; level k's states are the
-    ``counts[k]`` entries after the first ``counts[:k].sum()``.
+    energy; ``enumerate_spectrum`` states the level rule), ``counts`` their
+    multiplicities and ``ground_states`` the ground level's bit patterns,
+    ascending (bit i of a pattern is x_i).  The level of an energy e is
+    ``np.searchsorted(energies, e, "right") - 1``.
     """
 
     n: int
     energies: np.ndarray
     counts: np.ndarray
-    states: np.ndarray
+    ground_states: tuple[int, ...]
 
     @property
     def e_min(self) -> float:
@@ -191,24 +190,14 @@ class SpectrumTable:
     def e_max(self) -> float:
         return float(self.energies[-1])
 
-    @property
-    def ground_states(self) -> tuple[int, ...]:
-        """Ground-level bit patterns, ascending."""
-        return tuple(np.sort(self.states[:self.counts[0]]).tolist())
-
 
 def state_bits(state: int, n: int) -> tuple[int, ...]:
     return tuple((state >> i) & 1 for i in range(n))
 
 
 def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
-    """Exhaustive spectrum of the classical cost.
-
-    The stable energy order comes from one sort of int64 keys.  numpy's
-    default argsort orders the energies but leaves exact ties in no fixed
-    order, so each state's key is (rank of its tie run << n) | state, and
-    the sorted keys' low n bits are the states by energy, then by index,
-    as a stable sort orders them.
+    """Exhaustive spectrum of the classical cost, from one sort of the 2^n
+    energies.
 
     Adjacent sorted energies that differ by at most 8 n eps L1, with L1 the
     sum of the coefficients' magnitudes (constant included), are one level,
@@ -246,27 +235,18 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # run starts
     new[nans[0] + 1:] = False
     values = ordered[new]
-    ranks = ordered.view(np.int64)  # run ranks 1, 2, ..., in place of ordered
-    ranks[:] = new
-    np.cumsum(ranks, out=ranks)
-    ranks <<= m.n
-    # The keys go in the argsort's buffer, not the later one of ordered:
-    # returning that one kept 8 MB more resident at n = 20 in a process
-    # that goes on allocating.
-    states = index
-    states |= ranks
-    del index, ordered, ranks
-    states.sort()
-    states &= (1 << m.n) - 1
+    del ordered
     runs = np.flatnonzero(new)
+    del new
     level = np.concatenate(([True], np.diff(values) > tol))
     energies = values[level]
     del values
     starts = runs[level]
     del runs
-    counts = np.append(starts[1:], states.size)
+    counts = np.append(starts[1:], index.size)
     counts -= starts
-    return SpectrumTable(m.n, energies, counts, states)
+    ground = tuple(np.sort(index[:counts[0]]).tolist())
+    return SpectrumTable(m.n, energies, counts, ground)
 
 
 def model_from_dict(data: Mapping) -> QuboModel | IsingModel:

@@ -18,7 +18,8 @@ from . import __version__
 from .annealer import Schedule, Trajectory, _check_cap, ramp_depth
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        encode, gauge_fix, rescale)
-from .hardness import format_csv
+from .hardness import (HardnessError, analyze_spectrum, format_csv,
+                       report_row)
 from .models import (IsingModel, QuboModel, SpectrumTable, as_ising,
                      enumerate_spectrum)
 from .optimizer import (AnnealObjective, OptimizationResult, StagePlan,
@@ -156,7 +157,15 @@ def trajectory_csv(traj: Trajectory, enc: EncodedTarget) -> str:
 
 
 def result_json(result: PipelineResult) -> dict:
+    """The run record: R against the source spectrum, and under
+    ``"hardness"`` that spectrum's report row, or {"error": message} when
+    ``analyze_spectrum`` refuses it."""
     opt = result.optimization
+    try:
+        hardness = report_row(result.manifest.instance,
+                              analyze_spectrum(result.spectrum))
+    except HardnessError as exc:
+        hardness = {"error": str(exc)}
     return {
         "manifest": result.manifest.to_dict(),
         "manifest_hash": result.manifest.hash(),
@@ -177,4 +186,5 @@ def result_json(result: PipelineResult) -> dict:
         "budget_exhausted": opt.budget_exhausted,
         "seed": opt.seed,
         "ground_states": [int(g) for g in result.ground_states],
+        "hardness": hardness,
     }

@@ -252,6 +252,57 @@ def test_report_presets_flags_unpinned_rows(capsys):
     assert "unpinned" not in two_sat_line
 
 
+def test_report_result_file_prints_the_presets_row(capsys, short_run_files,
+                                                   tmp_path):
+    """The spectral columns of a pipeline result are the preset's row of
+    ``report --presets``; the note leads with R."""
+    plan, schedule = short_run_files
+    code, _, err = run(capsys, "pipeline", "--preset", "two_sat", "--plan",
+                       plan, "--schedule", schedule, "--threshold", "0",
+                       "--out-dir", str(tmp_path))
+    assert code == 0, err
+    result = json.loads((tmp_path / "two_sat_result.json").read_text())
+    code, out, _ = run(capsys, "report", str(tmp_path / "two_sat_result.json"),
+                       "--csv")
+    assert code == 0
+    header, row = out.splitlines()
+    code, presets, _ = run(capsys, "report", "--presets", "--csv")
+    assert code == 0
+    want = next(line for line in presets.splitlines()
+                if line.startswith("two_sat,"))
+    assert header == presets.splitlines()[0]
+    assert row.rsplit(",", 1)[0] == want.rsplit(",", 1)[0]
+    assert row.rsplit(",", 1)[1] == (f"R={result['R']:.6f}; "
+                                     "normalized by spectral width")
+    assert (tmp_path / "two_sat_hardness.csv").read_text() == \
+        presets.splitlines()[0] + "\n" + want + "\n"
+
+
+def test_report_result_file_prints_an_error_row(capsys, short_run_files,
+                                                tmp_path):
+    """A one-level spectrum has no hardness: the run stores the error, and
+    ``report`` prints it as ``report_rows`` prints an error row."""
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"n": 2, "linear": [0.0, 0.0],
+                                "quadratic": [], "constant": 1.5}))
+    plan, schedule = short_run_files
+    code, _, err = run(capsys, "pipeline", "--model", str(path), "--plan",
+                       plan, "--schedule", schedule, "--threshold", "0",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    assert err == ("warning: hardness row failed: constant spectrum: no "
+                   "excited subspace\n")
+    assert not (tmp_path / "flat_hardness.csv").exists()
+    result = json.loads((tmp_path / "flat_result.json").read_text())
+    assert result["hardness"] == {
+        "error": "constant spectrum: no excited subspace"}
+    code, out, _ = run(capsys, "report", str(tmp_path / "flat_result.json"),
+                       "--csv")
+    assert code == 0
+    cells = ["constant spectrum: no excited subspace"] * 7
+    assert out.splitlines()[1] == ",".join(["flat", *cells, "R=1.000000"])
+
+
 def test_report_no_inputs_exit_2(capsys):
     code, _, _ = run(capsys, "report")
     assert code == 2
@@ -275,15 +326,18 @@ def input_files(tmp_path, xor_model_file):
     a one-row spectral input; files that hold NaN or Infinity, a string or
     a boolean where a number is read, a fractional number where an integer
     is read, a negative omega_max or a negative stage tolerance; a finite
-    model whose encoding overflows, and two whose lowest or highest energy
-    overflows; a config whose t_max is 10, schedules whose T_us or
-    omega_max exceed the default limits, layouts whose C6 is 0 or -1; an
-    output path in a missing directory, and an output directory."""
+    model whose encoding overflows, two whose lowest or highest energy
+    overflows and one whose HP overflows; a config whose t_max is 10 and one that sets the removed
+    lifetime_us, schedules whose T_us or omega_max exceed the default
+    limits, layouts whose C6 is 0 or -1, a result file without its hardness
+    row; an output path in a missing directory, and an output directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
     gradient = {"kind": "gradient", "max_evals": 1}
     spectral = {"problem": "x", "E0": -1.0, "gap": 0.5, "D_opt": 1,
                 "threat_degeneracies": []}
+    hardness = {"problem": "x", "E0": -1.0, "gap": 0.5, "D_opt": 1, "D_E1": 1,
+                "threats": 0, "Sigma": 0.0, "HP": 0.0, "note": ""}
     data = {"mixed": preset_instance("mixed").model.to_dict(),
             "n11": {"n": 11, "linear": [1.0] * 11,
                     "quadratic": [[0, 1, 1.0]]},
@@ -329,8 +383,12 @@ def input_files(tmp_path, xor_model_file):
                 {**spectral, "threat_degeneracies": [[1.5, 0.5]]}],
             "string_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]],
                               "C6": "nan"},
-            "string_result": {"instance": "x", "C_opt": "nan", "R": 0.5,
-                              "ground_states": [0]},
+            "string_result": {"instance": "x", "R": 0.5,
+                              "hardness": {**hardness, "E0": "nan"}},
+            "fractional_result": {"instance": "x", "R": 0.5,
+                                  "hardness": {**hardness, "D_opt": 1.5}},
+            "no_hardness_result": {"instance": "x", "R": 0.5,
+                                   "ground_states": [0]},
             "bool_config": {"omega_max": True},
             "short_t_max_config": {"t_max": 10},
             "long_schedule": {**schedule, "T_us": 500},
@@ -342,7 +400,8 @@ def input_files(tmp_path, xor_model_file):
                                    "C6": -1},
             "bool_model": {"n": 2, "linear": [True, 1.0], "quadratic": []},
             "bool_r_result": {"instance": "x", "R": True,
-                              "ground_states": [0]},
+                              "hardness": hardness},
+            "lifetime_config": {"lifetime_us": 234.0},
             "overflowing_encoding_model": {
                 "n": 3, "linear": [1e308, 1, 1],
                 "quadratic": [[0, 1, 1e308], [1, 2, 1]],
@@ -350,7 +409,9 @@ def input_files(tmp_path, xor_model_file):
             "overflowing_low_model": {"n": 2, "linear": [-1e308, -1e308],
                                       "quadratic": []},
             "overflowing_high_model": {"n": 2, "linear": [1e308, 1e308],
-                                       "quadratic": []}}
+                                       "quadratic": []},
+            "tiny_gap_model": {"n": 1, "linear": [1e-105], "quadratic": [],
+                               "constant": 1e-100}}
     files = {"{xor}": xor_model_file,
              "{missing_dir_out}": str(tmp_path / "missing" / "out.json"),
              "{out_dir}": str(tmp_path / "runs")}
@@ -519,6 +580,9 @@ def two_sat(params):
                  "error: a level is not finite", id="hardness-level-minus-inf"),
     pytest.param(["hardness", "--model", "{overflowing_high_model}", "--csv"],
                  3, "error: a level is not finite", id="hardness-level-inf"),
+    # |E0| G^2 = 1e-310 puts HP past the float range
+    pytest.param(["hardness", "--model", "{tiny_gap_model}"], 3,
+                 "error: HP overflows a float", id="hardness-hp-inf"),
     # one input source per report: --presets does not ignore the others
     pytest.param(["report", "--presets", "missing.json"],
                  2, "error: give one of ", id="report-presets-and-file"),
@@ -557,6 +621,14 @@ def two_sat(params):
                  id="optimize-removed"),
     pytest.param(["report", "{string_result}"], 2,
                  "error: cannot load result ", id="result-string"),
+    pytest.param(["report", "{fractional_result}"], 2,
+                 "error: cannot load result ", id="result-fractional-d-opt"),
+    pytest.param(["report", "{no_hardness_result}"], 2,
+                 "error: cannot load result ", id="result-without-hardness"),
+    # the removed lifetime_us is an unknown key, as any other is
+    pytest.param(["anneal", "--model", "{xor}", "--config",
+                  "{lifetime_config}", "--duration", "2", "--steps", "20"],
+                 2, "error: cannot load config ", id="config-lifetime-removed"),
     # a JSON boolean is not a number: true would read as 1
     pytest.param(["anneal", "--model", "{xor}", "--config", "{bool_config}",
                   "--duration", "2", "--steps", "20"],
@@ -577,10 +649,9 @@ def two_sat(params):
                  "usage: rydqubo layout", id="layout-seed-negative"),
     pytest.param(["pipeline", "--preset", "xor_sat", "--seed", "-1"], 2,
                  "usage: rydqubo pipeline", id="pipeline-seed-negative"),
+    # removed: the model's constant sets the energy zero
     pytest.param(["hardness", "--model", "{xor}", "--energy-shift", "nan"], 2,
-                 "usage: rydqubo hardness", id="hardness-energy-shift-nan"),
-    pytest.param(["hardness", "--model", "{xor}", "--energy-shift", "inf"], 2,
-                 "usage: rydqubo hardness", id="hardness-energy-shift-inf"),
+                 "usage: rydqubo [-h]", id="hardness-energy-shift-nan"),
     pytest.param(["validate", "--model", "{xor}", "--layout", "{pair_layout}",
                   "--tol", "nan"], 2, "usage: rydqubo validate",
                  id="validate-tol-nan"),

@@ -121,10 +121,23 @@ def test_hardness_rejects_empty_ground_space():
         hardness_parameter(-1.0, 0, 0.5, 1.0)
 
 
+def test_hardness_refuses_an_hp_beyond_the_float_range():
+    """|E0| G^2 of 1e-310 gave HP = inf, and of 1e-350, which underflows to
+    0, a ZeroDivisionError."""
+    for e0, gap in ((1e-100, 1e-105), (1e-110, 1e-120)):
+        with pytest.raises(HardnessError, match="HP overflows a float"):
+            hardness_parameter(e0, 1, gap, 0.5)
+        with pytest.raises(HardnessError, match="HP overflows a float"):
+            analyze_model(QuboModel(1, (gap,), {}, e0))
+    assert hardness_parameter(1e-100, 1, 1e-100, 0.5)[0] == pytest.approx(5e299)
+
+
 def test_energy_shift_changes_normalization_only():
+    """The model's constant sets the energy zero that |E0| is measured
+    from."""
     q = preset_instance("xor_sat").model
     a = analyze_model(q)
-    b = analyze_model(q, energy_shift=-2.0)
+    b = analyze_model(type(q)(q.n, q.linear, q.quadratic, q.constant - 2.0))
     assert b.gap == a.gap and b.sigma == a.sigma
     assert b.e0 == pytest.approx(a.e0 - 2.0)
 

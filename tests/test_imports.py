@@ -1,6 +1,6 @@
 """Every import in the package, the tests and the demos is used
-(``__init__.py`` re-exports excepted), and only layouts and the pulse
-optimizer load scipy."""
+(``__init__.py`` re-exports excepted), every parameter in the package is
+read, and only layouts and the pulse optimizer load scipy."""
 
 import ast
 import os
@@ -52,6 +52,48 @@ def test_guard_flags_unused_and_accepts_used():
               "from typing import Sequence\n"
               "def f(x: 'Sequence') -> float:\n    return np.sqrt(x)\n")
     assert unused_imports(source) == [("math", 2)]
+
+
+def unused_parameters(source: str) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) for every parameter of a function or
+    lambda that no name in its body reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        used = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *filter(None, (a.vararg, a.kwarg))]
+        name = getattr(node, "name", "<lambda>")
+        found += [(name, arg.arg, node.lineno) for arg in params
+                  if arg.arg not in used]
+    return sorted(found)
+
+
+def test_parameter_guard_flags_unused_and_accepts_used():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    def g():\n        return a + c\n"
+              "    return g(*args)\n"
+              "h = lambda x, y=0: x\n")
+    assert unused_parameters(source) == [("<lambda>", "y", 5), ("f", "b", 1),
+                                         ("f", "kw", 1)]
+
+
+# (module, function, parameter) read by no code; default_schedule's enc
+# stays until the bench change of ROADMAP item 1, because
+# bench/workloads.py passes it positionally
+UNUSED_PARAMETERS_ALLOWED = {("pipeline.py", "default_schedule", "enc")}
+
+
+def test_package_has_no_unused_parameters():
+    found = {(path.name, function, param)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function, param, _ in unused_parameters(path.read_text())}
+    assert found == UNUSED_PARAMETERS_ALLOWED
 
 
 def test_package_has_no_unused_imports():

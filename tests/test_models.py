@@ -80,7 +80,8 @@ def test_spectrum_completeness_and_order(rng):
         assert table.counts.sum() == 1 << n
         energies = table.energies.tolist()
         assert energies == sorted(energies)
-        assert sorted(table.states.tolist()) == list(range(1 << n))
+        want = _reference_enumerate_spectrum(q)[0][1]
+        assert table.ground_states == tuple(sorted(want))
 
 
 def test_spectrum_degeneracy_grouping():
@@ -89,7 +90,6 @@ def test_spectrum_degeneracy_grouping():
     table = enumerate_spectrum(q)
     assert list(zip(table.energies.tolist(), table.counts.tolist())) == \
         [(0.0, 1), (1.0, 2), (2.0, 1)]
-    assert table.states.tolist() == [0, 1, 2, 3]
     assert table.ground_states == (0,)
     assert table.e_min == 0.0 and table.e_max == 2.0
 
@@ -111,19 +111,13 @@ def _reference_enumerate_spectrum(m):
     return [(energy, tuple(states)) for energy, states in levels]
 
 
-def _levels(table):
-    """[(energy, states), ...] of a SpectrumTable, split by its counts."""
-    bounds = np.cumsum(table.counts)[:-1]
-    return list(zip(table.energies.tolist(),
-                    (tuple(s.tolist()) for s in np.split(table.states, bounds))))
-
-
 def test_enumerate_spectrum_matches_reference(rng):
     for model in spectrum_cases(rng):
         table = enumerate_spectrum(model)
         want = _reference_enumerate_spectrum(model)
-        got = _levels(table)
-        assert [(e.hex(), s) for e, s in got] == [(e.hex(), s) for e, s in want]
+        got = zip(table.energies.tolist(), table.counts.tolist())
+        assert [(e.hex(), c) for e, c in got] == \
+            [(e.hex(), len(s)) for e, s in want]
         assert table.n == model.n
         assert table.ground_states == tuple(sorted(want[0][1]))
         assert table.e_min.hex() == want[0][0].hex()
@@ -149,7 +143,7 @@ def test_round_off_ties_share_one_level():
 
 def _stable_reference(m):
     """The stable argsort and the level rule, on the whole sorted array:
-    (level energies as .hex(), counts, states)."""
+    (level energies as .hex(), counts, states in stable order)."""
     e = m.energies()
     states = np.argsort(e, kind="stable")
     ordered = e[states]
@@ -165,7 +159,7 @@ def _assert_matches_stable_reference(m):
     energies, counts, states = _stable_reference(m)
     assert [x.hex() for x in table.energies.tolist()] == energies
     assert table.counts.dtype == counts.dtype and (table.counts == counts).all()
-    assert table.states.dtype == states.dtype and (table.states == states).all()
+    assert table.ground_states == tuple(np.sort(states[:counts[0]]).tolist())
 
 
 def test_spectrum_order_matches_stable_sort_beyond_eight_variables(rng):
@@ -183,7 +177,7 @@ def test_spectrum_order_zero_and_one_variable():
                   QuboModel(1, (2.0,), {}), QuboModel(1, (0.0,), {}, 3.0),
                   IsingModel(1, (-0.5,), {}, 0.25)):
         _assert_matches_stable_reference(model)
-    assert enumerate_spectrum(QuboModel(0, (), {}, -1.5)).states.tolist() == [0]
+    assert enumerate_spectrum(QuboModel(0, (), {}, -1.5)).ground_states == (0,)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -213,7 +207,7 @@ def test_level_tolerance_survives_an_overflowing_l1():
     table = enumerate_spectrum(model)
     assert table.energies.tolist() == [-1e308, 0.0, 1e308]
     assert table.counts.tolist() == [2, 4, 2]
-    assert table.states.tolist() == [2, 6, 0, 3, 4, 7, 1, 5]
+    assert table.ground_states == (2, 6)
     _assert_matches_stable_reference(model)
 
 
@@ -248,11 +242,12 @@ def test_spectrum_order_on_arbitrary_energy_arrays(monkeypatch):
         assert table.energies.tobytes() == e[first].tobytes()
 
 
-# SHA-256 over every spectrum's energies (.hex()), counts and states: the
-# seven presets in both conventions, then seeded float and integer QUBOs
-# with n = 0-16, as the stable argsort gave them before the key sort
+# SHA-256 over every spectrum's energies (.hex()), counts and ground
+# states: the seven presets in both conventions, then seeded float and
+# integer QUBOs with n = 0-16, as the table that kept every state in stable
+# order gave them
 SPECTRUM_SHA256 = (
-    "d3fb0ee6482c78158341db286f9b0b96f7dcd22984c6ff99b001d3f35b3ec9f8")
+    "eed34fc33f77793322f0f8e3961061ad06a06cf9f1cf8bb4b92c84e79616d565")
 
 
 def test_spectrum_bytes_pinned():
@@ -267,7 +262,7 @@ def test_spectrum_bytes_pinned():
         table = enumerate_spectrum(model)
         digest.update(" ".join(x.hex() for x in table.energies.tolist()).encode())
         digest.update(table.counts.tobytes())
-        digest.update(table.states.tobytes())
+        digest.update(np.array(table.ground_states, dtype=np.int64).tobytes())
     assert digest.hexdigest() == SPECTRUM_SHA256
 
 
@@ -288,6 +283,20 @@ def test_spectrum_memory_at_eighteen_variables():
         finally:
             tracemalloc.stop()
         assert peak <= STABLE_SORT_PEAK_BYTES[kind], (kind, peak)
+
+
+def test_spectrum_table_keeps_levels_not_states():
+    """The ties model of the n = 18 memory test has 2^18 states; its table
+    holds the levels and the ground states, far under 8 bytes a state."""
+    model = random_integer_qubo(np.random.default_rng(18), 18)
+    tracemalloc.start()
+    try:
+        table = enumerate_spectrum(model)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.counts.sum() == 1 << 18
+    assert kept < 2**19, kept
 
 
 @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
