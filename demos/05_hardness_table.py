@@ -6,13 +6,6 @@ HP = Sigma / (|E0| * D_opt * G^2). Instances whose degeneracy depends on
 penalty defaults are flagged rather than presented as pinned values.
 """
 
-from rydqubo import PRESET_NAMES, format_table, preset_instance, report_rows
+from rydqubo import format_table, preset_report_rows
 
-named = []
-for name in PRESET_NAMES:
-    preset = preset_instance(name)
-    note = ("" if preset.metadata["degeneracy_pinned"]
-            else "degeneracy depends on unpinned penalty defaults")
-    named.append((name, preset.model, note))
-
-print(format_table(report_rows(named)))
+print(format_table(preset_report_rows()))

@@ -21,5 +21,5 @@ from .problems import (PRESET_NAMES, ClusteringInstance, ProteinToyInstance,
                        build_two_sat, build_xor_sat, preset_instance,
                        shared_residue_exclusions)
 from .pipeline import (PipelineResult, RunManifest, default_schedule,
-                       encode_for_annealing, result_json, run_pipeline,
-                       trajectory_csv)
+                       encode_for_annealing, preset_report_rows, result_json,
+                       run_pipeline, trajectory_csv)

@@ -27,13 +27,13 @@ from .annealer import (AnnealerError, PropagationConfig, Schedule,
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
                        embed_layout, validate)
 from .hardness import (HardnessError, analyze_model, analyze_supplied,
-                       format_csv, format_table, format_value, report_row,
-                       report_rows)
+                       format_csv, format_table, format_value, report_row)
 from .models import (ModelError, _float, _int, enumerate_spectrum,
                      model_from_dict, state_bits)
 from .optimizer import AnnealObjective, StagePlan, initial_parameters
-from .pipeline import (default_schedule, encode_for_annealing, result_json,
-                       run_pipeline, trajectory_csv)
+from .pipeline import (default_schedule, encode_for_annealing,
+                       preset_report_rows, result_json, run_pipeline,
+                       trajectory_csv)
 from .problems import (PRESET_NAMES, ProblemError, build_from_params,
                        preset_instance)
 
@@ -313,13 +313,7 @@ def cmd_report(args) -> int:
         rows = _load_json(args.from_spectral, "spectral input",
                           lambda data: [_supplied_row(item) for item in data])
     elif args.presets:
-        named = []
-        for name in PRESET_NAMES:
-            preset = preset_instance(name)
-            note = ("" if preset.metadata.get("degeneracy_pinned")
-                    else "degeneracy depends on unpinned penalty defaults")
-            named.append((name, preset.model, note))
-        rows = report_rows(named)
+        rows = preset_report_rows()
     else:
         rows = [_load_json(path, "result",
                            functools.partial(_result_row, Path(path).stem))
@@ -407,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("anneal", help="propagate one schedule, emit trajectory")
     p.add_argument("--model", required=True)
-    p.add_argument("--schedule", help="schedule JSON file")
-    p.add_argument("--duration", type=positive_float, default=None)
+    pulse = p.add_mutually_exclusive_group()
+    pulse.add_argument("--schedule", help="schedule JSON file")
+    pulse.add_argument("--duration", type=positive_float, default=None)
     p.add_argument("--steps", type=positive_int, default=200)
     p.add_argument("--out")
     add_common(p, "--config", "--mode")

@@ -174,8 +174,9 @@ def rescale(t: EncodedTarget, limits: HardwareLimits) -> tuple[EncodedTarget, st
     """Uniform multiplicative shrink so detunings and distances are feasible.
 
     Returns the target and the limit that binds: "none", "delta_max" or
-    "r_min".  The scale factor leaves the ground set and the approximation
-    ratio unchanged.  Targets already within limits are returned as they are.
+    "r_min".  The factor leaves the ground set unchanged but not an anneal's
+    R, since the drive and duration stay fixed; ``delta_max`` bounds only the
+    final detunings.  Targets already within limits are returned as they are.
     """
     lam = 1.0
     binding = "none"
@@ -361,14 +362,12 @@ def validate(t: EncodedTarget, layout: AtomLayout, tol: float = 1e-3) -> Validat
     vmax = float(np.max(t.v))
     if vmax <= 0:
         raise NotEncodableError("target has no positive interaction to validate")
-    errs = np.abs(achieved - t.v) / vmax
-    np.fill_diagonal(errs, 0.0)
-    worst = np.unravel_index(np.argmax(errs), errs.shape)
     iu, ju = np.triu_indices(t.n, k=1)
-    pair_errs = errs[iu, ju]
+    pair_errs = np.abs(achieved[iu, ju] - t.v[iu, ju]) / vmax
+    worst = int(np.argmax(pair_errs))  # the first largest, or the first NaN
     unwanted = max([0.0, *pair_errs[t.v[iu, ju] == 0.0].tolist()])
     bad = ~(pair_errs <= tol)  # a NaN error offends too
     offending = tuple(zip(iu[bad].tolist(), ju[bad].tolist()))
-    return ValidationReport(float(errs[worst]),
-                            (int(min(worst)), int(max(worst))),
+    return ValidationReport(float(pair_errs[worst]),
+                            (int(iu[worst]), int(ju[worst])),
                             unwanted, offending, not offending)

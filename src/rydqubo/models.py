@@ -172,15 +172,15 @@ class SpectrumTable:
 
     ``energies`` are the levels in ascending order (each its first member's
     energy; ``enumerate_spectrum`` states the level rule), ``counts`` their
-    multiplicities and ``ground_states`` the ground level's bit patterns,
-    ascending (bit i of a pattern is x_i).  The level of an energy e is
-    ``np.searchsorted(energies, e, "right") - 1``.
+    multiplicities and ``ground_states`` the ground level's bit patterns as
+    an ascending int64 array (bit i of a pattern is x_i).  The level of an
+    energy e is ``np.searchsorted(energies, e, "right") - 1``.
     """
 
     n: int
     energies: np.ndarray
     counts: np.ndarray
-    ground_states: tuple[int, ...]
+    ground_states: np.ndarray
 
     @property
     def e_min(self) -> float:
@@ -245,8 +245,7 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
     del runs
     counts = np.append(starts[1:], index.size)
     counts -= starts
-    ground = tuple(np.sort(index[:counts[0]]).tolist())
-    return SpectrumTable(m.n, energies, counts, ground)
+    return SpectrumTable(m.n, energies, counts, np.sort(index[:counts[0]]))
 
 
 def model_from_dict(data: Mapping) -> QuboModel | IsingModel:

@@ -133,9 +133,6 @@ class _Tracker:
         self.limit = 0
         self.trace: list[float] = []
 
-    def set_budget(self, limit: int):
-        self.limit = self.count + limit
-
     def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
         """1 evaluation for the value, then 2P for the gradient; when fewer
         than 2P remain, the rest is charged and the budget is exceeded."""
@@ -188,7 +185,7 @@ def run_hybrid(objective: AnnealObjective, plan: StagePlan | None = None,
     stage_history: list[tuple[float, ...]] = []
     exhausted = False
     for stage in plan.stages:
-        tracker.set_budget(stage.max_evals)
+        tracker.limit = tracker.count + stage.max_evals
         mark = len(tracker.trace)
         try:
             minimize(tracker.value_and_gradient, params, jac=True, method="BFGS",

@@ -19,12 +19,12 @@ from .annealer import Schedule, Trajectory, _check_cap, ramp_depth
 from .encoding import (EncodedTarget, FrustratedModelError, HardwareLimits,
                        encode, gauge_fix, rescale)
 from .hardness import (HardnessError, analyze_spectrum, format_csv,
-                       report_row)
+                       report_row, report_rows)
 from .models import (IsingModel, QuboModel, SpectrumTable, as_ising,
                      enumerate_spectrum)
 from .optimizer import (AnnealObjective, OptimizationResult, StagePlan,
                         run_hybrid)
-from .problems import preset_instance
+from .problems import PRESET_NAMES, preset_instance
 
 TEMPLATE_MODES = 6  # Fourier coefficients per profile in the default template
 
@@ -60,7 +60,7 @@ class EncodingOutcome:
         """The source spectrum's ground states as encoded basis indices,
         ascending: the gauge flips map pattern x to x XOR flips."""
         mask = sum(bit << i for i, bit in enumerate(self.flips))
-        return np.sort(np.array(spectrum.ground_states) ^ mask)
+        return np.sort(spectrum.ground_states ^ mask)
 
 
 def encode_for_annealing(model: IsingModel | QuboModel,
@@ -107,7 +107,7 @@ class PipelineResult:
     spectrum: SpectrumTable        # of the source model
 
     @property
-    def ground_states(self) -> tuple[int, ...]:
+    def ground_states(self) -> np.ndarray:
         """Ground patterns of the source spectrum, in the source-model frame;
         the final F sums the same states, mapped through the gauge flips."""
         return self.spectrum.ground_states
@@ -139,6 +139,14 @@ def run_pipeline(model: IsingModel | QuboModel,
                            timestamp=datetime.datetime.now(
                                datetime.timezone.utc).isoformat())
     return PipelineResult(manifest, outcome, result, spectrum)
+
+
+def preset_report_rows() -> list[dict]:
+    """``report_rows`` over the built-in presets; a preset whose ground
+    degeneracy is not pinned says so in its note."""
+    return report_rows([(p.name, p.model, "" if p.metadata["degeneracy_pinned"]
+                         else "degeneracy depends on unpinned penalty defaults")
+                        for p in map(preset_instance, PRESET_NAMES)])
 
 
 def trajectory_csv(traj: Trajectory, enc: EncodedTarget) -> str:
@@ -185,6 +193,6 @@ def result_json(result: PipelineResult) -> dict:
         "evaluations": opt.evaluations,
         "budget_exhausted": opt.budget_exhausted,
         "seed": opt.seed,
-        "ground_states": [int(g) for g in result.ground_states],
+        "ground_states": result.ground_states.tolist(),
         "hardness": hardness,
     }

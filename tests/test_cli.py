@@ -532,6 +532,9 @@ def two_sat(params):
                  id="problem-no-source"),
     pytest.param(["anneal", "--model", "{xor}", "--duration", "-1"], 2,
                  "usage: rydqubo anneal", id="anneal-duration"),
+    pytest.param(["anneal", "--model", "{xor}", "--schedule", "{schedule}",
+                  "--duration", "50"], 2, "usage: rydqubo anneal",
+                 id="anneal-duration-with-schedule"),
     pytest.param(["anneal", "--model", "{n11}"], 5,
                  "error: propagation failed: ", id="anneal-over-cap"),
     # past the enumeration cap of 20 too, with or without --schedule: the
@@ -754,6 +757,22 @@ def test_anneal_default_drives_the_optimizer_start_pulse(capsys,
         format_value(e) for e in traj.energy.tolist()]
 
 
+def test_anneal_schedule_file_drives_the_anneal(capsys, input_files):
+    """``--schedule`` gives the pulse as it is read from the file."""
+    path = input_files["{schedule}"]
+    code, out, err = run(capsys, "anneal", "--model", input_files["{xor}"],
+                         "--schedule", path, "--steps", "20")
+    assert code == 0, err
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    model = preset_instance("xor_sat").model
+    enc = encode_for_annealing(model).target
+    schedule = Schedule.from_dict(json.loads(Path(path).read_text()))
+    _, traj = propagate(enc, schedule, PropagationConfig(initial_steps=20),
+                        ground_indices=source_optimum(model)["ground_indices"])
+    assert [row[header.index("E")] for row in rows] == [
+        format_value(e) for e in traj.energy.tolist()]
+
+
 def near_tie_file(tmp_path, d):
     """A QUBO whose two lowest patterns, 1 and 2, are d apart: the spectrum's
     level rule splits them at d = 1e-13 and ties them at d = 1e-14."""
@@ -773,7 +792,7 @@ def test_fidelity_counts_only_the_spectrum_ground_states(
     outcome = encode_for_annealing(model)
     enc = outcome.target
     assert outcome.flips == (0, 0, 0)
-    assert models.enumerate_spectrum(model).ground_states == (2,)
+    assert models.enumerate_spectrum(model).ground_states.tolist() == [2]
 
     def fidelities(schedule, steps):
         return [propagate(enc, schedule, PropagationConfig(steps),

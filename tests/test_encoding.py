@@ -306,6 +306,17 @@ def test_validate_flags_misplaced_atom():
     assert good.passed
 
 
+def test_validate_names_a_pair_on_an_exact_layout():
+    """Every error is 0, so the worst pair is the first pair, never an atom
+    paired with itself."""
+    v = C6_DEFAULT / 2.0**6
+    target = EncodedTarget(2, np.array([[0.0, v], [v, 0.0]]), np.zeros(2), 0.0)
+    report = validate(target, AtomLayout(np.array([[0.0, 0.0], [2.0, 0.0]])))
+    assert report.max_rel_error == 0.0
+    assert report.worst_pair == (0, 1)
+    assert report.passed
+
+
 def test_hardware_limits_validation():
     """Every field is read as a finite float: a boolean or a string is
     refused, as NaN and a value that is not positive are, and an int is

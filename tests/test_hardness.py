@@ -253,5 +253,5 @@ def test_hardness_is_metamorphic(source, key):
                 == (base.d_opt, base.threat_count, base.normalized_by_width))
         assert rep.sigma == pytest.approx(base.sigma, rel=1e-9)
         assert rep.hp * lam ** 3 == pytest.approx(base.hp, rel=1e-9)
-        assert mapped.ground_states == tuple(
-            sorted(map(relabel, spectrum.ground_states)))
+        assert mapped.ground_states.tolist() == sorted(
+            map(relabel, spectrum.ground_states.tolist()))

@@ -81,7 +81,7 @@ def test_spectrum_completeness_and_order(rng):
         energies = table.energies.tolist()
         assert energies == sorted(energies)
         want = _reference_enumerate_spectrum(q)[0][1]
-        assert table.ground_states == tuple(sorted(want))
+        assert table.ground_states.tolist() == sorted(want)
 
 
 def test_spectrum_degeneracy_grouping():
@@ -90,7 +90,7 @@ def test_spectrum_degeneracy_grouping():
     table = enumerate_spectrum(q)
     assert list(zip(table.energies.tolist(), table.counts.tolist())) == \
         [(0.0, 1), (1.0, 2), (2.0, 1)]
-    assert table.ground_states == (0,)
+    assert table.ground_states.tolist() == [0]
     assert table.e_min == 0.0 and table.e_max == 2.0
 
 
@@ -119,7 +119,7 @@ def test_enumerate_spectrum_matches_reference(rng):
         assert [(e.hex(), c) for e, c in got] == \
             [(e.hex(), len(s)) for e, s in want]
         assert table.n == model.n
-        assert table.ground_states == tuple(sorted(want[0][1]))
+        assert table.ground_states.tolist() == sorted(want[0][1])
         assert table.e_min.hex() == want[0][0].hex()
         assert table.e_max.hex() == want[-1][0].hex()
 
@@ -133,11 +133,11 @@ def test_round_off_ties_share_one_level():
         lam = 10.0 ** rng.uniform(3.0, 8.0)
         model = QuboModel(3, (lam * a, lam * b, lam * (a + b)),
                           {(0, 2): lam, (1, 2): lam})
-        assert enumerate_spectrum(model).ground_states == (3, 4)
+        assert enumerate_spectrum(model).ground_states.tolist() == [3, 4]
         assert analyze_model(model).d_opt == 2
     model = QuboModel(3, (-0.1, -0.2, -0.3), {(0, 2): 1.0, (1, 2): 1.0})
     assert model.energies()[3] != model.energies()[4]
-    assert enumerate_spectrum(model).ground_states == (3, 4)
+    assert enumerate_spectrum(model).ground_states.tolist() == [3, 4]
     assert analyze_model(model).d_opt == 2
 
 
@@ -159,7 +159,7 @@ def _assert_matches_stable_reference(m):
     energies, counts, states = _stable_reference(m)
     assert [x.hex() for x in table.energies.tolist()] == energies
     assert table.counts.dtype == counts.dtype and (table.counts == counts).all()
-    assert table.ground_states == tuple(np.sort(states[:counts[0]]).tolist())
+    assert table.ground_states.tolist() == np.sort(states[:counts[0]]).tolist()
 
 
 def test_spectrum_order_matches_stable_sort_beyond_eight_variables(rng):
@@ -177,7 +177,8 @@ def test_spectrum_order_zero_and_one_variable():
                   QuboModel(1, (2.0,), {}), QuboModel(1, (0.0,), {}, 3.0),
                   IsingModel(1, (-0.5,), {}, 0.25)):
         _assert_matches_stable_reference(model)
-    assert enumerate_spectrum(QuboModel(0, (), {}, -1.5)).ground_states == (0,)
+    table = enumerate_spectrum(QuboModel(0, (), {}, -1.5))
+    assert table.ground_states.tolist() == [0]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -207,7 +208,7 @@ def test_level_tolerance_survives_an_overflowing_l1():
     table = enumerate_spectrum(model)
     assert table.energies.tolist() == [-1e308, 0.0, 1e308]
     assert table.counts.tolist() == [2, 4, 2]
-    assert table.ground_states == (2, 6)
+    assert table.ground_states.tolist() == [2, 6]
     _assert_matches_stable_reference(model)
 
 
@@ -297,6 +298,22 @@ def test_spectrum_table_keeps_levels_not_states():
         tracemalloc.stop()
     assert table.counts.sum() == 1 << 18
     assert kept < 2**19, kept
+
+
+def test_ground_level_is_one_int64_array():
+    """Every pattern of a flat model at n = 20 is a ground state; the table
+    keeps them as one ascending int64 array, 8 bytes each, not as 2^20
+    Python ints."""
+    tracemalloc.start()
+    try:
+        table = enumerate_spectrum(QuboModel(20, (0.0,) * 20, {}))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ground = table.ground_states
+    assert isinstance(ground, np.ndarray) and ground.dtype == np.int64
+    assert np.array_equal(ground, np.arange(1 << 20))
+    assert kept < 9 * 2**20, kept
 
 
 @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
