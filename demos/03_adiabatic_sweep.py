@@ -1,8 +1,8 @@
 """Propagate a slow annealing sweep and watch the ground-state fidelity grow.
 
-A two-atom parity constraint is encoded, the global detuning ramps from
-negative to its final value over 100 us while a weak half-sine drive mixes
-the states; the final fidelity, the probability of the model's ground
+A two-atom parity constraint is encoded, each detuning ramps from the
+uniform term -s to its final value over 100 us while a weak half-sine drive
+mixes the states; the final fidelity, the probability of the model's ground
 states, exceeds 0.99 (adiabatic regime).
 """
 
@@ -13,7 +13,7 @@ model = IsingModel(2, (0.0, 0.0), {(0, 1): 0.5}, 0.5)
 enc = encode(model)  # no gauge flips: encoded index k is pattern k
 
 schedule = Schedule(t_total=100.0, delta_coeffs=(), omega_coeffs=(1.0,),
-                    delta0=-1.0, sample_count=11)
+                    sample_count=11)
 state, traj = propagate(enc, schedule,
                         ground_indices=enumerate_spectrum(model).ground_states)
 

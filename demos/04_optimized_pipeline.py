@@ -1,7 +1,7 @@
 """Full pipeline: build, encode, optimize the pulse shapes, and report R.
 
 The optimizer runs BFGS on the exact adjoint gradient of the final-time
-energy (the default plan is one stage of 800 evaluations) and tunes the
+energy (the default plan is one stage of 32 objective calls) and tunes the
 detuning and drive coefficients to maximize the final-time solution quality
 R = (C_max - C_obt) / (C_max - C_opt).
 """

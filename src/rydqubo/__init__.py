@@ -1,6 +1,6 @@
 """QUBO problems on a simulated Rydberg annealer with local light shifts."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .models import (IsingModel, QuboModel, SpectrumTable, as_ising, as_qubo,
                      enumerate_spectrum, ising_to_qubo, qubo_to_ising,

@@ -1,15 +1,15 @@
 """Time-dependent Rydberg Hamiltonian and exact state-vector propagation.
 
 Every detuning is Delta_j(t) = Delta_G(t) Delta_j(T) - s (1 - t/T), with s
-the target's energy scale (``ramp_depth``); Delta_G(T) = 1 and
-Omega(0) = Omega(T) = 0 hold exactly by construction of the pulse basis.
+the target's energy scale (``ramp_depth``); Delta_G(0) = 0, Delta_G(T) = 1
+and Omega(0) = Omega(T) = 0 hold exactly by construction of the pulse basis.
 So H(T) is the target, and H(t)'s diagonal is v_part - Delta_G(t)
 delta_part + s (1 - t/T) count, with count(x) the excited atoms of x.  An
-anneal given no start state begins at |0..0>, as on hardware.  At the
-default Delta_G(0) = 0, H(0)'s diagonal is V(x) + s count(x): on a
-repulsive target (V >= 0, as every gauge-fixable or physical-mode model is)
-|0..0> is its unique minimum.  A frustrated ideal-mode target keeps a
-negative V, can put another state lower, and starts at |0..0> all the same.
+anneal given no start state begins at |0..0>, as on hardware.  H(0)'s
+diagonal is V(x) + s count(x): on a repulsive target (V >= 0, as every
+gauge-fixable or physical-mode model is) |0..0> is its unique minimum.  A
+frustrated ideal-mode target keeps a negative V, can put another state
+lower, and starts at |0..0> all the same.
 
 The anneal runs in the start state's symmetry subspace.  Colour refinement
 finds the coarsest partition of the 2^n basis states into cells on which
@@ -85,15 +85,14 @@ class ScheduleLimitError(ValueError):
 class Schedule:
     """Pulse profiles over [0, T] in the one Fourier basis.
 
-    Delta_G(t) = delta0*(1 - t/T) + t/T + sum_n a_n sin(n pi t/T) and
+    Delta_G(t) = t/T + sum_n a_n sin(n pi t/T) and
     Omega(t) = sum_n b_n sin(n pi t/T), clipped to |Omega| <= omega_max.
-    At the default delta0 = 0, H(0)'s detunings are the uniform term alone.
+    So Delta_G(0) = 0, and H(0)'s detunings are the uniform term alone.
     """
 
     t_total: float
     delta_coeffs: tuple[float, ...]
     omega_coeffs: tuple[float, ...]
-    delta0: float = 0.0
     omega_max: float = HardwareLimits.omega_max
     sample_count: int = 201
 
@@ -102,7 +101,6 @@ class Schedule:
             raise ValueError("protocol duration must be positive")
         if not _float(self.omega_max) > 0:
             raise ValueError("omega_max must be positive")
-        _float(self.delta0)  # refuses a string or a non-finite value
         object.__setattr__(self, "sample_count", _int(self.sample_count))
         if self.sample_count < 2:
             raise ValueError("sample_count must be at least 2")
@@ -127,7 +125,7 @@ class Schedule:
     def _mode_sums(self, tau, sines) -> tuple[np.ndarray, ...]:
         """(Delta_G, Omega, 1 - t/T), the controls H is affine in, at the
         times of a ``sine_table``, from that table."""
-        delta_g = self.delta0 * (1.0 - tau) + tau
+        delta_g = tau
         for k, a in enumerate(self.delta_coeffs):
             delta_g = delta_g + a * sines[..., k]
         omega = np.zeros_like(tau)
@@ -148,7 +146,7 @@ class Schedule:
 
     def to_dict(self) -> dict:
         return {"T_us": self.t_total, "basis": "fourier",
-                "delta": {"coeffs": list(self.delta_coeffs), "delta0": self.delta0},
+                "delta": {"coeffs": list(self.delta_coeffs)},
                 "omega": {"coeffs": list(self.omega_coeffs),
                           "omega_max": self.omega_max},
                 "sample_count": self.sample_count}
@@ -157,10 +155,13 @@ class Schedule:
     def from_dict(data: dict) -> "Schedule":
         if data.get("basis", "fourier") != "fourier":
             raise ValueError(f"unknown basis {data['basis']!r}")
+        # Delta_G(0) is 0 by construction: a file that sets another value
+        # is refused, not run at 0
+        if _float(data["delta"].get("delta0", 0.0)) != 0.0:
+            raise ValueError("delta.delta0 must be 0: Delta_G(0) is fixed at 0")
         return Schedule(_float(data["T_us"]),
                         tuple(data["delta"]["coeffs"]),
                         tuple(data["omega"]["coeffs"]),
-                        _float(data["delta"].get("delta0", Schedule.delta0)),
                         _float(data["omega"].get("omega_max", Schedule.omega_max)),
                         _int(data.get("sample_count", Schedule.sample_count)))
 

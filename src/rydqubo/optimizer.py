@@ -3,10 +3,9 @@
 The objective is the final-time expectation of the encoded target
 Hamiltonian.  Each stage runs BFGS on the objective's value and its exact
 adjoint gradient (``annealer.energy_gradient``), restarted at the incumbent;
-the default plan is one stage of 800 evaluations.  A stage budget counts
-objective evaluations: a value is 1, a gradient 2P for P coefficients, the
-central-difference probes it replaces.  Identical (target, plan, seed) inputs
-reproduce bit-identical results.
+the default plan is one stage of 32 evaluations.  An evaluation is one
+objective call, which returns the value and the exact gradient.  Identical
+(target, plan, seed) inputs reproduce bit-identical results.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class StagePlan:
 
     @staticmethod
     def default() -> "StagePlan":
-        return StagePlan((Stage("gradient", 800),))
+        return StagePlan((Stage("gradient", 32),))
 
     def to_dict(self) -> dict:
         return {"stages": [{"kind": s.kind, "max_evals": s.max_evals,
@@ -120,9 +119,9 @@ class _BudgetExceeded(Exception):
 
 
 class _Tracker:
-    """Wraps an objective: counts evaluations, tracks the incumbent, enforces budgets.
+    """Wraps an objective: counts calls, tracks the incumbent, enforces budgets.
 
-    The trace gets one best-so-far entry per charged evaluation.
+    The trace gets one best-so-far entry per call.
     """
 
     def __init__(self, fn: AnnealObjective):
@@ -134,19 +133,14 @@ class _Tracker:
         self.trace: list[float] = []
 
     def value_and_gradient(self, params: np.ndarray) -> tuple[float, np.ndarray]:
-        """1 evaluation for the value, then 2P for the gradient; when fewer
-        than 2P remain, the rest is charged and the budget is exceeded."""
         if self.count >= self.limit:
             raise _BudgetExceeded
         e, grad = self.fn.value_and_gradient(params)
         if e < self.best_e:
             self.best_e = e
             self.best_params = np.asarray(params, dtype=float).copy()
-        charged = min(1 + 2 * grad.size, self.limit - self.count)
-        self.count += charged
-        self.trace.extend([self.best_e] * charged)
-        if charged < 1 + 2 * grad.size:
-            raise _BudgetExceeded
+        self.count += 1
+        self.trace.append(self.best_e)
         return e, grad
 
 
@@ -155,9 +149,9 @@ def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
 
     Seeds other than 0 add a small deterministic perturbation so repeated
     runs can restart from distinct points: 5 % of omega_max on the Omega
-    coefficients, and 5 % of |1 - delta0|, the span of Delta_G's own linear
-    ramp (1 at the default delta0 = 0), on the Delta_G coefficients.  The
-    uniform detuning term has no coefficient and no noise.
+    coefficients, and 0.05 on the Delta_G coefficients, 5 % of Delta_G's own
+    linear ramp from 0 to 1.  The uniform detuning term has no coefficient
+    and no noise.
     """
     n_delta = len(template.delta_coeffs)
     p = np.zeros(n_delta + len(template.omega_coeffs))
@@ -165,7 +159,7 @@ def initial_parameters(template: Schedule, seed: int = 0) -> np.ndarray:
         p[n_delta] = 0.1 * template.omega_max
     if seed != 0:
         scale = np.full(p.size, 0.05 * template.omega_max)
-        scale[:n_delta] = 0.05 * abs(1.0 - template.delta0)
+        scale[:n_delta] = 0.05
         p += np.random.default_rng(seed).normal(scale=scale)
     return p
 

@@ -89,9 +89,9 @@ def default_schedule(preset_name: str | None, enc: EncodedTarget,
                      t_total: float | None = None,
                      limits: HardwareLimits | None = None) -> Schedule:
     """The optimizer's template over ``t_total``, else the preset's
-    duration (60 us without one): zero coefficients, the default Delta_G(0)
-    and the limits' omega_max.  Every anneal starts at |0..0>, so ``enc`` is
-    not read; nothing is clipped to ``t_max`` (see ``Schedule.within``)."""
+    duration (60 us without one): zero coefficients and the limits'
+    omega_max.  Every anneal starts at |0..0>, so ``enc`` is not read;
+    nothing is clipped to ``t_max`` (see ``Schedule.within``)."""
     if t_total is None:
         meta = preset_instance(preset_name).metadata if preset_name else {}
         t_total = float(meta.get("duration_us", 60.0))

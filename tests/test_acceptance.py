@@ -127,7 +127,7 @@ def test_criterion_5_propagator_physics():
     assert diag_traj.norm_error < 1e-9
 
     # adiabatic ramp on the XOR-pair encoding
-    _, adiab = propagate(enc2, Schedule(100.0, (), (1.0,), delta0=-1.0),
+    _, adiab = propagate(enc2, Schedule(100.0, (), (1.0,)),
                          ground_indices=[1, 2])
     assert adiab.fidelity[-1] > 0.99
     assert adiab.norm_error < 1e-9
@@ -153,23 +153,23 @@ def test_criterion_6_end_to_end_quality(name):
            f"{THRESHOLDS[name]} in {elapsed:.0f}s")
 
 
-# runs whose BFGS stage meets its gradient tolerance before the 800-evaluation
+# runs whose BFGS stage meets its gradient tolerance before the 32-evaluation
 # budget is spent, with the evaluations they take
-EARLY_STOPS = {("xor_sat", 1): 750}
+EARLY_STOPS = {("xor_sat", 1): 30}
 
 
 @pytest.mark.parametrize("name, seed", [(name, seed) for name in THRESHOLDS
                                         for seed in (1, 2)])
 def test_criterion_6_holds_at_other_optimizer_seeds(name, seed):
-    """The seeded start noise is scaled per block (|1 - Delta_G(0)| for the
-    Delta_G coefficients, omega_max for Omega), so a seeded start stays a
+    """The seeded start noise is scaled per block (0.05 for the Delta_G
+    coefficients, 5 % of omega_max for Omega), so a seeded start stays a
     pulse whose final adaptive propagation converges and whose R meets the
     threshold, on every preset from |0..0>.  The fourth-order final
     propagation keeps protein at seed 1 to seconds (its midpoint-rule
     propagation took about 160 s)."""
     result = run_pipeline(preset_instance(name).model, name,
                           preset_name=name, seed=seed)
-    assert result.optimization.evaluations == EARLY_STOPS.get((name, seed), 800)
+    assert result.optimization.evaluations == EARLY_STOPS.get((name, seed), 32)
     assert result.optimization.budget_exhausted == (
         (name, seed) not in EARLY_STOPS)
     assert result.optimization.ratio >= THRESHOLDS[name], (

@@ -32,9 +32,9 @@ def single_atom(delta=0.0):
 # --- schedules ---------------------------------------------------------------
 
 def test_schedule_boundary_conditions():
-    s = Schedule(10.0, (0.3, -0.2, 0.1), (1.0, 0.5), delta0=-1.0)
+    s = Schedule(10.0, (0.3, -0.2, 0.1), (1.0, 0.5))
     delta_g, omega = s.profiles(np.array([0.0, 10.0]))
-    np.testing.assert_allclose(delta_g, [-1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(delta_g, [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(omega, [0.0, 0.0], atol=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_schedule_refuses_non_finite_and_string_numbers():
     cause."""
     for bad in (float("nan"), float("inf"), "0.5"):
         for kwargs in ({"delta_coeffs": (0.1, bad)}, {"omega_coeffs": (bad,)},
-                       {"delta0": bad}, {"t_total": bad},
+                       {"t_total": bad},
                        {"omega_max": bad}, {"sample_count": bad}):
             with pytest.raises(ValueError):
                 Schedule(**{"t_total": 2.0, "delta_coeffs": (),
@@ -100,8 +100,7 @@ def test_schedule_refuses_non_finite_and_string_numbers():
 
 
 def test_schedule_json_round_trip():
-    s = Schedule(25.0, (0.1, 0.2), (0.3,), delta0=-2.0, omega_max=7.0,
-                 sample_count=101)
+    s = Schedule(25.0, (0.1, 0.2), (0.3,), omega_max=7.0, sample_count=101)
     data = s.to_dict()
     assert data["basis"] == "fourier"
     assert Schedule.from_dict(data) == s
@@ -109,10 +108,25 @@ def test_schedule_json_round_trip():
     assert Schedule.from_dict(data) == s
 
 
+def test_schedule_refuses_a_nonzero_delta0():
+    """Files written while Delta_G(0) was a setting carry delta.delta0: 0
+    loads, and any other value is refused rather than run at 0."""
+    s = Schedule(25.0, (0.1, 0.2), (0.3,))
+    data = s.to_dict()
+    assert "delta0" not in data["delta"]
+    for zero in (0.0, -0.0, 0):
+        data["delta"]["delta0"] = zero
+        assert Schedule.from_dict(data) == s
+    for bad in (-1.0, 2.0, 1e-300, float("nan"), "0"):
+        data["delta"]["delta0"] = bad
+        with pytest.raises(ValueError, match="delta0|expected a"):
+            Schedule.from_dict(data)
+
+
 def _reference_profiles(schedule, t):
     """The per-mode loops ``profiles`` replaced, one per profile."""
     tau = np.clip(np.asarray(t, dtype=float), 0.0, schedule.t_total) / schedule.t_total
-    delta_g = schedule.delta0 * (1.0 - tau) + tau
+    delta_g = tau
     for k, a in enumerate(schedule.delta_coeffs, start=1):
         delta_g = delta_g + a * np.sin(k * math.pi * tau)
     omega = np.zeros_like(tau)
@@ -132,7 +146,6 @@ def test_schedule_profiles_match_reference():
         t_total = float(rng.uniform(0.5, 120.0))
         sched = Schedule(t_total, rng.normal(scale=0.7, size=n_delta),
                          rng.normal(scale=8.0, size=n_omega),
-                         delta0=float(rng.uniform(-4.0, 4.0)),
                          omega_max=float(rng.uniform(1.0, 40.0)))
         n_steps = int(rng.integers(1, 3000))
         t_grid = np.linspace(0.0, t_total, n_steps + 1)
@@ -144,7 +157,7 @@ def test_schedule_profiles_match_reference():
                 assert (got == want).all(), (case, n_delta, n_omega)
                 assert (np.signbit(got) == np.signbit(want)).all()  # -0.0 prints "-0"
         delta_g, omega = sched.profiles(0.0)
-        assert delta_g == sched.delta0 and omega == 0.0
+        assert delta_g == 0.0 and omega == 0.0
     # the draws cover empty and unequal coefficient lists
     assert any(0 in c for c in counts) and any(a != b for a, b in counts)
 
@@ -202,8 +215,8 @@ def test_quotient_is_exact(name):
 # --- initial state -----------------------------------------------------------
 
 def _sweep_start_diagonal(enc):
-    """(quotient of |0..0>, H(0)'s diagonal on its cells) at the default
-    Delta_G(0), from the controls and the quotient the sweep reads."""
+    """(quotient of |0..0>, H(0)'s diagonal on its cells), from the controls
+    and the quotient the sweep reads."""
     q = _quotient(enc, _start_state(enc.n))
     sched = Schedule(1.0, (), ())
     delta_g, _, ramp = sched._mode_sums(*sched.sine_table(0.0))
@@ -211,7 +224,7 @@ def _sweep_start_diagonal(enc):
 
 
 def test_initial_state_unique_minimum(rng):
-    """At the default Delta_G(0) = 0, H(0)'s diagonal is V(x) + s count(x):
+    """As Delta_G(0) = 0, H(0)'s diagonal is V(x) + s count(x):
     |0..0> is its unique minimum, alone in its cell and at least s below
     every other state, on every preset and on seeded random repulsive
     targets."""
@@ -296,7 +309,7 @@ def test_diagonal_evolution_preserves_populations(rng):
 
 def test_adiabatic_xor_pair_reaches_high_fidelity():
     enc = xor_pair_target()
-    sched = Schedule(100.0, (), (1.0,), delta0=-1.0)
+    sched = Schedule(100.0, (), (1.0,))
     psi, traj = propagate(enc, sched, ground_indices=[1, 2])
     assert traj.fidelity[-1] > 0.99
     assert traj.norm_error < 1e-9
@@ -329,7 +342,7 @@ def test_trajectory_samples_cover_schedule():
 def test_propagation_on_preset_encodings():
     for name in ("two_sat", "set_packing"):
         enc, ground = preset_run(name)
-        sched = Schedule(5.0, (), (1.0,), delta0=-1.0, sample_count=11)
+        sched = Schedule(5.0, (), (1.0,), sample_count=11)
         psi0 = np.zeros(1 << enc.n, dtype=complex)
         psi0[0] = 1.0
         psi, traj = propagate(enc, sched, ground_indices=ground, psi0=psi0)

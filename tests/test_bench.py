@@ -64,7 +64,7 @@ def test_tracer_spans_the_optimizer_stage():
         enc = encode_for_annealing(model).target
         rydqubo.run_hybrid(AnnealObjective(enc, default_schedule("xor_sat", enc),
                                            initial_steps=40),
-                           StagePlan((Stage("gradient", 10),)),
+                           StagePlan((Stage("gradient", 1),)),
                            **source_optimum(model))
     finally:
         undo()

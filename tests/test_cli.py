@@ -157,7 +157,7 @@ def test_anneal_trajectory(capsys, xor_model_file, tmp_path):
 def test_pipeline_threshold_exit_4(capsys, tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(
-        {"stages": [{"kind": "gradient", "max_evals": 5}]}))
+        {"stages": [{"kind": "gradient", "max_evals": 1}]}))
     code, out, _ = run(capsys, "pipeline", "--preset", "xor_sat",
                        "--plan", str(plan), "--threshold", "1.01",
                        "--out-dir", str(tmp_path))
@@ -329,8 +329,9 @@ def input_files(tmp_path, xor_model_file):
     model whose encoding overflows, two whose lowest or highest energy
     overflows and one whose HP overflows; a config whose t_max is 10 and one that sets the removed
     lifetime_us, schedules whose T_us or omega_max exceed the default
-    limits, layouts whose C6 is 0 or -1, a result file without its hardness
-    row; an output path in a missing directory, and an output directory."""
+    limits, a schedule that sets a Delta_G(0) other than 0, layouts whose C6
+    is 0 or -1, a result file without its hardness row; an output path in a
+    missing directory, and an output directory."""
     nan, schedule = float("nan"), {"T_us": 2.0, "delta": {"coeffs": [0.5]},
                                    "omega": {"coeffs": [1.0]}}
     gradient = {"kind": "gradient", "max_evals": 1}
@@ -394,6 +395,8 @@ def input_files(tmp_path, xor_model_file):
             "long_schedule": {**schedule, "T_us": 500},
             "strong_schedule": {**schedule, "omega": {"coeffs": [1.0],
                                                       "omega_max": 1000}},
+            "delta0_schedule": {**schedule, "delta": {"coeffs": [0.5],
+                                                      "delta0": -1.0}},
             "zero_c6_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]],
                                "C6": 0},
             "negative_c6_layout": {"positions_um": [[0.0, 0.0], [10.0, 0.0]],
@@ -561,6 +564,9 @@ def two_sat(params):
     pytest.param(["anneal", "--model", "{xor}",
                   "--schedule", "{spline_schedule}"],
                  2, "error: cannot load schedule ", id="schedule-spline-basis"),
+    pytest.param(["anneal", "--model", "{xor}",
+                  "--schedule", "{delta0_schedule}"],
+                 2, "error: cannot load schedule ", id="schedule-nonzero-delta0"),
     pytest.param(["problem", "--preset", "xor_sat", "--out",
                   "{missing_dir_out}"],
                  2, "error: cannot write ", id="out-unwritable"),
@@ -843,10 +849,10 @@ def test_one_ground_set_across_commands(capsys, short_run_files, tmp_path):
 
 @pytest.fixture
 def short_run_files(tmp_path):
-    """(plan, schedule) files of a two-evaluation run over 2 us."""
+    """(plan, schedule) files of a one-evaluation run over 2 us."""
     plan, schedule = tmp_path / "plan.json", tmp_path / "schedule.json"
     plan.write_text(json.dumps(
-        {"stages": [{"kind": "gradient", "max_evals": 2}]}))
+        {"stages": [{"kind": "gradient", "max_evals": 1}]}))
     schedule.write_text(json.dumps(
         {"T_us": 2.0, "delta": {"coeffs": [0.0]}, "omega": {"coeffs": [1.0]},
          "sample_count": 11}))

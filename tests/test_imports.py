@@ -135,10 +135,10 @@ outcome, spectrum = encode_for_annealing(model), enumerate_spectrum(model)
 enc = outcome.target
 res = run_hybrid(AnnealObjective(enc, default_schedule("xor_sat", enc),
                                  initial_steps=40),
-                 StagePlan((Stage("gradient", 10),)),
+                 StagePlan((Stage("gradient", 1),)),
                  ground_indices=outcome.ground_indices(spectrum),
                  c_opt=spectrum.e_min, c_max=spectrum.e_max)
-assert res.evaluations == 10 and "scipy.optimize" in sys.modules
+assert res.evaluations == 1 and "scipy.optimize" in sys.modules
 assert embed_layout(enc)[0].n == enc.n
 """
 

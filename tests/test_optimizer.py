@@ -67,7 +67,7 @@ def test_stage_plan_round_trip():
 def test_default_plan_budgets():
     plan = StagePlan.default()
     assert [s.kind for s in plan.stages] == ["gradient"]
-    assert [s.max_evals for s in plan.stages] == [800]
+    assert [s.max_evals for s in plan.stages] == [32]
 
 
 def test_approximation_ratio():
@@ -87,11 +87,17 @@ def test_initial_parameters_deterministic():
     p5b = initial_parameters(template, seed=5)
     np.testing.assert_allclose(p5a, p5b)
     assert not np.allclose(p5a, p0)
-    # the Delta_G noise scales with the ramp span |1 - delta0|, Omega's with
-    # omega_max: a flat ramp gets none
-    flat = initial_parameters(replace(template, delta0=1.0), seed=5)
-    assert (flat[:2] == 0).all()
-    assert (flat[2:] == p5a[2:]).all()
+    # the noise is scaled per block: 0.05, 5 % of Delta_G's ramp span 1, on
+    # the Delta_G coefficients, and 5 % of omega_max on Omega's
+    z = np.random.default_rng(5).normal(size=4)
+    np.testing.assert_allclose(p5a - p0, 0.05 * z * [1.0, 1.0, template.omega_max,
+                                                     template.omega_max],
+                               rtol=1e-12, atol=1e-15)
+    wide = initial_parameters(replace(template, omega_max=2 * template.omega_max),
+                              seed=5)
+    assert (wide[:2] == p5a[:2]).all()
+    np.testing.assert_allclose(wide[2:] - 2 * p0[2:], 2 * (p5a[2:] - p0[2:]),
+                               rtol=1e-12)
 
 
 # --- gradients ---------------------------------------------------------------
@@ -183,7 +189,7 @@ def test_objective_starts_where_propagate_does(source):
 # --- hybrid loop -------------------------------------------------------------
 
 def quick_plan():
-    return StagePlan((Stage("gradient", 50), Stage("gradient", 40)))
+    return StagePlan((Stage("gradient", 6), Stage("gradient", 5)))
 
 
 def test_run_hybrid_improves_and_respects_budget():
@@ -200,7 +206,7 @@ def test_run_hybrid_improves_and_respects_budget():
 
 
 def test_run_hybrid_deterministic():
-    plan = StagePlan((Stage("gradient", 20), Stage("gradient", 20)))
+    plan = StagePlan((Stage("gradient", 3), Stage("gradient", 3)))
     a, b = (run_hybrid(small_objective(), plan, seed=3, **XOR_PAIR_OPTIMUM)
             for _ in range(2))
     np.testing.assert_array_equal(a.params, b.params)
@@ -208,14 +214,22 @@ def test_run_hybrid_deterministic():
     assert a.evaluations == b.evaluations
 
 
-def test_gradient_stage_charges_probes_until_the_budget_is_spent():
-    """A value costs 1 evaluation and a gradient 2P = 8: three points and
-    a fourth value leave 2 of 30, which the fourth gradient spends."""
-    res = run_hybrid(small_objective(), StagePlan((Stage("gradient", 30),)),
+def test_gradient_stage_budget_counts_objective_calls(monkeypatch):
+    """A budget of k evaluations is k objective calls, each returning the
+    value and the exact gradient, with one trace entry per call."""
+    calls = []
+    real = AnnealObjective.value_and_gradient
+
+    def counting(self, params):
+        calls.append(1)
+        return real(self, params)
+
+    monkeypatch.setattr(AnnealObjective, "value_and_gradient", counting)
+    res = run_hybrid(small_objective(), StagePlan((Stage("gradient", 4),)),
                      **XOR_PAIR_OPTIMUM)
-    assert res.evaluations == 30
+    assert len(calls) == res.evaluations == 4
     assert res.budget_exhausted
-    assert len(res.stage_history[0]) == 30
+    assert len(res.stage_history[0]) == 4
 
 
 @pytest.mark.parametrize("name", ["two_sat", "qap", "clustering"])
@@ -223,8 +237,8 @@ def test_default_plan_spends_every_evaluation(name):
     """The solve benchmark fails a run whose BFGS stage stops early."""
     res = run_hybrid(preset_objective(name),
                      **source_optimum(preset_instance(name).model))
-    assert res.evaluations == 800
-    assert [len(stage) for stage in res.stage_history] == [800]
+    assert res.evaluations == 32
+    assert [len(stage) for stage in res.stage_history] == [32]
 
 
 def test_run_hybrid_reports_source_cost():

@@ -21,7 +21,7 @@ from conftest import random_integer_qubo, random_qubo, start_diagonal
 
 
 def tiny_plan():
-    return StagePlan((Stage("gradient", 40),))
+    return StagePlan((Stage("gradient", 2),))
 
 
 def test_encode_for_annealing_direct():
@@ -147,16 +147,15 @@ def test_encode_for_annealing_equals_three_call_path():
 
 
 def test_default_schedule_avoids_degenerate_start():
-    """The template is the same for every target: the preset's duration,
-    Delta_G(0) at the Schedule default of 0 and zero coefficients.  Under
-    it |0..0> is the unique minimum of H(0)'s diagonal on every preset."""
+    """The template is the same for every target: the preset's duration and
+    zero coefficients, so Delta_G(0) = 0.  Under it |0..0> is the unique
+    minimum of H(0)'s diagonal on every preset."""
     for name in PRESET_NAMES:
         outcome = encode_for_annealing(as_ising(preset_instance(name).model))
         sched = default_schedule(name, outcome.target)
         zeros = (0.0,) * TEMPLATE_MODES
         assert sched == Schedule(
             preset_instance(name).metadata["duration_us"], zeros, zeros)
-        assert sched.delta0 == Schedule.delta0 == 0.0
         assert sched.profiles(0.0)[0] == 0.0
         assert sched.profiles(sched.t_total)[0] == pytest.approx(1.0)
         diag = start_diagonal(outcome.target, sched)
@@ -177,13 +176,13 @@ def test_manifest_hash_stable_and_timestamp_free():
 def test_default_manifest_hash_pinned():
     """Schedules write ``"basis": "fourier"``, so manifest hashes of recorded
     runs stay valid; this pins the default two_sat manifest, which also
-    hashes the template's Delta_G(0) (0), the default plan (one
-    800-evaluation BFGS stage) and ``rydqubo.__version__`` (0.11.0)."""
+    hashes the default plan (one 32-evaluation BFGS stage) and
+    ``rydqubo.__version__`` (0.12.0)."""
     enc = encode_for_annealing(as_ising(preset_instance("two_sat").model)).target
     manifest = RunManifest("two_sat", "ideal",
                            default_schedule("two_sat", enc).to_dict(),
                            StagePlan.default().to_dict(), 0)
-    assert manifest.hash() == "f90dae47d6e69d8d"
+    assert manifest.hash() == "14e44d7cc391aee5"
 
 
 def test_version_has_one_owner():
@@ -226,10 +225,10 @@ def test_run_pipeline_ground_states_in_source_frame():
 
 
 def test_run_pipeline_respects_custom_schedule():
-    sched = Schedule(12.0, (0.0, 0.0), (0.0, 0.0), delta0=-1.0,
-                     sample_count=25)
+    sched = Schedule(12.0, (0.0, 0.0), (0.0, 0.0), sample_count=25)
     result = run_pipeline(preset_instance("xor_sat").model, "xor_sat",
-                          plan=tiny_plan(), schedule=sched)
+                          plan=StagePlan((Stage("gradient", 5),)),
+                          schedule=sched)
     assert result.optimization.schedule.t_total == 12.0
     assert len(result.optimization.params) == 4
 
@@ -244,7 +243,7 @@ def test_run_pipeline_propagates_final_pulse_once(monkeypatch):
 
     monkeypatch.setattr(rydqubo.optimizer, "propagate", counting)
     result = run_pipeline(preset_instance("xor_sat").model, "xor_sat",
-                          plan=StagePlan((Stage("gradient", 3),)),
+                          plan=StagePlan((Stage("gradient", 1),)),
                           schedule=Schedule(2.0, (0.0,), (1.0,),
                                             sample_count=11))
     assert calls == [200]
