@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .annealer import (AnnealerError, PropagationConfig, Schedule,
                        ScheduleLimitError, _check_cap, propagate)
 from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
@@ -29,7 +31,7 @@ from .encoding import (AtomLayout, HardwareLimits, NotEncodableError,
 from .hardness import (HardnessError, analyze_model, analyze_supplied,
                        format_csv, format_table, format_value, report_row)
 from .models import (ModelError, _float, _int, enumerate_spectrum,
-                     model_from_dict, state_bits)
+                     model_from_dict)
 from .optimizer import AnnealObjective, StagePlan, initial_parameters
 from .pipeline import (default_schedule, encode_for_annealing,
                        preset_report_rows, result_json, run_pipeline,
@@ -156,11 +158,14 @@ def cmd_spectrum(args) -> int:
     print("energy,multiplicity")
     for energy, count in zip(table.energies.tolist(), table.counts.tolist()):
         print(f"{format_value(energy)},{count}")
-    grounds = [''.join(map(str, state_bits(s, model.n)))
-               for s in table.ground_states]
+    ground = table.ground_states
+    # one row per ground state: its bits x_0 .. x_{n-1} as ASCII, then a space
+    text = np.full((ground.size, model.n + 1), ord(" "), np.uint8)
+    for i in range(model.n):
+        text[:, i] = ord("0") + ((ground >> i) & 1)
     print(f"# C_opt={format_value(table.e_min)} "
           f"C_max={format_value(table.e_max)} "
-          f"D_opt={len(grounds)} grounds={' '.join(grounds)}")
+          f"D_opt={ground.size} grounds={text.tobytes()[:-1].decode()}")
     return EXIT_OK
 
 

@@ -217,21 +217,21 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
         mags = [abs(c) for c in (m.constant, *m.linear, *m.quadratic.values())]
         big = max(mags)
         tol = 8 * m.n * np.finfo(float).eps * big * sum(a / big for a in mags)
-    # Each 2^n array is deleted once used up: three are live at most, four
-    # when the energies are all distinct.
+    # Each 2^n array is deleted once used up: two are live at most (the
+    # energies and their sorted copy), four when the energies are all
+    # distinct (the energies, run values, run starts and levels).
     # an overflow gives a non-finite level, which analyze_spectrum refuses
     with np.errstate(over="ignore", invalid="ignore"):
         e = m.energies()
-    index = np.argsort(e)
-    ordered = e[index]
-    del e
+    ordered = np.sort(e)
     # Tied energies share their bits, except +-0.0 and the NaNs (sorted
-    # last): give the first of each such run its lowest index's bits.
+    # last): give the first of each such run its lowest pattern's energy.
     zeros = np.searchsorted(ordered, 0.0), np.searchsorted(ordered, 0.0, "right")
     nans = np.searchsorted(ordered, np.nan), ordered.size
-    for lo, hi in (zeros, nans):
-        if lo < hi:
-            ordered[lo] = ordered[lo + np.argmin(index[lo:hi])]
+    if zeros[0] < zeros[1]:
+        ordered[zeros[0]] = e[np.argmax(e == 0)]
+    if nans[0] < nans[1]:
+        ordered[nans[0]] = e[np.argmax(np.isnan(e))]
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))  # run starts
     new[nans[0] + 1:] = False
     values = ordered[new]
@@ -241,11 +241,19 @@ def enumerate_spectrum(m: IsingModel | QuboModel) -> SpectrumTable:
     level = np.concatenate(([True], np.diff(values) > tol))
     energies = values[level]
     del values
+    # Levels split only between distinct values, and a NaN never starts one
+    # (its gap compares false), so the ground level is every pattern below
+    # the second level's energy.
+    if energies.size > 1:
+        ground = np.flatnonzero(e < energies[1])
+    else:
+        ground = np.arange(e.size)
+    del e
     starts = runs[level]
     del runs
-    counts = np.append(starts[1:], index.size)
+    counts = np.append(starts[1:], 1 << m.n)
     counts -= starts
-    return SpectrumTable(m.n, energies, counts, np.sort(index[:counts[0]]))
+    return SpectrumTable(m.n, energies, counts, ground)
 
 
 def model_from_dict(data: Mapping) -> QuboModel | IsingModel:

@@ -11,7 +11,8 @@ from rydqubo import cli, models
 from rydqubo.annealer import PropagationConfig, Schedule, propagate
 from rydqubo.cli import main
 from rydqubo.hardness import format_value
-from rydqubo.models import model_from_dict
+from rydqubo.models import (QuboModel, enumerate_spectrum, model_from_dict,
+                            state_bits)
 from rydqubo.optimizer import AnnealObjective, initial_parameters
 from rydqubo.pipeline import default_schedule, encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
@@ -82,6 +83,26 @@ def test_spectrum_output(capsys, xor_model_file):
     assert lines[0] == "energy,multiplicity"
     assert lines[1] == "1,6"
     assert "D_opt=6" in lines[-1]
+
+
+@pytest.mark.parametrize("model", [
+    QuboModel(12, (0.0,) * 12, {}),  # every one of 4,096 patterns is ground
+    QuboModel(0, (), {}, 1.5),
+    QuboModel(1, (-1.0,), {}),
+], ids=["flat-12", "n-0", "n-1"])
+def test_spectrum_grounds_spell_state_bits(capsys, tmp_path, model):
+    """Each ground state prints as its state_bits, x_0 first, in ascending
+    pattern order, one space apart."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model.to_dict()))
+    code, out, _ = run(capsys, "spectrum", "--model", str(path))
+    table = enumerate_spectrum(model)
+    grounds = [''.join(map(str, state_bits(s, model.n)))
+               for s in table.ground_states.tolist()]
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        f"# C_opt={format_value(table.e_min)} C_max={format_value(table.e_max)}"
+        f" D_opt={len(grounds)} grounds={' '.join(grounds)}")
 
 
 def test_spectrum_missing_file_exit_2(capsys):

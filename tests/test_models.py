@@ -316,6 +316,25 @@ def test_ground_level_is_one_int64_array():
     assert kept < 9 * 2**20, kept
 
 
+def test_flat_spectrum_sorts_values_not_indices(monkeypatch):
+    """A flat n = 20 spectrum sorts the 2^20 energies by value, with no
+    index array: no argsort runs, and the traced peak stays below 20 MiB
+    (the energies, their sorted copy and the run-start mask; an argsort's
+    int64 index would add 8 MiB)."""
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("enumerate_spectrum called np.argsort")
+
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    tracemalloc.start()
+    try:
+        table = enumerate_spectrum(QuboModel(20, (0.0,) * 20, {}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.counts.tolist() == [1 << 20]
+    assert peak < 20 * 2**20, peak
+
+
 @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
 def test_doubled_energies_match_exact_sums(rng, cls):
     """Bit for bit on integer coefficients, where every sum is exact; within
