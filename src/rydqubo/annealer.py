@@ -45,7 +45,8 @@ of the exponential about to act on it: c_k = V_k^T psi_k.  A step is then
 a phase and one real overlap, c_{k+1} = V_{k+1}^T V_k (p_k o c_k), and the
 overlaps of a block of steps come from one stacked product.  The state
 itself, psi_k = V_k c_k, is formed only where it is read: at the samples
-and at T.  The gradient's adjoint runs back through the same overlaps.
+and at T.  The gradient's adjoint runs back through the same overlaps,
+formed again from the eigenvectors rather than stored.
 """
 
 from __future__ import annotations
@@ -313,6 +314,16 @@ def _rotate(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (v @ c.view(float).reshape(*c.shape, 2)).view(complex)[..., 0]
 
 
+def _overlaps(evecs: np.ndarray, basis: np.ndarray, out: np.ndarray
+              ) -> np.ndarray:
+    """The overlaps O_k = V_k^T V_{k-1} of a block's eigenvectors, written
+    into out[:len(evecs)], with basis as the V before the block's first."""
+    out = out[:len(evecs)]
+    np.matmul(evecs[0].T, basis, out=out[0])
+    np.matmul(evecs[1:].transpose(0, 2, 1), evecs[:-1], out=out[1:])
+    return out
+
+
 def _sweep(q: _Quotient, delta_g, omega, ramp, dt: float):
     """Apply exp(-i dt H(delta_g[k], omega[k], ramp[k])) for k = 0, 1, ...
     in turn to the start coefficients of the quotient basis, carrying each state in the
@@ -323,21 +334,23 @@ def _sweep(q: _Quotient, delta_g, omega, ramp, dt: float):
     before exponential k is carried as c_k = V_k^T psi_k and advanced by
     c_{k+1} = O_{k+1} (p_k o c_k), with p_k = exp(-i dt lambda_k) and the
     real overlap O_{k+1} = V_{k+1}^T V_k.  The Hamiltonians are decomposed,
-    and their overlaps formed by one stacked product, in blocks of at most
-    BLOCK_BYTES; a block's first overlap reaches back to the previous
-    block's last V, and the first block's to the identity, which makes
-    c_0 = V_0^T psi_0.  A complex vector meets a real matrix as an (m, 2)
-    float view, written by np.dot into preallocated rows.  Yields, per
-    block, (lo, evals, evecs, over, coeffs): the eigen-pairs and overlaps
-    O_k of exponentials lo, lo + 1, ..., and coeffs[k] = c_{lo+k}, so that
+    and their overlaps formed by ``_overlaps`` into one reused buffer, in
+    blocks of at most BLOCK_BYTES; a block's first overlap reaches back to
+    the previous block's last V, and the first block's to the identity,
+    which makes c_0 = V_0^T psi_0.  A complex vector meets a real matrix as
+    an (m, 2) float view, written by np.dot into preallocated rows.  Yields,
+    per block, (lo, evals, evecs, coeffs): the eigen-pairs of exponentials
+    lo, lo + 1, ..., and coeffs[k] = c_{lo+k}, so that
     psi_{lo+k} = V_{lo+k} c_{lo+k}; the last row is p o c of the block's
     last exponential, the state after the block in that exponential's
-    eigenbasis.
+    eigenbasis.  The overlaps are not yielded: the buffer is overwritten by
+    the next block.
     """
     m = len(q.start)
     diag = np.arange(m)
     block = max(1, BLOCK_BYTES // q.x.nbytes)
     basis, carry = np.eye(m), q.start
+    buffer = np.empty((min(block, len(delta_g)), m, m))
     scaled = np.empty(m, dtype=complex)
     scaled_f = scaled.view(float).reshape(m, 2)
     for lo in range(0, len(delta_g), block):
@@ -347,9 +360,7 @@ def _sweep(q: _Quotient, delta_g, omega, ramp, dt: float):
                              + ramp[lo:hi, None] * q.ramp)
         evals, evecs = np.linalg.eigh(h)
         phase = np.exp(-1j * evals * dt)
-        over = np.empty_like(evecs)
-        np.matmul(evecs[0].T, basis, out=over[0])
-        np.matmul(evecs[1:].transpose(0, 2, 1), evecs[:-1], out=over[1:])
+        over = _overlaps(evecs, basis, buffer)
         coeffs = np.empty((hi - lo + 1, m), dtype=complex)
         coeffs_f = coeffs.view(float).reshape(hi - lo + 1, m, 2)
         np.dot(over[0], carry.view(float).reshape(m, 2), out=coeffs_f[0])
@@ -358,7 +369,7 @@ def _sweep(q: _Quotient, delta_g, omega, ramp, dt: float):
             np.dot(over[k], scaled_f, out=coeffs_f[k])
         np.multiply(phase[-1], coeffs[-2], out=coeffs[-1])
         basis, carry = evecs[-1], coeffs[-1]
-        yield lo, evals, evecs, over, coeffs
+        yield lo, evals, evecs, coeffs
 
 
 def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
@@ -374,7 +385,7 @@ def _run_steps(enc: EncodedTarget, schedule: Schedule, psi0: np.ndarray,
     controls = _cfm4_exponentials(schedule, n_steps)
     stride = len(controls[0]) // intervals
     snaps = []
-    for lo, _, evecs, _, coeffs in _sweep(q, *controls):
+    for lo, _, evecs, coeffs in _sweep(q, *controls):
         rows = slice(-lo % stride, len(evecs), stride)
         snaps.append(_rotate(evecs[rows], coeffs[rows]))
     psi = _rotate(evecs[-1], coeffs[-1])
@@ -399,12 +410,13 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     the gradient is the exact gradient of that discretized E(T) (GRAPE, Khaneja et al., JMR 172, 296, 2005).  The
     anneal runs in the start state's quotient basis of m cells, where E(T)
     is the same function of the coefficients.  The forward ``_sweep`` keeps
-    each step's eigen-pairs H_k = V_k diag(lambda_k) V_k^T, overlaps
-    O_k = V_k^T V_{k-1} and eigenbasis states c_k = V_k^T psi_k, which costs
-    2 n_steps m^2 8 bytes.  The adjoint lam_N = D psi_N, lam_k =
-    U_k^dag lam_{k+1}, runs back in the same bases: a_k = V_k^T lam_{k+1}
-    starts from a_{N-1} = V_{N-1}^T lam_N and steps by
-    a_{k-1} = O_k^T (conj(p_k) o a_k), with p_k = exp(-i dt lambda_k).  The
+    each step's eigen-pairs H_k = V_k diag(lambda_k) V_k^T and eigenbasis
+    states c_k = V_k^T psi_k, which costs n_steps m^2 8 bytes.  The adjoint
+    lam_N = D psi_N, lam_k = U_k^dag lam_{k+1}, runs back in the same bases:
+    a_k = V_k^T lam_{k+1} starts from a_{N-1} = V_{N-1}^T lam_N and steps by
+    a_{k-1} = O_k^T (conj(p_k) o a_k), with p_k = exp(-i dt lambda_k) and
+    the overlaps O_k = V_k^T V_{k-1} of each block formed again by
+    ``_overlaps``, the same products as the forward sweep's.  The
     sensitivity of step k to a parameter theta of H_k is
     2 Re[a^H (Gamma o V^T dH/dtheta V) b] with a = a_k, b = c_k and the
     eigenbasis Frechet derivative of exp(-i dt H) (de Fouquieres et al.,
@@ -424,7 +436,7 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     q = _quotient(enc, _start_state(enc.n))
     target = q.v - q.delta
     blocks = list(_sweep(q, *controls))
-    _, _, evecs, _, coeffs = blocks[-1]
+    _, _, evecs, coeffs = blocks[-1]
     psi = _rotate(evecs[-1], coeffs[-1])
     energy = float(np.abs(psi) ** 2 @ target + enc.constant)
 
@@ -435,7 +447,12 @@ def energy_gradient(enc: EncodedTarget, schedule: Schedule,
     adj = _rotate(evecs[-1].T, target * psi)
     scaled = np.empty_like(adj)
     adj_f, scaled_f = (v.view(float).reshape(len(v), 2) for v in (adj, scaled))
-    for lo, evals, evecs, over, coeffs in reversed(blocks):
+    # each block's overlaps again, from the last V of the block before it
+    bases = [np.eye(len(adj)), *(evecs[-1] for _, _, evecs, _ in blocks[:-1])]
+    buffer = np.empty_like(blocks[0][2])
+    for (lo, evals, evecs, coeffs), basis in zip(reversed(blocks),
+                                                 reversed(bases)):
+        over = _overlaps(evecs, basis, buffer)
         b = coeffs[:-1]
         a = np.empty_like(b)
         a_f = a.view(float).reshape(*a.shape, 2)

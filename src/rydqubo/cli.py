@@ -155,9 +155,10 @@ def _encoded(args, mode: str):
 def cmd_spectrum(args) -> int:
     model = _load_json(args.model, "model", model_from_dict)
     table = enumerate_spectrum(model)
-    print("energy,multiplicity")
-    for energy, count in zip(table.energies.tolist(), table.counts.tolist()):
-        print(f"{format_value(energy)},{count}")
+    # one write for the whole table: stdout may be unbuffered
+    print("\n".join(["energy,multiplicity", *(
+        f"{format_value(energy)},{count}" for energy, count
+        in zip(table.energies.tolist(), table.counts.tolist()))]))
     ground = table.ground_states
     # one row per ground state: its bits x_0 .. x_{n-1} as ASCII, then a space
     text = np.full((ground.size, model.n + 1), ord(" "), np.uint8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,14 +12,16 @@ from rydqubo.annealer import (BLOCK_BYTES, DIM_CAP, AnnealerError,
                               _start_state, _sweep, energy_gradient, propagate)
 from rydqubo.encoding import EncodedTarget, encode
 from rydqubo.models import IsingModel, as_ising
-from rydqubo.pipeline import encode_for_annealing
+from rydqubo.optimizer import AnnealObjective, initial_parameters
+from rydqubo.pipeline import default_schedule, encode_for_annealing
 
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
 from conftest import (PLANTED, PRESET_CELLS, central_differences,
-                      orbit_count, pauli_x_total, planted_target, preset_run,
-                      random_antiferro_ising, reference_run_steps,
-                      start_diagonal, trajectory_of)
+                      objective_value, orbit_count, pauli_x_total,
+                      planted_target, preset_run, random_antiferro_ising,
+                      reference_run_steps, start_diagonal, stencil_gradient,
+                      trajectory_of)
 
 
 def xor_pair_target():
@@ -360,7 +363,7 @@ def _midpoint_run(enc, schedule, psi0, n_steps, ground_indices):
     eigenbasis coefficients, and the final state from a block's last row."""
     q = _quotient(enc, psi0)
     states = []
-    for _, _, evecs, _, coeffs in _sweep(
+    for _, _, evecs, coeffs in _sweep(
             q, *_midpoint_exponentials(schedule, n_steps)[1]):
         states.extend((evecs @ coeffs[:-1, :, None])[..., 0])
     states = _expand(q, np.array([*states, evecs[-1] @ coeffs[-1]]))
@@ -616,3 +619,53 @@ def test_energy_gradient_refuses_non_finite():
     enc = EncodedTarget(1, np.zeros((1, 1)), np.array([1.0]), float("nan"))
     with pytest.raises(FloatingPointError):
         energy_gradient(enc, Schedule(2.0, (0.5,), (1.0,)))
+
+
+def test_energy_gradient_across_block_boundaries(monkeypatch):
+    """With one step per block, every overlap of the adjoint sweep is formed
+    again from the block before's last eigenvectors.  On two_sat the
+    gradient stays within 1e-3 of the fourth-order stencil.  On clustering
+    and protein the value is the default blocks' bit for bit, and the
+    gradient theirs within 1e-12 of its largest entry: the gradient is not
+    bit-identical across block sizes, and differs there by under 1e-15."""
+    defaults = {}
+    for name in ("clustering", "protein"):
+        enc, _ = preset_run(name)
+        obj = AnnealObjective(enc, default_schedule(name, enc))
+        params = initial_parameters(obj.template, 1)
+        defaults[name] = obj, params, obj.value_and_gradient(params)
+    monkeypatch.setattr(annealer, "BLOCK_BYTES", 1)
+
+    enc, _ = preset_run("two_sat")
+    obj = AnnealObjective(enc, Schedule(8.0, (0.0, 0.0), (0.0, 0.0),
+                                        sample_count=21), initial_steps=40)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        p = rng.normal(scale=0.5, size=4)
+        p[2] += 1.0
+        oracle = stencil_gradient(objective_value(obj), p)
+        grad = obj.value_and_gradient(p)[1]
+        assert np.linalg.norm(grad - oracle) < 1e-3 * np.linalg.norm(oracle)
+
+    for name, (obj, params, (value, grad)) in defaults.items():
+        value_1, grad_1 = obj.value_and_gradient(params)
+        assert value_1 == value, name
+        assert np.abs(grad_1 - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+
+def test_energy_gradient_keeps_no_overlaps():
+    """The gradient stores each step's eigenvectors and coefficients and
+    forms the overlaps again on the way back.  On a target without symmetry
+    (m = 64) one call at 200 steps peaks below 10 MiB: the eigenvectors
+    alone take 6.25 MiB, and with the overlaps stored as well the call
+    peaked at 14.6 MiB."""
+    enc = _random_target(np.random.default_rng(5), 6)
+    assert len(_quotient(enc, _start_state(enc.n)).size) == 64
+    sched = Schedule(4.0, (0.2, -0.1), (1.5, 0.4))
+    tracemalloc.start()
+    try:
+        energy_gradient(enc, sched, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rydqubo import cli, models
@@ -17,7 +18,7 @@ from rydqubo.optimizer import AnnealObjective, initial_parameters
 from rydqubo.pipeline import default_schedule, encode_for_annealing
 from rydqubo.problems import PRESET_NAMES, preset_instance
 
-from conftest import TIED_START_MODEL, source_optimum
+from conftest import TIED_START_MODEL, random_qubo, source_optimum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +104,27 @@ def test_spectrum_grounds_spell_state_bits(capsys, tmp_path, model):
     assert out.splitlines()[-1] == (
         f"# C_opt={format_value(table.e_min)} C_max={format_value(table.e_max)}"
         f" D_opt={len(grounds)} grounds={' '.join(grounds)}")
+
+
+def test_spectrum_writes_every_level_in_one_print(capsys, tmp_path,
+                                                monkeypatch):
+    """A random float model at n = 12 has one level per pattern.  Its 4,096
+    lines are the format_value of each level, in order, and the whole table
+    goes out in one print, the footer in another."""
+    model = random_qubo(np.random.default_rng(12), 12)
+    table = enumerate_spectrum(model)
+    assert len(table.energies) == 4096
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model.to_dict()))
+    calls = []
+    monkeypatch.setattr(cli, "print", lambda *args, **kwargs: (
+        calls.append(args), print(*args, **kwargs)), raising=False)
+    code, out, _ = run(capsys, "spectrum", "--model", str(path))
+    assert code == 0
+    assert len(calls) == 2
+    assert out.splitlines()[:-1] == ["energy,multiplicity", *(
+        f"{format_value(e)},{c}" for e, c in zip(table.energies.tolist(),
+                                                 table.counts.tolist()))]
 
 
 def test_spectrum_missing_file_exit_2(capsys):
